@@ -5,7 +5,8 @@ outputs.  Matrix payloads (cover / Seidel / generalized Hadamard files) go to
 stdout; one-line reports accompanying a payload go to stderr so payloads stay
 pipeable.  Exit codes: 0 success, 1 verification or feasibility failure (with
 a machine-readable ``FAIL <condition> <witness>`` line on stdout), 2 malformed
-input or unsupported request (message on stderr).
+input or unsupported request (message on stderr), 3 internal consistency
+failure (an ``INTERNAL <message>`` line on stderr).
 
 ``--jobs`` and ``--seed`` are global options (before the subcommand).  No
 core command is randomized; ``--seed`` is accepted for reproducibility of any
@@ -23,6 +24,7 @@ from .constructions import cover_to_gh, dcff, gh_to_cover, thas_somma
 from .covers import drackn_verify, quotient
 from .errors import (
     CoverStructureError,
+    DracknError,
     FormatError,
     GroupMismatchError,
     UnsupportedError,
@@ -32,6 +34,7 @@ from .feasibility import (
     FLAG_TWO_GRAPH,
     FamilyRow,
     ParameterSet,
+    _fmt,
     family_enumerate,
     feasibility_battery,
     rows_to_tsv,
@@ -68,14 +71,6 @@ def _read_input(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-
-
-def _fmt(x) -> str:
-    from fractions import Fraction
-
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
-    return str(x)
 
 
 def _drackn_line(p: ParameterSet) -> str:
@@ -346,6 +341,9 @@ def main(argv=None) -> int:
     except (UnsupportedError, GroupMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DracknError as exc:
+        print(f"INTERNAL {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,21 +5,14 @@ n x n table whose (u, v) entry, u != v, is the group element f(u, v) with
 f(v, u) = -f(u, v).  The expanded graph has vertex set {0..n-1} x G, with
 (u, g) adjacent to (v, h) iff u != v and h - g = f(u, v).
 
-``drackn_verify`` checks the defining regularity conditions twice over:
-
-* combinatorially, on the expanded adjacency matrix (degrees, connectivity,
-  distance partition, antipodal fibres, the constant c); and
-* algebraically, by checking that every non-trivial character block B_chi
-  satisfies B^2 = delta*B + (n-1)I exactly.
-
-The two routes compute c independently; any mismatch raises
-``RoutesDisagreeError`` since it can only indicate an internal bug.
+``drackn_verify`` proves the defining regularity conditions from one exact
+integer table, the group-ring counts
+N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -31,9 +24,8 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
-from .exact_matrix import mat_poly_check
-from .feasibility import ParameterSet, spectral_params, _as_fraction
-from .groups import AbelianGroup, char_apply, characters_of, regular_expand
+from .feasibility import ParameterSet, spectral_params, _as_fraction, _fmt
+from .groups import AbelianGroup, subgroup_closure
 from .quadratic import QuadNum
 
 
@@ -101,11 +93,6 @@ class ArcMatrix:
         return f"ArcMatrix(n={self.n}, group={self.group})"
 
 
-def validate_cover(f: ArcMatrix) -> None:
-    """Re-run the structural checks on an arc table (no-op for a valid one)."""
-    _check_arc_table(f.group, f.entries)
-
-
 def normalize(f: ArcMatrix) -> ArcMatrix:
     """Gauge-equivalent arc table whose first row is the identity.
 
@@ -141,111 +128,109 @@ class CoverCertificate:
         assert trace == 0, "spectrum must have zero trace"
 
     def spectrum_str(self) -> str:
-        def fmt(ev):
-            if isinstance(ev, Fraction) and ev.denominator == 1:
-                return str(ev.numerator)
-            return str(ev)
-
-        return " ".join(f"{fmt(ev)}^{m}" for ev, m in self.spectrum)
+        return " ".join(f"{_fmt(ev)}^{m}" for ev, m in self.spectrum)
 
 
-def _bfs_dist(nbrs: list[list[int]], src: int, size: int) -> list[int]:
-    dist = [-1] * size
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        x = q.popleft()
-        dx = dist[x]
-        for y in nbrs[x]:
-            if dist[y] < 0:
-                dist[y] = dx + 1
-                q.append(y)
-    return dist
+def _count_table(idx: np.ndarray, add: np.ndarray) -> np.ndarray:
+    """N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x}.
 
-
-def _combinatorial_route(adj: np.ndarray, n: int, r: int) -> int:
-    """Check the distance partition of the expanded graph; return c."""
-    rn = n * r
-    deg = adj.sum(axis=1)
-    if not (deg == n - 1).all():
-        v = int(np.argmax(deg != n - 1))
-        raise VerificationError(
-            "not-regular", f"vertex {v} has degree {int(deg[v])}, expected {n - 1}"
-        )
-    nbrs = [np.flatnonzero(adj[i]).tolist() for i in range(rn)]
-    common = adj @ adj
-    c = None
-    first_pair = None
-    for u in range(rn):
-        dist = _bfs_dist(nbrs, u, rn)
-        for v in range(u + 1, rn):
-            if dist[v] < 0:
-                raise VerificationError("not-connected", f"no path joins {u} and {v}")
-            if adj[u, v]:
-                continue
-            k = int(common[u, v])
-            if u // r == v // r:
-                if k != 0 or dist[v] != 3:
-                    raise VerificationError(
-                        "not-antipodal",
-                        f"fibre mates {u},{v}: distance {dist[v]}, "
-                        f"{k} common neighbours (want 3, 0)",
-                    )
-            else:
-                if dist[v] != 2 or k < 1:
-                    raise VerificationError(
-                        "not-distance-regular",
-                        f"cross-fibre pair {u},{v} at distance {dist[v]}",
-                    )
-                if c is None:
-                    c, first_pair = k, (u, v)
-                elif k != c:
-                    raise VerificationError(
-                        "not-distance-regular",
-                        f"pair {u},{v} has {k} common neighbours, "
-                        f"pair {first_pair} has {c}",
-                    )
-    if c is None:
-        raise VerificationError(
-            "not-antipodal", "every cross-fibre pair is adjacent (complete quotient fibre)"
-        )
-    return c
+    ``idx`` holds the element index of f(u, v) (the diagonal is ignored) and
+    ``add`` is the group's addition table on element indices.  One bincount
+    per fibre u keeps the working memory at O(n^2) beside the n x n x r table.
+    """
+    n, r = idx.shape[0], add.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    rows = np.arange(n)[:, None] * r
+    table = np.empty((n, n, r), dtype=np.int64)
+    for u in range(n):
+        keep = off & off[u][None, :] & off[u][:, None]  # [v, w]: w, v, u distinct
+        keys = rows + add[idx[u][None, :], idx.T]  # [v, w]: f(u, w) + f(w, v)
+        table[u] = np.bincount(keys[keep], minlength=n * r).reshape(n, r)
+    return table
 
 
 def drackn_verify(f: ArcMatrix) -> CoverCertificate:
-    """Fully verify a cover: combinatorial route, then character-block route.
+    """Fully verify a cover from its group-ring count table.
+
+    The expanded graph of any arc table is (n-1)-regular, its fibres are
+    independent sets joined by perfect matchings, and fibre mates share no
+    neighbour.  Write vertex (u, g) as u*r + index(g) after normalizing.
+    Then (u, g) and (v, g + x), u != v, have N_uv(x) common neighbours, and
+    fibre mates (u, g), (u, g + x) are at distance 3 iff
+    N_uv(x + f(u, v)) > 0 for some v.  By Godsil and Hensel (JCTB 56, 1992)
+    the graph is an (n, r, c) cover iff every non-adjacent cross-fibre pair
+    has exactly c >= 1 common neighbours, i.e. N_uv(x) = c for x != f(u, v).
+
+    The checks read the table in the order of a scan over the expanded
+    graph: fibre by fibre, first the fibre's mates and then its pairs with
+    later fibres; c is the count of the first such pair.  The first fibre-0
+    mate not reached at distance 3 is ``not-connected`` when it lies outside
+    the subgroup generated by the arc values, else ``not-antipodal``; a
+    later miss is ``not-antipodal`` and a count other than c >= 1 is
+    ``not-distance-regular``.
+
+    The character blocks follow without a matrix product (Fourier lemma):
+    (B_chi^2)[u, v] = sum_x N_uv(x) chi(x) for u != v, and the diagonal is
+    n - 1.  Constant counts force N_uv(f(u, v)) = n - 2 - (r - 1)c, and
+    sum_x chi(x) = 0 for chi != 1, so B_chi^2 = delta*B_chi + (n-1)I with
+    delta = n - rc - 2 for every non-trivial character at once.
 
     Returns the certificate on success; raises ``VerificationError`` with a
     condition keyword and witness when the expanded graph is not a cover with
     the required regularity, and ``UnsupportedError`` for deck groups without
-    prime exponent (the character route needs one root of unity order).
+    prime exponent.
     """
     g = normalize(f)
     n = g.n
-    r = g.group.order
+    G = g.group
+    r = G.order
     if r < 2:
         raise UnsupportedError("verification needs fibre size r >= 2")
-    p = g.group.prime_exponent
-    if p is None:
+    if G.prime_exponent is None:
         raise UnsupportedError(
-            f"deck group with orders {g.group.orders} does not have prime exponent"
+            f"deck group with orders {G.orders} does not have prime exponent"
         )
-    adj = regular_expand(g)
-    c = _combinatorial_route(adj, n, r)
-    delta = n - r * c - 2
-    checks = ["arc-structure", "regular", "connected", "antipodal", "distance-regular"]
-
-    quad = (Fraction(-(n - 1)), Fraction(-delta), Fraction(1))
-    for chi in characters_of(g.group):
-        if chi.is_trivial():
-            continue
-        block = char_apply(g, chi)
-        if not mat_poly_check(block, quad):
-            raise RoutesDisagreeError(
-                f"character block {chi.exponents} violates "
-                f"x^2 - ({delta})x - ({n - 1}) though the expanded graph verified"
+    els = G.elements()
+    idx = np.array(
+        [[0 if u == v else G.index(g.entry(u, v)) for v in range(n)] for u in range(n)],
+        dtype=np.int64,
+    )
+    add = np.array([[G.index(G.add(a, b)) for b in els] for a in els], dtype=np.int64)
+    table = _count_table(idx, add)
+    c = int(table[0, 1, 1])  # pair (0, e), (1, els[1]); f(0, 1) = e after normalizing
+    for u in range(n):
+        others = np.flatnonzero(np.arange(n) != u)
+        # [v, x]: some w gives f(u, w) + f(w, v) = x + f(u, v)
+        reached = (table[u][others[:, None], add[:, idx[u, others]].T] > 0).any(axis=0)
+        if not reached[1:].all():
+            x = int(np.argmin(reached[1:])) + 1
+            arcs = {a for row in g.entries for a in row if a is not None}
+            if u == 0 and els[x] not in subgroup_closure(G, arcs):
+                raise VerificationError("not-connected", f"no path joins 0 and {x}")
+            raise VerificationError(
+                "not-antipodal", f"fibre mates {u * r},{u * r + x} are not at distance 3"
             )
-    checks.append("character-blocks")
+        later = table[u, u + 1:]
+        bad = (later != c) | (later < 1)
+        bad[np.arange(n - u - 1), idx[u, u + 1:]] = False
+        if bad.any():
+            v, x = (int(k) for k in np.argwhere(bad)[0])
+            pair = f"{u * r},{(u + 1 + v) * r + x}"
+            k = int(later[v, x])
+            raise VerificationError(
+                "not-distance-regular",
+                f"cross-fibre pair {pair} has no common neighbour"
+                if k < 1
+                else f"pair {pair} has {k} common neighbours, pair (0, {r + 1}) has {c}",
+            )
+    checks = [
+        "arc-structure",
+        "regular",
+        "connected",
+        "antipodal",
+        "distance-regular",
+        "character-blocks",
+    ]
 
     params = spectral_params(n, r, c)
     mt, mtau = params.m_theta, params.m_tau

@@ -263,12 +263,3 @@ def zeta(r: int) -> CycNum:
     """The primitive r-th root of unity exp(2*pi*i/r), r prime."""
     return CycNum.zeta_pow(r, 1)
 
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    """Product of two cyclotomic numbers (root orders must agree)."""
-    return a * b
-
-
-def cyc_conj(a: CycNum) -> CycNum:
-    """Complex conjugate of a cyclotomic number."""
-    return a.conjugate()

@@ -43,8 +43,9 @@ class VerificationError(DracknError):
 
 
 class RoutesDisagreeError(DracknError):
-    """The combinatorial and algebraic verification routes disagree.
+    """Two exact computations of the same quantity disagree.
 
     This is an internal consistency failure, not a property of the input:
-    either route alone is supposed to be sound.
+    for example a verified cover whose multiplicities are not integral, or a
+    construction whose certificate differs from its closed-form parameters.
     """

@@ -291,17 +291,6 @@ class FFElement:
         return f"FFElement({self.field!r}, {self.coeffs})"
 
 
-def ff_arith(x: FFElement, y: FFElement | None, op: str) -> FFElement:
-    """Dispatch helper: op is 'add', 'mul' or 'inv' (y ignored for 'inv')."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inverse()
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 def embed_subfield(sub: FiniteField, big: FiniteField) -> dict[FFElement, FFElement]:
     """The canonical embedding GF(p^s) -> GF(p^(s*k)) as an element map.
 

@@ -277,11 +277,6 @@ class GroupRingElement:
         return f"GroupRingElement({self.group}, {self.counts})"
 
 
-def gring_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
-    """Convolution product in the group ring."""
-    return x * y
-
-
 def subgroup_closure(group: AbelianGroup, generators: Iterable) -> set[tuple[int, ...]]:
     """The subgroup generated by the given elements (breadth-first closure)."""
     gens = [group.coerce(g) for g in generators]

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import io
 
+import pytest
+
 from drackn.cli import main
 from drackn.constructions import default_latin, default_skew, standard_symplectic
+from drackn.errors import DracknError, RoutesDisagreeError
 from drackn.feasibility import family_enumerate, rows_to_tsv
 from drackn.formats import emit_form, emit_latin, emit_skew
 
@@ -76,6 +79,20 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("FAIL not-connected")
     assert err == ""
+
+
+@pytest.mark.parametrize("error", [RoutesDisagreeError("two results differ"), DracknError("bug")])
+def test_internal_error_exit_3(capsys, monkeypatch, error):
+    cover = cover_933(capsys, monkeypatch)
+
+    def broken(_):
+        raise error
+
+    monkeypatch.setattr("drackn.cli.drackn_verify", broken)
+    code, out, err = run(capsys, monkeypatch, ["verify"], stdin_text=cover)
+    assert code == 3
+    assert out == ""
+    assert err == f"INTERNAL {error}\n"
 
 
 def test_verify_malformed_input_exit_2(capsys, monkeypatch):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from drackn.covers import (
     drackn_verify,
     normalize,
     quotient,
-    validate_cover,
 )
 from drackn.errors import (
     CoverStructureError,
@@ -87,10 +88,6 @@ def test_gauge_shift_leaves_certificate_unchanged():
     cert = drackn_verify(shifted)
     assert cert == base
     assert normalize(shifted) == normalize(f)
-
-
-def test_validate_cover_accepts_valid_table():
-    validate_cover(cover_933())  # must not raise
 
 
 def test_arc_matrix_rejects_bad_tables():
@@ -260,3 +257,128 @@ def test_arc_from_adjacency_rejects_non_translation_matching():
     with pytest.raises(CoverStructureError) as exc:
         arc_from_adjacency(adj, fibres, f.group)
     assert exc.value.condition == "non-translation-matching"
+
+
+# -- differential test: the count table against a scan of the expanded graph --
+
+
+def _bfs_dist(nbrs: list[list[int]], src: int, size: int) -> list[int]:
+    dist = [-1] * size
+    dist[src] = 0
+    q = deque([src])
+    while q:
+        x = q.popleft()
+        dx = dist[x]
+        for y in nbrs[x]:
+            if dist[y] < 0:
+                dist[y] = dx + 1
+                q.append(y)
+    return dist
+
+
+def _combinatorial_route(adj: np.ndarray, n: int, r: int) -> int:
+    """Check the distance partition of the expanded graph; return c."""
+    rn = n * r
+    deg = adj.sum(axis=1)
+    if not (deg == n - 1).all():
+        v = int(np.argmax(deg != n - 1))
+        raise VerificationError(
+            "not-regular", f"vertex {v} has degree {int(deg[v])}, expected {n - 1}"
+        )
+    nbrs = [np.flatnonzero(adj[i]).tolist() for i in range(rn)]
+    common = adj @ adj
+    c = None
+    first_pair = None
+    for u in range(rn):
+        dist = _bfs_dist(nbrs, u, rn)
+        for v in range(u + 1, rn):
+            if dist[v] < 0:
+                raise VerificationError("not-connected", f"no path joins {u} and {v}")
+            if adj[u, v]:
+                continue
+            k = int(common[u, v])
+            if u // r == v // r:
+                if k != 0 or dist[v] != 3:
+                    raise VerificationError(
+                        "not-antipodal",
+                        f"fibre mates {u},{v}: distance {dist[v]}, "
+                        f"{k} common neighbours (want 3, 0)",
+                    )
+            else:
+                if dist[v] != 2 or k < 1:
+                    raise VerificationError(
+                        "not-distance-regular",
+                        f"cross-fibre pair {u},{v} at distance {dist[v]}",
+                    )
+                if c is None:
+                    c, first_pair = k, (u, v)
+                elif k != c:
+                    raise VerificationError(
+                        "not-distance-regular",
+                        f"pair {u},{v} has {k} common neighbours, "
+                        f"pair {first_pair} has {c}",
+                    )
+    if c is None:
+        raise VerificationError(
+            "not-antipodal", "every cross-fibre pair is adjacent (complete quotient fibre)"
+        )
+    return c
+
+
+def _outcome(check, f):
+    try:
+        return check(f), None
+    except VerificationError as exc:
+        return None, exc.condition
+
+
+def _expanded_graph_scan(f: ArcMatrix) -> int:
+    g = normalize(f)
+    return _combinatorial_route(regular_expand(g), g.n, g.group.order)
+
+
+def _random_tables(count: int, seed: int):
+    rng = random.Random(seed)
+    groups = [AbelianGroup(o) for o in ((2,), (3,), (5,), (7,), (2, 2), (2, 2, 2), (3, 3))]
+    for _ in range(count):
+        G = rng.choice(groups)
+        n = rng.randint(2, 10)
+        els = G.elements()
+        entries = [[None] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                entries[u][v] = rng.choice(els)
+                entries[v][u] = G.neg(entries[u][v])
+        yield ArcMatrix(G, entries)
+
+
+def _one_arc_changes(f: ArcMatrix):
+    G = f.group
+    for u in range(f.n):
+        for v in range(u + 1, f.n):
+            for x in G.elements():
+                if x == f.entry(u, v):
+                    continue
+                entries = [list(row) for row in f.entries]
+                entries[u][v], entries[v][u] = x, G.neg(x)
+                yield ArcMatrix(G, entries)
+
+
+def test_count_table_agrees_with_expanded_graph_scan():
+    tables = list(_random_tables(1000, seed=20261018))
+    tables += list(_one_arc_changes(cover_933())) + [cover_933(), dcff(1, 1), dcff(1, 3)]
+    accepted = []
+    tags = set()
+    for f in tables:
+        want = _outcome(_expanded_graph_scan, f)
+        got = _outcome(lambda t: drackn_verify(t).params.c, f)
+        assert got == want, (f.group, f.entries)
+        tags.add(got[1])
+        if got[0] is not None:
+            accepted.append((f, got[0]))
+    assert {"not-connected", "not-antipodal", "not-distance-regular", None} <= tags
+    assert len(accepted) >= 10
+    for f, c in accepted:
+        n, r = f.n, f.group.order
+        graph = nx.from_numpy_array(regular_expand(f))
+        assert nx.intersection_array(graph) == ([n - 1, (r - 1) * c, 1], [1, c, n - 1])

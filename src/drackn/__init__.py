@@ -12,204 +12,3 @@ Exact-arithmetic tools for three connected families of objects:
 Everything is computed over Q, quadratic extensions, or prime-order
 cyclotomic fields -- no floating point anywhere.
 """
-
-from __future__ import annotations
-
-from .arith import (
-    divisors,
-    factorize,
-    is_perfect_square,
-    is_prime,
-    odd_prime_divisors,
-    sqrt_exact,
-    squarefree_split,
-)
-from .constructions import (
-    AlternatingForm,
-    GHMatrix,
-    LatinSquare,
-    SkewProduct,
-    cover_to_gh,
-    dcff,
-    default_latin,
-    default_skew,
-    gh_to_cover,
-    gh_validate,
-    standard_symplectic,
-    thas_somma,
-)
-from .covers import (
-    ArcMatrix,
-    CoverCertificate,
-    arc_from_adjacency,
-    drackn_verify,
-    normalize,
-    quotient,
-)
-from .cyclotomic import CycNum, zeta
-from .errors import (
-    CoverStructureError,
-    DracknError,
-    FormatError,
-    GroupMismatchError,
-    RoutesDisagreeError,
-    UnsupportedError,
-    VerificationError,
-)
-from .exact_matrix import ExactMatrix, mat_poly_check, mat_rank_exact
-from .feasibility import (
-    CASE_IDS,
-    FLAG_TWO_GRAPH,
-    FLAG_UNPUBLISHED,
-    KNOWN_PARAMETER_SETS,
-    SQRT5,
-    TSV_HEADER,
-    ConditionResult,
-    FamilyParams,
-    FamilyRow,
-    FeasibilityReport,
-    ParameterSet,
-    TauBounds,
-    family_enumerate,
-    family_params,
-    feasibility_battery,
-    rows_to_tsv,
-    spectral_params,
-    tau_bounds,
-)
-from .formats import (
-    emit_cover,
-    emit_form,
-    emit_gh,
-    emit_gram,
-    emit_latin,
-    emit_seidel,
-    emit_skew,
-    parse_cover,
-    parse_form,
-    parse_gh,
-    parse_latin,
-    parse_seidel,
-    parse_skew,
-)
-from .gf import FFElement, FiniteField, embed_subfield
-from .groups import (
-    AbelianGroup,
-    Character,
-    GroupRingElement,
-    char_apply,
-    characters_of,
-    regular_expand,
-    subgroup_closure,
-)
-from .lines import (
-    CoverLines,
-    LineSet,
-    SeidelMatrix,
-    SeidelSpectrum,
-    absolute_bound,
-    cover_to_lines,
-    double_real,
-    find_symmetric_conference,
-    lines_to_cover,
-    relative_bound,
-    seidel_to_linesets,
-    tight_frame_check,
-    two_eigenvalue_data,
-)
-from .quadratic import QuadNum
-
-__all__ = [
-    "AbelianGroup",
-    "AlternatingForm",
-    "ArcMatrix",
-    "CASE_IDS",
-    "Character",
-    "ConditionResult",
-    "CoverCertificate",
-    "CoverLines",
-    "CoverStructureError",
-    "CycNum",
-    "DracknError",
-    "ExactMatrix",
-    "FFElement",
-    "FLAG_TWO_GRAPH",
-    "FLAG_UNPUBLISHED",
-    "FamilyParams",
-    "FamilyRow",
-    "FeasibilityReport",
-    "FiniteField",
-    "FormatError",
-    "GHMatrix",
-    "GroupMismatchError",
-    "GroupRingElement",
-    "KNOWN_PARAMETER_SETS",
-    "LatinSquare",
-    "LineSet",
-    "ParameterSet",
-    "QuadNum",
-    "RoutesDisagreeError",
-    "SQRT5",
-    "SeidelMatrix",
-    "SeidelSpectrum",
-    "SkewProduct",
-    "TSV_HEADER",
-    "TauBounds",
-    "UnsupportedError",
-    "VerificationError",
-    "absolute_bound",
-    "arc_from_adjacency",
-    "char_apply",
-    "characters_of",
-    "cover_to_gh",
-    "cover_to_lines",
-    "dcff",
-    "default_latin",
-    "default_skew",
-    "divisors",
-    "double_real",
-    "drackn_verify",
-    "emit_cover",
-    "emit_form",
-    "emit_gh",
-    "emit_gram",
-    "emit_latin",
-    "emit_seidel",
-    "emit_skew",
-    "embed_subfield",
-    "factorize",
-    "family_enumerate",
-    "family_params",
-    "feasibility_battery",
-    "find_symmetric_conference",
-    "gh_to_cover",
-    "gh_validate",
-    "is_perfect_square",
-    "is_prime",
-    "lines_to_cover",
-    "mat_poly_check",
-    "mat_rank_exact",
-    "normalize",
-    "odd_prime_divisors",
-    "parse_cover",
-    "parse_form",
-    "parse_gh",
-    "parse_latin",
-    "parse_seidel",
-    "parse_skew",
-    "quotient",
-    "regular_expand",
-    "relative_bound",
-    "rows_to_tsv",
-    "seidel_to_linesets",
-    "spectral_params",
-    "sqrt_exact",
-    "squarefree_split",
-    "standard_symplectic",
-    "subgroup_closure",
-    "tau_bounds",
-    "thas_somma",
-    "tight_frame_check",
-    "two_eigenvalue_data",
-    "zeta",
-]

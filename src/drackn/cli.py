@@ -58,7 +58,6 @@ from .lines import (
     cover_to_lines,
     lines_to_cover,
     relative_bound,
-    tight_frame_check,
 )
 
 _CASE_MAP = {"Ia": "I.a", "Ib": "I.b", "IIa": "II.a", "IIb": "II.b"}
@@ -111,11 +110,13 @@ def _selected(which: str, cl: CoverLines) -> list[tuple[str, LineSet]]:
 def _lineset_summary(label: str, ls: LineSet) -> str:
     rel = relative_bound(ls.n, ls.d)
     bound = absolute_bound(ls.d, ls.field)
+    # equiangular lines attain the relative bound iff they form a tight frame
+    attained = "yes" if ls.alpha_sq == rel else "no"
     return (
         f"LINESET {label} n={ls.n} d={ls.d} alpha_sq={ls.alpha_sq} field={ls.field}"
-        f" tight-frame={'yes' if tight_frame_check(ls) else 'no'}"
+        f" tight-frame={attained}"
         f" relative-bound={rel}"
-        f" relative-attained={'yes' if ls.alpha_sq == rel else 'no'}"
+        f" relative-attained={attained}"
         f" absolute-bound={bound}"
         f" absolute-attained={'yes' if ls.n == bound else 'no'}"
     )

@@ -1,20 +1,23 @@
 """Seidel matrices, equiangular line systems, and their cover bridges.
 
-A Seidel matrix here is any Hermitian n x n matrix with zero diagonal and
-unit-modulus entries (entries in a prime-order root-of-unity group, or just
-+-1 in the rational case).  If S has exactly two eigenvalues theta > 0 > tau,
-then for each eigenvalue lambda the matrix
+A Seidel matrix here is a Hermitian n x n matrix with zero diagonal and
+off-diagonal entries +-zeta_p^k for a prime p (just +-1 in the rational
+case).  If S has exactly two eigenvalues theta > 0 > tau, then for each
+eigenvalue lambda the matrix
 
     G = I - S / lambda
 
 is positive semidefinite with unit diagonal and constant off-diagonal modulus
 1/|lambda|: the Gram matrix of n equiangular unit lines spanning a space of
-dimension equal to the multiplicity of the *other* eigenvalue.
+dimension equal to the multiplicity of the *other* eigenvalue.  G^2 is a
+multiple of G, so the lines form a tight frame and attain the relative bound.
 
-Character blocks of verified covers are exactly such matrices, which gives
-``cover_to_lines``; conversely a two-eigenvalue Seidel matrix whose entries
-are r-th roots of unity folds back into an arc table over Z/r
-(``lines_to_cover``), with the multiplicity count determining c.
+S^2 = aS + (n-1)I is proven from an integer count table by one lemma: for
+prime p the only rational relation among 1, zeta_p, ..., zeta_p^(p-1) is
+the all-equal one.  ``drackn_verify`` proves it for the character blocks of
+a cover, which gives ``cover_to_lines``; conversely a two-eigenvalue Seidel
+matrix whose entries are r-th roots of unity folds back into an arc table
+over Z/r (``lines_to_cover``), with the multiplicity count determining c.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covers import ArcMatrix, CoverCertificate, drackn_verify, normalize
+from .covers import ArcMatrix, CoverCertificate, _count_table, drackn_verify, normalize
 from .cyclotomic import CycNum
 from .errors import DracknError, RoutesDisagreeError, UnsupportedError, VerificationError
-from .exact_matrix import ExactMatrix, mat_rank_exact
-from .feasibility import spectral_params
+from .exact_matrix import ExactMatrix
+from .feasibility import _as_fraction
 from .groups import AbelianGroup, char_apply, characters_of
 from .arith import is_prime, sqrt_exact
 from .quadratic import QuadNum
@@ -41,53 +44,58 @@ def _rational_of(x) -> Fraction | None:
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, QuadNum):
-        return x.rational_value() if x.is_rational() else None
-    if isinstance(x, CycNum):
+    if isinstance(x, (QuadNum, CycNum)):
         return x.rational_value() if x.is_rational() else None
     return None
 
 
-def _coerce_entry(x):
-    return Fraction(x) if isinstance(x, int) else x
-
-
 class SeidelMatrix:
-    """Hermitian matrix with zero diagonal and unit-modulus entries.
+    """Hermitian matrix with zero diagonal and entries +-zeta_p^k.
 
-    ``root_order`` restricts the entries: None means rational entries (so
-    +-1), a prime p allows p-th roots of unity stored as ``CycNum``.
+    ``root_order`` is None for +-1 entries, or a prime p for entries stored
+    as ``CycNum``.  ``index`` holds each off-diagonal entry (-1)^h zeta_q^k
+    as h*q + k in Z/2 x Z/q, where q = p, or q = 2 and k = 0 for +-1 entries.
     """
 
-    __slots__ = ("mat", "root_order")
+    __slots__ = ("mat", "root_order", "index")
 
     def __init__(self, entries, root_order: int | None = None):
-        rows = tuple(tuple(_coerce_entry(e) for e in row) for row in entries)
+        rows = tuple(
+            tuple(Fraction(e) if isinstance(e, int) else e for e in row) for row in entries
+        )
         mat = ExactMatrix(rows)
         n = mat.nrows
         if not mat.is_square() or n < 2:
             raise ValueError(f"Seidel matrix must be square of order >= 2, got {mat.shape}")
         if root_order is not None and not is_prime(root_order):
             raise ValueError(f"root_order must be a prime or None, got {root_order}")
-        for u in range(n):
-            if mat.entry(u, u) != 0:
-                raise ValueError(f"diagonal entry ({u},{u}) is {mat.entry(u, u)!r}, not 0")
-            for v in range(n):
-                if u == v:
+        q = root_order or 2
+        ks = range(1 if q == 2 else q)  # zeta_2 = -1: +-1 entries have k = 0
+        table = {(1 - 2 * h) * CycNum.zeta_pow(q, k): h * q + k for h in (0, 1) for k in ks}
+        index = np.zeros((n, n), dtype=np.int64)
+        for u, row in enumerate(rows):
+            if row[u] != 0:
+                raise ValueError(f"diagonal entry ({u},{u}) is {row[u]!r}, not 0")
+            for v, e in enumerate(row):
+                if v == u:
                     continue
-                e = mat.entry(u, v)
-                if isinstance(e, CycNum):
-                    if root_order is None or e.r != root_order:
-                        raise ValueError(
-                            f"entry ({u},{v}) is a root of unity of order {e.r}, "
-                            f"but root_order={root_order}"
-                        )
-                if e * e.conjugate() != 1:
-                    raise ValueError(f"entry ({u},{v}) = {e!r} is not unit-modulus")
-                if mat.entry(v, u) != e.conjugate():
-                    raise ValueError(f"matrix is not Hermitian at ({u},{v})")
+                if isinstance(e, CycNum) and e.r != root_order:
+                    raise ValueError(
+                        f"entry ({u},{v}) is a root of unity of order {e.r}, "
+                        f"but root_order={root_order}"
+                    )
+                if e not in table:
+                    raise ValueError(f"entry ({u},{v}) = {e!r} is not +-zeta_{q}^k")
+                index[u, v] = table[e]
+        # conj((-1)^h zeta^k) = (-1)^h zeta^(-k)
+        bad = index.T != index - index % q + (-index) % q
+        if bad.any():
+            u, v = (int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"matrix is not Hermitian at ({u},{v})")
+        index.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "root_order", root_order)
+        object.__setattr__(self, "index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeidelMatrix is immutable")
@@ -129,40 +137,46 @@ class SeidelSpectrum:
 def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     """Verify S^2 = aS + (n-1)I and return the eigenvalue data.
 
+    No matrix product: write S[u, v] = e_uv zeta^k_uv (``S.index``) and let
+    M_uv(k) = N_uv(+, k) - N_uv(-, k) from the count table over Z/2 x Z/q
+    (``covers._count_table``), so S^2[u, v] = sum_k M_uv(k) zeta^k for
+    u != v; the diagonal is n - 1 since the entries are units.  For prime q
+    the only rational relation among 1, zeta, ..., zeta^(q-1) is the
+    all-equal one, so the identity holds with rational a iff
+    M_uv(k) - a e_uv [k = k_uv] is constant in k for every u != v, and a is
+    read off the pair (0, 1).  +-1 matrices are the case q = 2, k_uv = 0.
+
     Raises ``VerificationError`` with condition ``not-two-eigenvalue`` when S
-    has more than two eigenvalues (witnessed by an entry of S^2 - aS -
-    (n-1)I, or by a multiplicity obstruction in the irrational case).
+    has more than two eigenvalues, witnessed by the first failing entry (one
+    exact row-column product) or by a multiplicity obstruction.
     """
     n = s.n
-    sq = s.mat * s.mat
-    denom = s.entry(0, 1)
-    a_val = sq.entry(0, 1) / denom
-    a = _rational_of(a_val)
-    if a is None:
-        raise VerificationError(
-            "not-two-eigenvalue", f"S^2[0,1]/S[0,1] = {a_val!r} is not rational"
-        )
-    rhs = (s.mat * a).plus_scalar_diag(Fraction(n - 1))
-    diffm = sq - rhs
-    if not diffm.is_zero():
-        u, v = next(
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if diffm.entry(u, v) != 0
-        )
+    q = s.root_order or 2
+    els = np.arange(2 * q)
+    add = (els[:, None] // q ^ els // q) * q + (els[:, None] + els) % q
+    counts = _count_table(s.index, add)
+    m = counts[:, :, :q] - counts[:, :, q:]
+    sign, k = 1 - 2 * (s.index // q), s.index % q
+    a_int = int(sign[0, 1] * (m[0, 1, k[0, 1]] - m[0, 1, (k[0, 1] + 1) % q]))
+    a = Fraction(a_int)
+    m[(*np.indices((n, n)), k)] -= a_int * sign
+    bad = (m != m[:, :, :1]).any(axis=2)
+    np.fill_diagonal(bad, False)
+    if bad.any():
+        # a fails on the pair (0, 1) itself exactly when S^2[0,1]/S[0,1] is irrational
+        u, v = (int(i) for i in np.argwhere(bad)[0])
+        sq = sum(s.entry(u, w) * s.entry(w, v) for w in range(n))
         raise VerificationError(
             "not-two-eigenvalue",
-            f"(S^2 - {a}S - {n - 1}I)[{u},{v}] = {diffm.entry(u, v)!r}",
+            f"S^2[0,1]/S[0,1] = {sq / s.entry(0, 1)!r} is not rational"
+            if (u, v) == (0, 1)
+            else f"(S^2 - {a}S - {n - 1}I)[{u},{v}] = {sq - s.entry(u, v) * a!r}",
         )
-    disc = a * a + 4 * (n - 1)
-    num, den = sqrt_exact(disc.numerator), sqrt_exact(disc.denominator)
-    if num is not None and den is not None:
-        root = Fraction(num, den)
-        theta: Fraction | QuadNum = (a + root) / 2
-        tau: Fraction | QuadNum = (a - root) / 2
-        mt = n * (-tau) / (theta - tau)
-        mtau = n * theta / (theta - tau)
+    root = sqrt_exact(a_int * a_int + 4 * (n - 1))
+    if root is not None:
+        theta: Fraction | QuadNum = Fraction(a_int + root, 2)
+        tau: Fraction | QuadNum = Fraction(a_int - root, 2)
+        mt, mtau = Fraction(n * (root - a_int), 2 * root), Fraction(n * (root + a_int), 2 * root)
         if mt.denominator != 1 or mtau.denominator != 1 or mt < 1 or mtau < 1:
             raise VerificationError(
                 "not-two-eigenvalue",
@@ -196,31 +210,32 @@ class LineSet:
         return self.gram.nrows
 
 
-def _line_set(s: SeidelMatrix, lam, d: int, field: str) -> LineSet:
+def _line_sets(s: SeidelMatrix, spec: SeidelSpectrum) -> tuple[LineSet, LineSet]:
+    """The lines with Gram G = I - S/lam for lam = tau, then theta.
+
+    G is 0 on the lam-eigenspace and 1 - mu/lam on the mu-eigenspace, so
+    G^2 = (n/d) G and rank G = d = m_mu: the caller's spectrum gives d.
+    """
     n = s.n
-    lam_sq = _rational_of(lam * lam)
-    assert lam_sq is not None and lam_sq > 0
-    if isinstance(lam, QuadNum) and not lam.is_rational():
-        if any(
-            _rational_of(s.entry(u, v)) is None for u in range(n) for v in range(n) if u != v
-        ):
+    field = "real" if s.root_order in (None, 2) else "complex"
+    entries = s.mat.rows
+    if isinstance(spec.theta, QuadNum) and not spec.theta.is_rational():
+        # QuadNum and CycNum do not mix: divide the rational values
+        entries = tuple(tuple(_rational_of(e) for e in row) for row in entries)
+        if any(e is None for row in entries for e in row):
             raise UnsupportedError(
                 "irrational eigenvalue with non-rational Seidel entries is not supported"
             )
-    one = Fraction(1)
-    rows = tuple(
-        tuple(
-            one if u == v else -(s.entry(u, v) / lam) for v in range(n)
+    out = []
+    for lam, d in ((spec.tau, spec.m_theta), (spec.theta, spec.m_tau)):
+        rows = tuple(
+            tuple(Fraction(1) if u == v else -(entries[u][v] / lam) for v in range(n))
+            for u in range(n)
         )
-        for u in range(n)
-    )
-    gram = ExactMatrix(rows)
-    rank = mat_rank_exact(gram)
-    if rank != d:
-        raise RoutesDisagreeError(
-            f"line Gram at eigenvalue {lam!r} has rank {rank}, multiplicity says {d}"
-        )
-    return LineSet(gram=gram, d=d, alpha_sq=1 / lam_sq, field=field)
+        lam_sq = _rational_of(lam * lam)
+        assert lam_sq is not None and lam_sq > 0
+        out.append(LineSet(gram=ExactMatrix(rows), d=d, alpha_sq=1 / lam_sq, field=field))
+    return out[0], out[1]
 
 
 def seidel_to_linesets(s: SeidelMatrix) -> tuple[LineSet, LineSet]:
@@ -230,11 +245,7 @@ def seidel_to_linesets(s: SeidelMatrix) -> tuple[LineSet, LineSet]:
     G = I - S/tau (dimension m_theta) and ``lines_theta`` from I - S/theta
     (dimension m_tau).
     """
-    spec = two_eigenvalue_data(s)
-    field = "real" if s.root_order in (None, 2) else "complex"
-    lines_tau = _line_set(s, spec.tau, spec.m_theta, field)
-    lines_theta = _line_set(s, spec.theta, spec.m_tau, field)
-    return lines_tau, lines_theta
+    return _line_sets(s, two_eigenvalue_data(s))
 
 
 def relative_bound(n: int, d: int) -> Fraction:
@@ -282,10 +293,10 @@ class CoverLines:
 def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
     """Equiangular lines from one non-trivial character block of a cover.
 
-    The block of a verified (n, r, c) cover is a two-eigenvalue Seidel
-    matrix; its tau-lines span dimension m_theta/(r-1) and its theta-lines
-    m_tau/(r-1).  Both line systems always attain the relative bound and
-    form tight frames; this is asserted, not merely reported.
+    ``drackn_verify`` proves B^2 = delta*B + (n-1)I for every non-trivial
+    character block B, so B has the cover's theta and tau with
+    multiplicities m_theta/(r-1) and m_tau/(r-1): its tau-lines span
+    dimension m_theta/(r-1) and its theta-lines m_tau/(r-1).
     """
     cert = drackn_verify(f)
     g = normalize(f)
@@ -297,23 +308,11 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
         )
     block = char_apply(g, chars[char_index])
     s = SeidelMatrix(block.rows, root_order=p)
-    spec = two_eigenvalue_data(s)
     ps = cert.params
-    if spec.theta != ps.theta or spec.tau != ps.tau:
-        raise RoutesDisagreeError(
-            f"character block eigenvalues ({spec.theta}, {spec.tau}) != "
-            f"cover eigenvalues ({ps.theta}, {ps.tau})"
-        )
-    if spec.m_theta != ps.mbar_theta or spec.m_tau != ps.mbar_tau:
-        raise RoutesDisagreeError(
-            f"block multiplicities ({spec.m_theta}, {spec.m_tau}) != "
-            f"(m_theta, m_tau)/(r-1) = ({ps.mbar_theta}, {ps.mbar_tau})"
-        )
-    lines_tau, lines_theta = seidel_to_linesets(s)
-    for lines in (lines_tau, lines_theta):
-        assert lines.alpha_sq == relative_bound(lines.n, lines.d)
-        assert tight_frame_check(lines)
-    return CoverLines(cert, s, lines_tau, lines_theta)
+    spec = SeidelSpectrum(
+        ps.theta, ps.tau, int(_as_fraction(ps.mbar_theta)), int(_as_fraction(ps.mbar_tau))
+    )
+    return CoverLines(cert, s, *_line_sets(s, spec))
 
 
 def _root_exponent(e, r: int) -> int | None:

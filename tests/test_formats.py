@@ -15,7 +15,7 @@ from drackn.constructions import (
     thas_somma,
 )
 from drackn.covers import quotient
-from drackn.cyclotomic import CycNum
+from drackn.cyclotomic import CycNum, zeta
 from drackn.errors import FormatError
 from drackn.formats import (
     emit_cover,
@@ -93,10 +93,14 @@ def test_seidel_round_trip_generic():
 
 
 def test_emit_seidel_rejects_non_root_entry():
-    # a unit-modulus cyclotomic number that is not a power of zeta_3
+    # a unit-modulus cyclotomic number that is not +-zeta_3^k is no Seidel entry
     e = CycNum(3, (Fraction(5, 7), Fraction(8, 7)))
     assert e * e.conjugate() == 1
-    s = SeidelMatrix([[0, e], [e.conjugate(), 0]], root_order=3)
+    with pytest.raises(ValueError):
+        SeidelMatrix([[0, e], [e.conjugate(), 0]], root_order=3)
+    # -zeta_3 is a Seidel entry, but SEIDEL v1 has no token for it
+    z = -zeta(3)
+    s = SeidelMatrix([[0, z], [z.conjugate(), 0]], root_order=3)
     with pytest.raises(FormatError):
         emit_seidel(s)
 

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drackn.arith import sqrt_exact
 from drackn.constructions import thas_somma
 from drackn.covers import drackn_verify
 from drackn.cyclotomic import CycNum, zeta
 from drackn.errors import UnsupportedError, VerificationError
+from drackn.exact_matrix import ExactMatrix, mat_rank_exact
+from drackn.formats import emit_seidel, parse_seidel
 from drackn.groups import regular_expand
 from drackn.lines import (
     SeidelMatrix,
+    SeidelSpectrum,
+    _rational_of,
     _root_exponent,
     absolute_bound,
     cover_to_lines,
@@ -26,6 +35,99 @@ from drackn.lines import (
     two_eigenvalue_data,
 )
 from drackn.quadratic import QuadNum
+
+
+# The exact-square route that ``two_eigenvalue_data`` replaced, kept as the
+# oracle of the differential tests below.
+def _exact_square_two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
+    """Verify S^2 = aS + (n-1)I and return the eigenvalue data.
+
+    Raises ``VerificationError`` with condition ``not-two-eigenvalue`` when S
+    has more than two eigenvalues (witnessed by an entry of S^2 - aS -
+    (n-1)I, or by a multiplicity obstruction in the irrational case).
+    """
+    n = s.n
+    sq = s.mat * s.mat
+    denom = s.entry(0, 1)
+    a_val = sq.entry(0, 1) / denom
+    a = _rational_of(a_val)
+    if a is None:
+        raise VerificationError(
+            "not-two-eigenvalue", f"S^2[0,1]/S[0,1] = {a_val!r} is not rational"
+        )
+    rhs = (s.mat * a).plus_scalar_diag(Fraction(n - 1))
+    diffm = sq - rhs
+    if not diffm.is_zero():
+        u, v = next(
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if diffm.entry(u, v) != 0
+        )
+        raise VerificationError(
+            "not-two-eigenvalue",
+            f"(S^2 - {a}S - {n - 1}I)[{u},{v}] = {diffm.entry(u, v)!r}",
+        )
+    disc = a * a + 4 * (n - 1)
+    num, den = sqrt_exact(disc.numerator), sqrt_exact(disc.denominator)
+    if num is not None and den is not None:
+        root = Fraction(num, den)
+        theta: Fraction | QuadNum = (a + root) / 2
+        tau: Fraction | QuadNum = (a - root) / 2
+        mt = n * (-tau) / (theta - tau)
+        mtau = n * theta / (theta - tau)
+        if mt.denominator != 1 or mtau.denominator != 1 or mt < 1 or mtau < 1:
+            raise VerificationError(
+                "not-two-eigenvalue",
+                f"multiplicities {mt}, {mtau} are not positive integers",
+            )
+        return SeidelSpectrum(theta, tau, int(mt), int(mtau))
+    if a != 0:
+        raise VerificationError(
+            "not-two-eigenvalue",
+            f"irrational eigenvalues with trace {a}*m != 0 cannot balance",
+        )
+    if n % 2:
+        raise VerificationError(
+            "not-two-eigenvalue", f"eigenvalues +-sqrt({n - 1}) need even order, got {n}"
+        )
+    root_q = QuadNum.sqrt(Fraction(n - 1))
+    return SeidelSpectrum(root_q, -root_q, n // 2, n // 2)
+
+
+def _outcome(fn, s: SeidelMatrix):
+    """repr of the spectrum, or the failure's condition and witness text."""
+    try:
+        return repr(fn(s))
+    except VerificationError as exc:
+        return exc.condition, str(exc)
+
+
+def _assert_same_as_exact_square(s: SeidelMatrix):
+    assert _outcome(two_eigenvalue_data, s) == _outcome(_exact_square_two_eigenvalue_data, s)
+
+
+def _signed_root(p, h: int, k: int):
+    """(-1)^h zeta_p^k, or (-1)^h when p is None."""
+    sign = 1 - 2 * h
+    return Fraction(sign) if p is None else sign * CycNum.zeta_pow(p, k)
+
+
+def _seidel_from(p, n: int, upper) -> SeidelMatrix:
+    """Seidel matrix with (u, v) entry upper[(u, v)] for u < v."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (u, v), e in upper.items():
+        rows[u][v], rows[v][u] = e, e.conjugate()
+    return SeidelMatrix(rows, p)
+
+
+@lru_cache(maxsize=None)
+def _ladder_block(p: int, m: int) -> SeidelMatrix:
+    return cover_to_lines(thas_somma(p, m)).seidel
+
+
+def _conference_cover():
+    return lines_to_cover(find_symmetric_conference(6, seed=0), 2)[0]
 
 
 def test_relative_bound_values():
@@ -71,6 +173,10 @@ def test_seidel_matrix_validation():
     with pytest.raises(ValueError):
         SeidelMatrix([[0, 1], [1, 0]], root_order=4)  # root_order must be prime
     SeidelMatrix([[0, z], [z.conjugate(), 0]], root_order=3)
+    # (-1)^h zeta_q^k is indexed h*q + k in Z/2 x Z/q
+    s = SeidelMatrix([[0, -z, 1], [-z.conjugate(), 0, -1], [1, -1, 0]], root_order=3)
+    assert s.index.tolist() == [[0, 4, 0], [5, 0, 3], [0, 3, 0]]
+    assert SeidelMatrix([[0, -1], [-1, 0]]).index.tolist() == [[0, 2], [2, 0]]
 
 
 def test_seidel_negate_involution():
@@ -105,17 +211,88 @@ def test_two_eigenvalue_data_rejects_generic_matrix():
     assert exc.value.condition == "not-two-eigenvalue"
 
 
-def test_cover_to_lines_933():
-    cl = cover_to_lines(thas_somma(3, 2))
-    lt, lth = cl.lines_tau, cl.lines_theta
-    assert (lt.n, lt.d, lt.alpha_sq, lt.field) == (9, 6, Fraction(1, 16), "complex")
-    assert (lth.n, lth.d, lth.alpha_sq, lth.field) == (9, 3, Fraction(1, 4), "complex")
-    for lines in (lt, lth):
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_two_eigenvalue_data_matches_exact_square(data):
+    p = data.draw(st.sampled_from([None, 2, 3, 5, 7]))
+    n = data.draw(st.integers(2, 8))
+    ks = st.just(0) if p in (None, 2) else st.integers(0, p - 1)
+    upper = {
+        (u, v): _signed_root(p, data.draw(st.integers(0, 1)), data.draw(ks))
+        for u in range(n)
+        for v in range(u + 1, n)
+    }
+    _assert_same_as_exact_square(_seidel_from(p, n, upper))
+
+
+def test_two_eigenvalue_data_matches_exact_square_on_small_pm1():
+    for n in (3, 4, 5):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for signs in product((0, 1), repeat=len(pairs)):
+            upper = {uv: _signed_root(None, h, 0) for uv, h in zip(pairs, signs)}
+            _assert_same_as_exact_square(_seidel_from(None, n, upper))
+
+
+@pytest.mark.parametrize("p, m, changes", [(3, 2, None), (5, 2, 4)], ids=["ts32", "ts52"])
+def test_two_eigenvalue_data_matches_exact_square_near_blocks(p, m, changes):
+    """The block, its negation and its one-entry changes (all of them for
+    ts32, a seeded sample for ts52, where each exact square takes ~0.6 s)."""
+    s = _ladder_block(p, m)
+    _assert_same_as_exact_square(s)
+    _assert_same_as_exact_square(s.negate())
+    upper = {(u, v): s.entry(u, v) for u in range(s.n) for v in range(u + 1, s.n)}
+    edits = [
+        (uv, e)
+        for uv in upper
+        for e in (_signed_root(p, h, k) for h in (0, 1) for k in range(p))
+        if e != upper[uv]
+    ]
+    if changes is not None:
+        edits = random.Random(0).sample(edits, changes)
+    for uv, e in edits:
+        _assert_same_as_exact_square(_seidel_from(p, s.n, {**upper, uv: e}))
+
+
+@pytest.mark.parametrize(
+    "make, want_tau, want_theta",
+    [
+        # 9 lines in complex dimension 3 meet the absolute bound d^2
+        (
+            lambda: thas_somma(3, 2),
+            (9, 6, Fraction(1, 16), "complex", False),
+            (9, 3, Fraction(1, 4), "complex", True),
+        ),
+        # 6 real lines in dimension 3 (the icosahedron's diagonals) meet d(d+1)/2
+        (
+            _conference_cover,
+            (6, 3, Fraction(1, 5), "real", True),
+            (6, 3, Fraction(1, 5), "real", True),
+        ),
+    ],
+    ids=["ts32", "conference6"],
+)
+def test_cover_to_lines_tight_frames(make, want_tau, want_theta):
+    cl = cover_to_lines(make())
+    for lines, want in ((cl.lines_tau, want_tau), (cl.lines_theta, want_theta)):
+        bound = absolute_bound(lines.d, lines.field)
+        assert lines.n <= bound
+        assert (lines.n, lines.d, lines.alpha_sq, lines.field, lines.n == bound) == want
+        # the product and elimination checks cover_to_lines no longer runs
         assert tight_frame_check(lines)
+        assert mat_rank_exact(lines.gram) == lines.d
         assert lines.alpha_sq == relative_bound(lines.n, lines.d)
-    # 9 lines in complex dimension 3 meet the absolute bound d^2
-    assert lth.n == absolute_bound(lth.d, lth.field)
-    assert lt.n < absolute_bound(lt.d, lt.field)
+
+
+def test_line_bridge_runs_no_matrix_product(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("ExactMatrix product on the line bridge")
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", no_product)
+    cl = cover_to_lines(thas_somma(3, 2))
+    s = parse_seidel(emit_seidel(cl.seidel))
+    assert seidel_to_linesets(s) == (cl.lines_tau, cl.lines_theta)
+    _, cert = lines_to_cover(s, 3)
+    assert cert == cl.certificate
 
 
 def test_cover_to_lines_char_index_range():

@@ -8,10 +8,8 @@ a machine-readable ``FAIL <condition> <witness>`` line on stdout), 2 malformed
 input or unsupported request (message on stderr), 3 internal consistency
 failure (an ``INTERNAL <message>`` line on stderr).
 
-``--jobs`` and ``--seed`` are global options (before the subcommand).  No
-core command is randomized; ``--seed`` is accepted for reproducibility of any
-seeded workflow built on the library (for example brute-force searches for
-small Seidel matrices).
+``--jobs`` is a global option (before the subcommand); no command is
+randomized.
 """
 
 from __future__ import annotations
@@ -228,9 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=1, help="parallel workers (default 1)"
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized workflows (default 0)"
-    )
     subs = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
     p = subs.add_parser("construct", help="build a cover from a known family")
@@ -306,12 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=tuple(_CASE_MAP), required=True)
     p.add_argument("--t-max", type=int, required=True, help="largest t to scan")
     p.add_argument("--tsv", action="store_true", help="tab-separated output")
-    p.add_argument(
-        "--include-unpublished",
-        action="store_true",
-        help="keep rows outside the published tables (already the default; "
-        "such rows carry the 'unpublished' flag)",
-    )
     p.add_argument(
         "--include-two-graph",
         action="store_true",

@@ -1,9 +1,11 @@
 """Arc functions, cover verification, quotients, and adjacency import.
 
-A cover of K_n with abelian deck group G is stored as an ``ArcMatrix``: an
-n x n table whose (u, v) entry, u != v, is the group element f(u, v) with
-f(v, u) = -f(u, v).  The expanded graph has vertex set {0..n-1} x G, with
-(u, g) adjacent to (v, h) iff u != v and h - g = f(u, v).
+A cover of K_n with abelian deck group G is stored as an ``ArcMatrix``: one
+n x n integer array whose (u, v) entry, u != v, is the element index of the
+arc value f(u, v), with f(v, u) = -f(u, v) and -1 on the diagonal.  The
+expanded graph has vertex set {0..n-1} x G, with (u, g) adjacent to (v, h)
+iff u != v and h - g = f(u, v).  Normalizing, verifying and quotienting are
+gathers through the group's addition, negation and projection tables.
 
 ``drackn_verify`` proves the defining regularity conditions from one exact
 integer table, the group-ring counts
@@ -20,6 +22,7 @@ import numpy as np
 from .arith import gfp_rref
 from .errors import (
     CoverStructureError,
+    GroupMismatchError,
     RoutesDisagreeError,
     UnsupportedError,
     VerificationError,
@@ -29,65 +32,99 @@ from .groups import AbelianGroup, subgroup_closure
 from .quadratic import QuadNum
 
 
-def _check_arc_table(group: AbelianGroup, rows) -> None:
+def _index_of_rows(group: AbelianGroup, rows) -> np.ndarray:
+    """Element indices of nested rows of exponent tuples, -1 where None."""
     n = len(rows)
+    _check_shape([len(row) for row in rows])
+    filled = [[group.identity if e is None else e for e in row] for row in rows]
+    try:
+        coords = np.array(filled, dtype=np.int64)
+    except (TypeError, ValueError):
+        coords = None
+    if coords is None or coords.shape != (n, n, group.rank):
+        raise GroupMismatchError(f"arc values are not {group.rank}-tuples of integers")
+    index = group.index_array(coords)
+    index[np.array([[e is None for e in row] for row in rows], dtype=bool)] = -1
+    return index
+
+
+def _check_shape(lengths: list[int]) -> None:
+    n = len(lengths)
     if n < 2:
         raise CoverStructureError("too-small", f"need at least 2 fibres, got {n}")
-    for u, row in enumerate(rows):
-        if len(row) != n:
-            raise CoverStructureError("not-square", f"row {u} has {len(row)} entries, want {n}")
-    for u in range(n):
-        if rows[u][u] is not None:
+    for u, m in enumerate(lengths):
+        if m != n:
+            raise CoverStructureError("not-square", f"row {u} has {m} entries, want {n}")
+
+
+def _check_arc_index(group: AbelianGroup, index: np.ndarray) -> None:
+    """Diagonal -1, every other entry an element index, f(v, u) = -f(u, v);
+    the first failing row (then entry) is the witness."""
+    _check_shape([len(row) for row in index])
+    n = index.shape[0]
+    bad_diag = index.diagonal() != -1
+    bad_entry = ~np.eye(n, dtype=bool) & ((index < 0) | (index >= group.order))
+    bad_row = bad_diag | bad_entry.any(axis=1)
+    if bad_row.any():
+        u = int(np.argmax(bad_row))
+        if bad_diag[u]:
             raise CoverStructureError("diagonal", f"entry ({u},{u}) must be None")
-        for v in range(n):
-            if u == v:
-                continue
-            if not group.contains(rows[u][v]):
-                raise CoverStructureError(
-                    "entry-outside-group", f"f({u},{v}) = {rows[u][v]!r} is not in {group}"
-                )
-    for u in range(n):
-        for v in range(u + 1, n):
-            if group.coerce(rows[v][u]) != group.neg(rows[u][v]):
-                raise CoverStructureError(
-                    "inverse-pair", f"f({v},{u}) != -f({u},{v}) at ({u},{v})"
-                )
+        v = int(np.argmax(bad_entry[u]))
+        e = None if index[u, v] < 0 else int(index[u, v])
+        raise CoverStructureError("entry-outside-group", f"f({u},{v}) = {e!r} is not in {group}")
+    bad_pair = np.triu(group.neg_table()[index] != index.T, 1)
+    if bad_pair.any():
+        u, v = (int(i) for i in np.argwhere(bad_pair)[0])
+        raise CoverStructureError("inverse-pair", f"f({v},{u}) != -f({u},{v}) at ({u},{v})")
 
 
 class ArcMatrix:
-    """Validated arc function of an n-fibre cover with abelian deck group."""
+    """Validated arc function of an n-fibre cover with abelian deck group.
 
-    __slots__ = ("group", "entries")
+    ``index`` is a read-only (n, n) int64 array: entry (u, v) is the element
+    index of f(u, v) (``AbelianGroup.elements`` order), -1 on the diagonal.
+    The constructor takes such an array, or nested rows of exponent tuples
+    with None on the diagonal (coordinates are reduced mod the orders).
+    """
+
+    __slots__ = ("group", "index")
 
     def __init__(self, group: AbelianGroup, entries):
-        rows = tuple(
-            tuple(None if e is None else group.coerce(e) for e in row) for row in entries
-        )
-        _check_arc_table(group, rows)
+        if not isinstance(entries, np.ndarray):
+            entries = _index_of_rows(group, entries)
+        index = np.array(entries, dtype=np.int64)
+        _check_arc_index(group, index)
+        index.flags.writeable = False
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("ArcMatrix is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self.index.shape[0]
+
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        """Nested rows of exponent tuples, None on the diagonal."""
+        els = self.group.elements() + (None,)  # index -1 reads None
+        return tuple(tuple(els[i] for i in row) for row in self.index.tolist())
 
     def entry(self, u: int, v: int):
-        return self.entries[u][v]
+        i = int(self.index[u, v])
+        return None if i < 0 else self.group.elements()[i]
 
     def is_normalized(self) -> bool:
-        e = self.group.identity
-        return all(self.entries[0][v] == e for v in range(1, self.n))
+        return not self.index[0, 1:].any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArcMatrix):
             return NotImplemented
-        return self.group == other.group and self.entries == other.entries
+        return self.group == other.group and np.array_equal(self.index, other.index)
 
     def __hash__(self) -> int:
-        return hash((self.group, self.entries))
+        return hash((self.group, self.index.tobytes()))
 
     def __repr__(self) -> str:
         return f"ArcMatrix(n={self.n}, group={self.group})"
@@ -96,20 +133,14 @@ class ArcMatrix:
 def normalize(f: ArcMatrix) -> ArcMatrix:
     """Gauge-equivalent arc table whose first row is the identity.
 
-    Replaces f(u, v) by f(u, v) + h_v - h_u with h_v = -f(0, v); the expanded
-    graph is unchanged up to relabelling within fibres.
+    f'(u, v) = f(u, v) + f(0, u) - f(0, v), reading f(0, 0) as the identity:
+    the expanded graph is unchanged up to relabelling within fibres.
     """
-    g = f.group
-    n = f.n
-    shifts = [g.identity] + [g.neg(f.entry(0, v)) for v in range(1, n)]
-    entries = [
-        [
-            None if u == v else g.add(g.sub(f.entry(u, v), shifts[u]), shifts[v])
-            for v in range(n)
-        ]
-        for u in range(n)
-    ]
-    return ArcMatrix(g, entries)
+    G = f.group
+    h = np.append(0, f.index[0, 1:])  # f(0, u), with f(0, 0) read as the identity
+    index = G.add_table()[G.add_table()[f.index, h[:, None]], G.neg_table()[h]]
+    np.fill_diagonal(index, -1)
+    return ArcMatrix(G, index)
 
 
 @dataclass(frozen=True)
@@ -191,11 +222,7 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
             f"deck group with orders {G.orders} does not have prime exponent"
         )
     els = G.elements()
-    idx = np.array(
-        [[0 if u == v else G.index(g.entry(u, v)) for v in range(n)] for u in range(n)],
-        dtype=np.int64,
-    )
-    add = np.array([[G.index(G.add(a, b)) for b in els] for a in els], dtype=np.int64)
+    idx, add = g.index, G.add_table()
     table = _count_table(idx, add)
     c = int(table[0, 1, 1])  # pair (0, e), (1, els[1]); f(0, 1) = e after normalizing
     for u in range(n):
@@ -204,7 +231,7 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
         reached = (table[u][others[:, None], add[:, idx[u, others]].T] > 0).any(axis=0)
         if not reached[1:].all():
             x = int(np.argmin(reached[1:])) + 1
-            arcs = {a for row in g.entries for a in row if a is not None}
+            arcs = [els[i] for i in np.unique(idx[idx >= 0])]
             if u == 0 and els[x] not in subgroup_closure(G, arcs):
                 raise VerificationError("not-connected", f"no path joins 0 and {x}")
             raise VerificationError(
@@ -284,11 +311,8 @@ def quotient(f: ArcMatrix, generators) -> ArcMatrix:
                 v = [(x - coef * y) % p for x, y in zip(v, row)]
         return tuple(v[j] for j in nonpivots)
 
-    n = f.n
-    entries = [
-        [None if u == v else project(f.entry(u, v)) for v in range(n)] for u in range(n)
-    ]
-    return ArcMatrix(quot, entries)
+    proj = np.array([quot.index(project(el)) for el in G.elements()] + [-1])
+    return ArcMatrix(quot, proj[f.index])  # the diagonal's -1 reads the last entry
 
 
 def arc_from_adjacency(adj, fibres, group: AbelianGroup) -> ArcMatrix:
@@ -323,40 +347,29 @@ def arc_from_adjacency(adj, fibres, group: AbelianGroup) -> ArcMatrix:
         raise CoverStructureError(
             "fibre-partition", f"fibres must partition 0..{size - 1} into {n} cells of size {r}"
         )
-    for u, fb in enumerate(fl):
-        if A[np.ix_(fb, fb)].any():
-            raise CoverStructureError("fibre-internal-edge", f"edge inside fibre {u}")
-    for u in range(n):
-        for v in range(u + 1, n):
-            block = A[np.ix_(fl[u], fl[v])]
-            if not (block.sum(axis=0) == 1).all() or not (block.sum(axis=1) == 1).all():
-                raise CoverStructureError(
-                    "non-matching", f"fibres {u} and {v} are not joined by a perfect matching"
-                )
-    els = group.elements()
-    label = {}
-    for k, x in enumerate(fl[0]):
-        label[x] = els[k]
-    for u in range(1, n):
-        for k, y in enumerate(fl[u]):
-            label[y] = els[k]
-    entries: list[list] = [[None] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            diffs = {
-                group.sub(label[y], label[x])
-                for x in fl[u]
-                for y in fl[v]
-                if A[x, y]
-            }
-            if len(diffs) != 1:
-                raise CoverStructureError(
-                    "non-translation-matching",
-                    f"the matching between fibres {u} and {v} is not a translation; "
-                    "the vertex order inside the fibres is incompatible with the "
-                    "deck action (any order works only for r = 2)",
-                )
-            d = diffs.pop()
-            entries[u][v] = d
-            entries[v][u] = group.neg(d)
-    return ArcMatrix(group, entries)
+    F = np.array(fl)
+    blocks = A[F[:, None, :, None], F[None, :, None, :]]  # [u, v, i, j]: F[u, i] ~ F[v, j]
+    inner = blocks[np.arange(n), np.arange(n)].any(axis=(1, 2))
+    if inner.any():
+        raise CoverStructureError("fibre-internal-edge", f"edge inside fibre {np.argmax(inner)}")
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    bad = later & ~((blocks.sum(axis=2) == 1) & (blocks.sum(axis=3) == 1)).all(axis=2)
+    if bad.any():
+        u, v = (int(i) for i in np.argwhere(bad)[0])
+        raise CoverStructureError(
+            "non-matching", f"fibres {u} and {v} are not joined by a perfect matching"
+        )
+    # the i-th vertex of each fibre carries element i: the matching's differences
+    diff = group.add_table()[blocks.argmax(axis=3), group.neg_table()[np.arange(r)]]
+    bad = later & (diff != diff[..., :1]).any(axis=2)
+    if bad.any():
+        u, v = (int(i) for i in np.argwhere(bad)[0])
+        raise CoverStructureError(
+            "non-translation-matching",
+            f"the matching between fibres {u} and {v} is not a translation; "
+            "the vertex order inside the fibres is incompatible with the "
+            "deck action (any order works only for r = 2)",
+        )
+    index = diff[..., 0]
+    np.fill_diagonal(index, -1)
+    return ArcMatrix(group, index)

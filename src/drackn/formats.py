@@ -6,7 +6,8 @@ Every emitter produces one canonical rendering (header line, parameter line,
 then matrix rows), and every parser reads exactly the declared number of rows
 after the two header lines and ignores trailing content.  That makes emitted
 payloads pipeable: a command may append report lines after the matrix block
-without breaking a downstream parser.
+without breaking a downstream parser.  Cover and Seidel rows are parsed
+straight into the index arrays of ``ArcMatrix`` and ``SeidelMatrix``.
 
 Encodings:
 
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import is_prime
 from .constructions import AlternatingForm, GHMatrix, LatinSquare, SkewProduct
 from .covers import ArcMatrix
@@ -45,7 +48,7 @@ from .cyclotomic import CycNum
 from .errors import FormatError
 from .gf import FiniteField
 from .groups import AbelianGroup
-from .lines import LineSet, SeidelMatrix, _root_exponent
+from .lines import LineSet, SeidelMatrix, _root_index
 from .quadratic import QuadNum
 
 COVER_TAG = "DRACKN-COVER v1"
@@ -93,6 +96,8 @@ def _int_of(text: str, what: str) -> int:
 
 
 def _take_rows(body: list[str], count: int, tag: str) -> list[str]:
+    if count < 0:
+        raise FormatError(f"{tag}: row count must be >= 0, got {count}")
     if len(body) < count:
         raise FormatError(f"{tag}: expected {count} matrix rows, found {len(body)}")
     rows = body[:count]
@@ -138,7 +143,7 @@ def _parse_element(tok: str, group: AbelianGroup, where: str) -> tuple[int, ...]
             f"{where}: element {tok!r} has {len(el)} coordinates, "
             f"group has {group.rank}"
         )
-    if not group.contains(el):
+    if any(not 0 <= x < d for x, d in zip(el, group.orders)):
         raise FormatError(
             f"{where}: element {tok!r} out of range for orders {group.orders}"
         )
@@ -154,18 +159,39 @@ def _bits_of(tok: str, length: int, where: str) -> tuple[int, ...]:
     return bits
 
 
+def _index_rows(body: list[str], n: int, tag: str, lookup: dict, parse_entry) -> np.ndarray:
+    """(n, n) index array of a matrix block with '.' exactly on the diagonal
+    (read as -1).  Tokens go through ``lookup``; a row with any other token
+    is read token by token, where ``parse_entry(tok, where)`` reads an entry
+    or raises the ``FormatError`` that names it."""
+    lookup, out = {**lookup, ".": -1}, []
+    for u, line in enumerate(_take_rows(body, n, tag)):
+        toks = _split_row(line, n, f"row {u + 1}")
+        row = [lookup.get(tok, -2) for tok in toks]
+        if row[u] != -1 or row.count(-1) != 1 or -2 in row:
+            row = [_entry(tok, u, v, parse_entry) for v, tok in enumerate(toks)]
+        out.append(row)
+    return np.array(out, dtype=np.int64).reshape(n, n)
+
+
+def _entry(tok: str, u: int, v: int, parse_entry) -> int:
+    where = f"row {u + 1}, column {v + 1}"
+    if u == v:
+        if tok != ".":
+            raise FormatError(f"{where}: diagonal entry must be '.', got {tok!r}")
+        return -1
+    if tok == ".":
+        raise FormatError(f"{where}: '.' is only allowed on the diagonal")
+    return parse_entry(tok, where)
+
+
 # -- cover format --------------------------------------------------------------
 
 
 def emit_cover(f: ArcMatrix) -> str:
-    n = f.n
-    out = [COVER_TAG, f"n={n} group={_emit_group(f.group)}"]
-    for u in range(n):
-        out.append(
-            " ".join(
-                "." if u == v else _emit_element(f.entry(u, v)) for v in range(n)
-            )
-        )
+    names = [_emit_element(el) for el in f.group.elements()] + ["."]  # index -1: diagonal
+    out = [COVER_TAG, f"n={f.n} group={_emit_group(f.group)}"]
+    out.extend(" ".join(names[i] for i in row) for row in f.index.tolist())
     return "\n".join(out) + "\n"
 
 
@@ -173,47 +199,34 @@ def parse_cover(text: str) -> ArcMatrix:
     meta, body = _split_header(text, COVER_TAG, ("n", "group"))
     n = _int_of(meta["n"], "n")
     group = _parse_group(meta["group"])
-    entries: list[list] = []
-    for u, line in enumerate(_take_rows(body, n, COVER_TAG)):
-        row: list = []
-        for v, tok in enumerate(_split_row(line, n, f"row {u + 1}")):
-            where = f"row {u + 1}, column {v + 1}"
-            if u == v:
-                if tok != ".":
-                    raise FormatError(f"{where}: diagonal entry must be '.', got {tok!r}")
-                row.append(None)
-            elif tok == ".":
-                raise FormatError(f"{where}: '.' is only allowed on the diagonal")
-            else:
-                row.append(_parse_element(tok, group, where))
-        entries.append(row)
-    return ArcMatrix(group, entries)
+    lookup = {_emit_element(el): i for i, el in enumerate(group.elements())}
+    index = _index_rows(
+        body, n, COVER_TAG, lookup,
+        lambda tok, where: group.index(_parse_element(tok, group, where)),
+    )
+    return ArcMatrix(group, index)
 
 
 # -- Seidel format -------------------------------------------------------------
 
 
 def emit_seidel(s: SeidelMatrix) -> str:
-    n = s.n
-    r_text = "generic" if s.root_order is None else str(s.root_order)
-    out = [SEIDEL_TAG, f"n={n} r={r_text}"]
-    for u in range(n):
-        toks = []
-        for v in range(n):
-            if u == v:
-                toks.append(".")
-            elif s.root_order is None:
-                toks.append("1" if s.entry(u, v) == 1 else "-1")
-            else:
-                k = _root_exponent(s.entry(u, v), s.root_order)
-                if k is None:
-                    raise FormatError(
-                        f"entry ({u},{v}) = {s.entry(u, v)!r} is not a power of "
-                        f"zeta_{s.root_order}; not representable"
-                    )
-                toks.append(str(k))
-        out.append(" ".join(toks))
+    p = s.root_order
+    exps, bad = s.exponents(p or 2)  # +-1 entries are powers of zeta_2
+    if bad is not None:
+        u, v = bad
+        raise FormatError(
+            f"entry ({u},{v}) = {s.entry(u, v)!r} is not a power of zeta_{p}; not representable"
+        )
+    names = ["1", "-1"] if p is None else [str(k) for k in range(p)]
+    names.append(".")  # exponent -1: diagonal
+    out = [SEIDEL_TAG, f"n={s.n} r={'generic' if p is None else p}"]
+    out.extend(" ".join(names[k] for k in row) for row in exps.tolist())
     return "\n".join(out) + "\n"
+
+
+def _generic_entry(tok: str, where: str) -> int:
+    raise FormatError(f"{where}: generic entries must be 1 or -1, got {tok!r}")
 
 
 def parse_seidel(text: str) -> SeidelMatrix:
@@ -222,33 +235,17 @@ def parse_seidel(text: str) -> SeidelMatrix:
     root_order: int | None
     if meta["r"] == "generic":
         root_order = None
+        lookup = {"1": 0, "+1": 0, "-1": 2}
+        parse_entry = _generic_entry
     else:
         root_order = _int_of(meta["r"], "r")
         if not is_prime(root_order):
             raise FormatError(f"r must be a prime or 'generic', got {meta['r']!r}")
-    entries: list[list] = []
-    for u, line in enumerate(_take_rows(body, n, SEIDEL_TAG)):
-        row: list = []
-        for v, tok in enumerate(_split_row(line, n, f"row {u + 1}")):
-            where = f"row {u + 1}, column {v + 1}"
-            if u == v:
-                if tok != ".":
-                    raise FormatError(f"{where}: diagonal entry must be '.', got {tok!r}")
-                row.append(Fraction(0))
-            elif tok == ".":
-                raise FormatError(f"{where}: '.' is only allowed on the diagonal")
-            elif root_order is None:
-                if tok in ("1", "+1"):
-                    row.append(Fraction(1))
-                elif tok == "-1":
-                    row.append(Fraction(-1))
-                else:
-                    raise FormatError(f"{where}: generic entries must be 1 or -1, got {tok!r}")
-            else:
-                row.append(CycNum.zeta_pow(root_order, _int_of(tok, where)))
-        entries.append(row)
+        lookup = {str(k): _root_index(k, root_order) for k in range(root_order)}
+        parse_entry = lambda tok, where: _root_index(_int_of(tok, where), root_order)
+    index = _index_rows(body, n, SEIDEL_TAG, lookup, parse_entry)
     try:
-        return SeidelMatrix(entries, root_order)
+        return SeidelMatrix(index, root_order)
     except ValueError as exc:
         raise FormatError(f"invalid Seidel matrix: {exc}") from None
 
@@ -257,10 +254,8 @@ def parse_seidel(text: str) -> SeidelMatrix:
 
 
 def emit_gh(h: GHMatrix) -> str:
-    n = h.n
-    out = [GH_TAG, f"n={n} group={_emit_group(h.group)}"]
-    for u in range(n):
-        out.append(" ".join(_emit_element(h.entry(u, v)) for v in range(n)))
+    out = [GH_TAG, f"n={h.n} group={_emit_group(h.group)}"]
+    out.extend(" ".join(map(_emit_element, row)) for row in h.entries)
     return "\n".join(out) + "\n"
 
 

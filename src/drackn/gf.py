@@ -39,16 +39,6 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _ptrim(out)
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n

@@ -1,11 +1,12 @@
 """Finite abelian groups, their characters, and group-ring bookkeeping.
 
-Groups are products of cyclic factors Z/d1 x ... x Z/dk with elements stored
-as exponent tuples.  Character values are exact cyclotomic numbers; they are
-only defined for groups of prime exponent (equivalently, elementary abelian
-groups), which covers every group this library constructs.  The regular
-expansion turns an arc matrix over a group of order r into the 0/1 adjacency
-matrix of the derived rn-vertex graph.
+Groups are products of cyclic factors Z/d1 x ... x Z/dk; elements are
+exponent tuples numbered in lexicographic order (the identity is 0), and the
+cached addition and negation tables act on those numbers.  Character values
+are exact cyclotomic numbers, defined only for groups of prime exponent
+(elementary abelian groups), which covers every group this library builds.
+The regular expansion turns an arc matrix over a group of order r into the
+0/1 adjacency matrix of the derived rn-vertex graph.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -61,13 +62,6 @@ class AbelianGroup:
         e = self.exponent
         return e if is_prime(e) else None
 
-    def contains(self, el) -> bool:
-        return (
-            isinstance(el, tuple)
-            and len(el) == len(self.orders)
-            and all(isinstance(x, int) and 0 <= x < d for x, d in zip(el, self.orders))
-        )
-
     def coerce(self, el) -> tuple[int, ...]:
         es = tuple(el)
         if len(es) != len(self.orders):
@@ -102,10 +96,37 @@ class AbelianGroup:
             idx //= d
         return tuple(reversed(out))
 
+    def index_array(self, coords) -> np.ndarray:
+        """Indices of the exponent tuples along the last axis of ``coords``,
+        each coordinate reduced mod its order."""
+        coords = np.asarray(coords, dtype=np.int64)
+        out = np.zeros(coords.shape[:-1], dtype=np.int64)
+        for i, d in enumerate(self.orders):
+            out = out * d + coords[..., i] % d
+        return out
+
+    def add_table(self) -> np.ndarray:
+        """add[i, j] is the index of element i + element j (read-only)."""
+        return _tables(self.orders)[0]
+
+    def neg_table(self) -> np.ndarray:
+        """neg[i] is the index of -(element i) (read-only)."""
+        return _tables(self.orders)[1]
+
 
 @lru_cache(maxsize=None)
 def _elements(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(product(*(range(d) for d in orders)))
+
+
+@lru_cache(maxsize=None)
+def _tables(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    group = AbelianGroup(orders)
+    coords = np.array(_elements(orders), dtype=np.int64).reshape(prod(orders), len(orders))
+    add = group.index_array(coords[:, None] + coords[None, :])
+    neg = group.index_array(-coords)
+    add.flags.writeable = neg.flags.writeable = False
+    return add, neg
 
 
 @dataclass(frozen=True)
@@ -131,9 +152,6 @@ class Character:
         k = sum(e * x for e, x in zip(self.exponents, el)) % p
         return CycNum.zeta_pow(p, k)
 
-    def value_table(self) -> dict[tuple[int, ...], CycNum]:
-        return {g: self.value(g) for g in self.group.elements()}
-
 
 def characters_of(group: AbelianGroup) -> tuple[Character, ...]:
     """All characters, the trivial one first (exponent tuples in lex order)."""
@@ -151,15 +169,8 @@ def char_apply(f: "ArcMatrix", chi: Character) -> ExactMatrix:
     p = chi.group.prime_exponent
     if p is None:
         raise UnsupportedError("char_apply needs a prime-exponent group")
-    table = chi.value_table()
-    zero = CycNum.zero(p)
-    n = f.n
-    return ExactMatrix(
-        tuple(
-            tuple(zero if u == v else table[f.entry(u, v)] for v in range(n))
-            for u in range(n)
-        )
-    )
+    values = [chi.value(g) for g in chi.group.elements()] + [CycNum.zero(p)]  # -1: diagonal
+    return ExactMatrix(tuple(tuple(values[i] for i in row) for row in f.index.tolist()))
 
 
 def regular_expand(f: "ArcMatrix") -> np.ndarray:
@@ -169,18 +180,12 @@ def regular_expand(f: "ArcMatrix") -> np.ndarray:
     group elements in lexicographic order: vertex index = u*r + index(g).
     (u, g) is adjacent to (v, h) for u != v exactly when h - g = f(u, v).
     """
-    g = f.group
-    els = g.elements()
-    r = g.order
-    n = f.n
+    r, n = f.group.order, f.n
+    u, v = np.nonzero(~np.eye(n, dtype=bool))
+    g = np.arange(r)
+    h = f.group.add_table()[g, f.index[u, v][:, None]]  # [pair, g]: g + f(u, v)
     adj = np.zeros((n * r, n * r), dtype=np.int64)
-    for u in range(n):
-        for v in range(u + 1, n):
-            arc = f.entry(u, v)
-            for gi, gel in enumerate(els):
-                hi = g.index(g.add(gel, arc))
-                adj[u * r + gi, v * r + hi] = 1
-                adj[v * r + hi, u * r + gi] = 1
+    adj[(u * r)[:, None] + g, (v * r)[:, None] + h] = 1
     return adj
 
 

@@ -2,8 +2,10 @@
 
 A Seidel matrix here is a Hermitian n x n matrix with zero diagonal and
 off-diagonal entries +-zeta_p^k for a prime p (just +-1 in the rational
-case).  If S has exactly two eigenvalues theta > 0 > tau, then for each
-eigenvalue lambda the matrix
+case), stored as one integer array: (-1)^h zeta_p^k is the index h*p + k
+in Z/2 x Z/p; exact ``CycNum`` values are built only on demand, for failure
+witnesses, the Gram display and test oracles.  If S has exactly two
+eigenvalues theta > 0 > tau, then for each eigenvalue lambda the matrix
 
     G = I - S / lambda
 
@@ -18,6 +20,8 @@ the all-equal one.  ``drackn_verify`` proves it for the character blocks of
 a cover, which gives ``cover_to_lines``; conversely a two-eigenvalue Seidel
 matrix whose entries are r-th roots of unity folds back into an arc table
 over Z/r (``lines_to_cover``), with the multiplicity count determining c.
+Both directions only relabel indices: a character block's entry is
+<e_chi, f(u, v)> mod p, and a Seidel entry zeta_r^k is the arc value k.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .cyclotomic import CycNum
 from .errors import DracknError, RoutesDisagreeError, UnsupportedError, VerificationError
 from .exact_matrix import ExactMatrix
 from .feasibility import _as_fraction
-from .groups import AbelianGroup, char_apply, characters_of
+from .groups import AbelianGroup, regular_expand
 from .arith import is_prime, sqrt_exact
 from .quadratic import QuadNum
 
@@ -49,51 +53,61 @@ def _rational_of(x) -> Fraction | None:
     return None
 
 
+def _root_index(k, p: int):
+    """Index of zeta_p^k in Z/2 x Z/p (k is reduced mod p); zeta_2 = -1."""
+    return 2 * (k % 2) if p == 2 else k % p
+
+
+def _signed_root(i: int, root_order: int | None):
+    """The entry (-1)^h zeta_q^k with index i = h*q + k."""
+    h, k = divmod(i, root_order or 2)
+    if root_order is None:
+        return Fraction(1 - 2 * h)
+    return (1 - 2 * h) * CycNum.zeta_pow(root_order, k)
+
+
 class SeidelMatrix:
     """Hermitian matrix with zero diagonal and entries +-zeta_p^k.
 
-    ``root_order`` is None for +-1 entries, or a prime p for entries stored
-    as ``CycNum``.  ``index`` holds each off-diagonal entry (-1)^h zeta_q^k
-    as h*q + k in Z/2 x Z/q, where q = p, or q = 2 and k = 0 for +-1 entries.
+    ``root_order`` is None for +-1 entries, or a prime p.  ``index`` is the
+    one stored array: it holds each off-diagonal entry (-1)^h zeta_q^k as
+    h*q + k in Z/2 x Z/q, where q = p, or q = 2 and k = 0 for +-1 entries;
+    the diagonal holds 0.  The constructor takes such an array (its diagonal
+    is ignored) or nested rows of ints, ``Fraction`` and ``CycNum`` values.
     """
 
-    __slots__ = ("mat", "root_order", "index")
+    __slots__ = ("root_order", "index")
 
     def __init__(self, entries, root_order: int | None = None):
-        rows = tuple(
-            tuple(Fraction(e) if isinstance(e, int) else e for e in row) for row in entries
-        )
-        mat = ExactMatrix(rows)
-        n = mat.nrows
-        if not mat.is_square() or n < 2:
-            raise ValueError(f"Seidel matrix must be square of order >= 2, got {mat.shape}")
+        array = isinstance(entries, np.ndarray)
+        rows = entries.tolist() if array else [list(row) for row in entries]
+        n = len(rows)
+        if n < 2 or any(len(row) != n for row in rows):
+            shape = (n, len(rows[0]) if rows else 0)
+            raise ValueError(f"Seidel matrix must be square of order >= 2, got {shape}")
         if root_order is not None and not is_prime(root_order):
             raise ValueError(f"root_order must be a prime or None, got {root_order}")
         q = root_order or 2
-        ks = range(1 if q == 2 else q)  # zeta_2 = -1: +-1 entries have k = 0
-        table = {(1 - 2 * h) * CycNum.zeta_pow(q, k): h * q + k for h in (0, 1) for k in ks}
-        index = np.zeros((n, n), dtype=np.int64)
-        for u, row in enumerate(rows):
-            if row[u] != 0:
-                raise ValueError(f"diagonal entry ({u},{u}) is {row[u]!r}, not 0")
-            for v, e in enumerate(row):
-                if v == u:
-                    continue
-                if isinstance(e, CycNum) and e.r != root_order:
-                    raise ValueError(
-                        f"entry ({u},{v}) is a root of unity of order {e.r}, "
-                        f"but root_order={root_order}"
-                    )
-                if e not in table:
-                    raise ValueError(f"entry ({u},{v}) = {e!r} is not +-zeta_{q}^k")
-                index[u, v] = table[e]
+        valid = [i for i in range(2 * q) if q > 2 or i % 2 == 0]  # zeta_2 = -1 is h = 1
+        if array:
+            index = np.where(np.isin(entries, valid), entries, -1).astype(np.int64)
+        else:
+            u = next((u for u, row in enumerate(rows) if row[u] != 0), None)
+            if u is not None:
+                raise ValueError(f"diagonal entry ({u},{u}) is {rows[u][u]!r}, not 0")
+            table = {_signed_root(i, root_order): i for i in valid}
+            index = np.array([[table.get(e, -1) for e in row] for row in rows], dtype=np.int64)
+        np.fill_diagonal(index, 0)
+        bad = np.argwhere(index < 0)
+        if len(bad):
+            u, v = (int(i) for i in bad[0])
+            raise ValueError(f"entry ({u},{v}) = {rows[u][v]!r} is not +-zeta_{q}^k")
         # conj((-1)^h zeta^k) = (-1)^h zeta^(-k)
         bad = index.T != index - index % q + (-index) % q
         if bad.any():
             u, v = (int(i) for i in np.argwhere(bad)[0])
             raise ValueError(f"matrix is not Hermitian at ({u},{v})")
         index.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "root_order", root_order)
         object.__setattr__(self, "index", index)
 
@@ -102,23 +116,49 @@ class SeidelMatrix:
 
     @property
     def n(self) -> int:
-        return self.mat.nrows
+        return self.index.shape[0]
 
     def entry(self, u: int, v: int):
-        return self.mat.entry(u, v)
+        return Fraction(0) if u == v else _signed_root(int(self.index[u, v]), self.root_order)
+
+    def _exact(self, fn, diagonal) -> ExactMatrix:
+        """``diagonal`` on the diagonal and fn(S[u, v]) off it."""
+        values = {i: fn(_signed_root(i, self.root_order)) for i in np.unique(self.index).tolist()}
+        return ExactMatrix(
+            tuple(
+                tuple(diagonal if u == v else values[i] for v, i in enumerate(row))
+                for u, row in enumerate(self.index.tolist())
+            )
+        )
+
+    @property
+    def mat(self) -> ExactMatrix:
+        """The exact matrix, built on demand (witnesses and test oracles)."""
+        return self._exact(lambda e: e, Fraction(0))
+
+    def exponents(self, r: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """k with S[u, v] = zeta_r^k (-1 on the diagonal), and the first
+        (u, v) whose entry is no r-th root of unity, or None."""
+        q = self.root_order or 2
+        h, k = np.divmod(self.index, q)
+        ok = ((k == 0) | (q == r)) & ((h == 0) | (r == 2))
+        np.fill_diagonal(ok, True)
+        exps = h + k
+        np.fill_diagonal(exps, -1)
+        bad = np.argwhere(~ok)
+        return exps, (tuple(int(i) for i in bad[0]) if len(bad) else None)
 
     def negate(self) -> "SeidelMatrix":
-        return SeidelMatrix(
-            tuple(tuple(-e for e in row) for row in self.mat.rows), self.root_order
-        )
+        q = self.root_order or 2
+        return SeidelMatrix((self.index + q) % (2 * q), self.root_order)
 
     def __eq__(self, other):
         if not isinstance(other, SeidelMatrix):
             return NotImplemented
-        return self.mat == other.mat and self.root_order == other.root_order
+        return self.root_order == other.root_order and np.array_equal(self.index, other.index)
 
     def __hash__(self):
-        return hash((self.mat, self.root_order))
+        return hash((self.index.tobytes(), self.root_order))
 
     def __repr__(self):
         return f"SeidelMatrix(n={self.n}, root_order={self.root_order})"
@@ -152,9 +192,7 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     """
     n = s.n
     q = s.root_order or 2
-    els = np.arange(2 * q)
-    add = (els[:, None] // q ^ els // q) * q + (els[:, None] + els) % q
-    counts = _count_table(s.index, add)
+    counts = _count_table(s.index, AbelianGroup((2, q)).add_table())
     m = counts[:, :, :q] - counts[:, :, q:]
     sign, k = 1 - 2 * (s.index // q), s.index % q
     a_int = int(sign[0, 1] * (m[0, 1, k[0, 1]] - m[0, 1, (k[0, 1] + 1) % q]))
@@ -198,16 +236,27 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
 
 @dataclass(frozen=True)
 class LineSet:
-    """n equiangular unit lines spanning dimension d, with |<x,y>|^2 = alpha_sq."""
+    """n equiangular unit lines spanning dimension d, with |<x,y>|^2 = alpha_sq.
 
-    gram: ExactMatrix
+    The lines have Gram matrix G = I - S/lam for the Seidel matrix S and one
+    of its eigenvalues lam; ``gram`` builds G on demand.
+    """
+
+    n: int
     d: int
     alpha_sq: Fraction
     field: str  # "real" or "complex"
+    seidel: SeidelMatrix
+    lam: Fraction | QuadNum
 
     @property
-    def n(self) -> int:
-        return self.gram.nrows
+    def gram(self) -> ExactMatrix:
+        lam = self.lam
+        # QuadNum and CycNum do not mix: with a surd lam the entries are +-1
+        rational = isinstance(lam, QuadNum) and not lam.is_rational()
+        return self.seidel._exact(
+            lambda e: -((_rational_of(e) if rational else e) / lam), Fraction(1)
+        )
 
 
 def _line_sets(s: SeidelMatrix, spec: SeidelSpectrum) -> tuple[LineSet, LineSet]:
@@ -216,25 +265,17 @@ def _line_sets(s: SeidelMatrix, spec: SeidelSpectrum) -> tuple[LineSet, LineSet]
     G is 0 on the lam-eigenspace and 1 - mu/lam on the mu-eigenspace, so
     G^2 = (n/d) G and rank G = d = m_mu: the caller's spectrum gives d.
     """
-    n = s.n
     field = "real" if s.root_order in (None, 2) else "complex"
-    entries = s.mat.rows
-    if isinstance(spec.theta, QuadNum) and not spec.theta.is_rational():
-        # QuadNum and CycNum do not mix: divide the rational values
-        entries = tuple(tuple(_rational_of(e) for e in row) for row in entries)
-        if any(e is None for row in entries for e in row):
-            raise UnsupportedError(
-                "irrational eigenvalue with non-rational Seidel entries is not supported"
-            )
+    q = s.root_order or 2
+    if isinstance(spec.theta, QuadNum) and not spec.theta.is_rational() and (s.index % q).any():
+        raise UnsupportedError(
+            "irrational eigenvalue with non-rational Seidel entries is not supported"
+        )
     out = []
     for lam, d in ((spec.tau, spec.m_theta), (spec.theta, spec.m_tau)):
-        rows = tuple(
-            tuple(Fraction(1) if u == v else -(entries[u][v] / lam) for v in range(n))
-            for u in range(n)
-        )
         lam_sq = _rational_of(lam * lam)
         assert lam_sq is not None and lam_sq > 0
-        out.append(LineSet(gram=ExactMatrix(rows), d=d, alpha_sq=1 / lam_sq, field=field))
+        out.append(LineSet(s.n, d, 1 / lam_sq, field, s, lam))
     return out[0], out[1]
 
 
@@ -300,33 +341,20 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
     """
     cert = drackn_verify(f)
     g = normalize(f)
-    p = g.group.prime_exponent
-    chars = characters_of(g.group)
-    if not 1 <= char_index < len(chars):
+    G = g.group
+    p, els = G.prime_exponent, G.elements()
+    if not 1 <= char_index < len(els):
         raise ValueError(
-            f"char_index must be in 1..{len(chars) - 1} (0 is the trivial character)"
+            f"char_index must be in 1..{len(els) - 1} (0 is the trivial character)"
         )
-    block = char_apply(g, chars[char_index])
-    s = SeidelMatrix(block.rows, root_order=p)
+    # chi(x) = zeta_p^<e_chi, x> with e_chi = els[char_index] (``characters_of``)
+    ks = np.array(els).reshape(len(els), G.rank) @ np.array(els[char_index])
+    s = SeidelMatrix(_root_index(ks, p)[g.index], root_order=p)
     ps = cert.params
     spec = SeidelSpectrum(
         ps.theta, ps.tau, int(_as_fraction(ps.mbar_theta)), int(_as_fraction(ps.mbar_tau))
     )
     return CoverLines(cert, s, *_line_sets(s, spec))
-
-
-def _root_exponent(e, r: int) -> int | None:
-    """Exponent k with e = zeta_r^k, or None if e is no such root of unity."""
-    if isinstance(e, CycNum) and not e.is_rational():
-        if e.r != r:
-            return None
-        return e.root_of_unity_exponent()
-    q = _rational_of(e)
-    if q == 1:
-        return 0
-    if q == -1 and r == 2:
-        return 1
-    return None
 
 
 def lines_to_cover(s: SeidelMatrix, r: int) -> tuple[ArcMatrix, CoverCertificate]:
@@ -360,20 +388,14 @@ def lines_to_cover(s: SeidelMatrix, r: int) -> tuple[ArcMatrix, CoverCertificate
             "parameters", f"derived c = {c_frac} is not a positive integer"
         )
     c = int(c_frac)
-    group = AbelianGroup((r,))
-    entries: list[list] = [[None] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            k = _root_exponent(s.entry(u, v), r)
-            if k is None:
-                raise VerificationError(
-                    "entry-not-root-of-unity",
-                    f"entry ({u},{v}) = {s.entry(u, v)!r} is not an order-{r} root of unity",
-                )
-            entries[u][v] = (k,)
-    arc = ArcMatrix(group, entries)
+    exps, bad = s.exponents(r)
+    if bad is not None:
+        u, v = bad
+        raise VerificationError(
+            "entry-not-root-of-unity",
+            f"entry ({u},{v}) = {s.entry(u, v)!r} is not an order-{r} root of unity",
+        )
+    arc = ArcMatrix(AbelianGroup((r,)), exps)
     cert = drackn_verify(arc)
     if cert.params.c != c:
         raise RoutesDisagreeError(
@@ -390,24 +412,15 @@ def double_real(s: SeidelMatrix) -> tuple[np.ndarray, list[tuple[int, int]]]:
     (2n x 2n) adjacency matrix and the fibre list; the result equals the
     expansion of ``lines_to_cover(s, 2)``'s arc table.
     """
-    n = s.n
-    adj = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for u in range(n):
-        for v in range(u + 1, n):
-            q = _rational_of(s.entry(u, v))
-            if q == 1:
-                pairs = ((2 * u, 2 * v), (2 * u + 1, 2 * v + 1))
-            elif q == -1:
-                pairs = ((2 * u, 2 * v + 1), (2 * u + 1, 2 * v))
-            else:
-                raise VerificationError(
-                    "entry-not-root-of-unity",
-                    f"doubling needs +-1 entries, got {s.entry(u, v)!r} at ({u},{v})",
-                )
-            for x, y in pairs:
-                adj[x, y] = adj[y, x] = 1
-    fibres = [(2 * u, 2 * u + 1) for u in range(n)]
-    return adj, fibres
+    exps, bad = s.exponents(2)
+    if bad is not None:
+        u, v = bad
+        raise VerificationError(
+            "entry-not-root-of-unity",
+            f"doubling needs +-1 entries, got {s.entry(u, v)!r} at ({u},{v})",
+        )
+    adj = regular_expand(ArcMatrix(AbelianGroup((2,)), exps))
+    return adj, [(2 * u, 2 * u + 1) for u in range(s.n)]
 
 
 def find_symmetric_conference(
@@ -437,10 +450,10 @@ def find_symmetric_conference(
     for _ in range(max_tries):
         cand = build([rng.randrange(2) for _ in range(m)])
         if np.array_equal(cand @ cand, target):
-            return SeidelMatrix(cand.tolist(), root_order=None)
+            return SeidelMatrix(1 - cand, root_order=None)  # +1 -> 0, -1 -> 2
     if m <= 21:
         for code in range(1 << m):
             cand = build([(code >> k) & 1 for k in range(m)])
             if np.array_equal(cand @ cand, target):
-                return SeidelMatrix(cand.tolist(), root_order=None)
+                return SeidelMatrix(1 - cand, root_order=None)
     raise DracknError(f"no symmetric conference matrix of order {n} found")

@@ -157,12 +157,13 @@ def test_enumerate_two_graph_filter(capsys, monkeypatch):
     assert len(full.splitlines()) == len(out.splitlines()) + 5
 
 
-def test_enumerate_include_unpublished_is_default(capsys, monkeypatch):
+def test_enumerate_keeps_unpublished_rows(capsys, monkeypatch):
     base = ["enumerate", "--case", "Ib", "--t-max", "6", "--tsv"]
-    _, out1, _ = run(capsys, monkeypatch, base)
-    _, out2, _ = run(capsys, monkeypatch, base + ["--include-unpublished"])
-    assert out1 == out2
-    assert "unpublished" in out1  # the 595-family rows are flagged, not dropped
+    _, out, _ = run(capsys, monkeypatch, base)
+    assert "unpublished" in out  # the 595-family rows are flagged, not dropped
+    # the option that asked for this default no longer exists
+    code, _, err = run(capsys, monkeypatch, base + ["--include-unpublished"])
+    assert code == 2 and "unrecognized arguments" in err
 
 
 def test_enumerate_human_table(capsys, monkeypatch):
@@ -319,7 +320,22 @@ def test_construct_missing_ingredient_file(capsys, monkeypatch, tmp_path):
     assert code == 2 and err.startswith("error: cannot read")
 
 
-def test_global_seed_accepted(capsys, monkeypatch):
-    code, out, _ = run(capsys, monkeypatch, ["--seed", "7", "feasible", "9", "3", "3"])
-    assert code == 0
-    assert out.startswith("PASS n=9 r=3 c=3")
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["verify"], "DRACKN-COVER v1\nn=-1 group=3\nx\n"),
+        (["lines-to-cover", "--r", "3"], "SEIDEL v1\nn=-1 r=3\nx\n"),
+        (["gh-to-cover"], "GH v1\nn=-1 group=3\nx\n"),
+    ],
+    ids=["cover", "seidel", "gh"],
+)
+def test_negative_n_is_malformed_input(capsys, monkeypatch, argv, text):
+    # once read as an empty matrix: FAIL too-small / not-square with exit 1
+    code, out, err = run(capsys, monkeypatch, argv, stdin_text=text)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_global_seed_removed(capsys, monkeypatch):
+    # no command is randomized, so there is no global --seed
+    code, out, err = run(capsys, monkeypatch, ["--seed", "7", "feasible", "9", "3", "3"])
+    assert code == 2 and out == "" and "error:" in err

@@ -209,6 +209,18 @@ def test_cover_gh_round_trip():
     assert (cert.params.n, cert.params.r, cert.params.c) == (9, 3, 3)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: thas_somma(3, 2), lambda: thas_somma(5, 2), lambda: dcff(1, 3)],
+    ids=["ts32", "ts52", "dcff13"],
+)
+def test_cover_to_gh_satisfies_hadamard_identity(make):
+    # cover_to_gh no longer re-checks the identity; gh_validate is the oracle
+    f = make()
+    h = cover_to_gh(f)
+    assert gh_validate(h)
+    assert gh_to_cover(h)[0] == f
+
+
 def test_cover_to_gh_needs_n_equal_rc():
     s = find_symmetric_conference(6, seed=0)
     arc, cert = lines_to_cover(s, 2)

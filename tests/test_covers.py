@@ -382,3 +382,68 @@ def test_count_table_agrees_with_expanded_graph_scan():
         n, r = f.n, f.group.order
         graph = nx.from_numpy_array(regular_expand(f))
         assert nx.intersection_array(graph) == ([n - 1, (r - 1) * c, 1], [1, c, n - 1])
+
+
+# The tuple formula that ``normalize``'s two gathers replaced, kept as its oracle.
+def _tuple_normalize(f: ArcMatrix):
+    """f'(u, v) = f(u, v) + f(0, u) - f(0, v), reading f(0, 0) as the identity."""
+    G = f.group
+    row0 = [G.identity] + [f.entry(0, v) for v in range(1, f.n)]
+    return tuple(
+        tuple(
+            None if u == v else G.sub(G.add(f.entry(u, v), row0[u]), row0[v])
+            for v in range(f.n)
+        )
+        for u in range(f.n)
+    )
+
+
+def test_normalize_matches_tuple_formula():
+    for f in [*_random_tables(300, seed=13), cover_933(), dcff(1, 3)]:
+        g = normalize(f)
+        assert g.entries == _tuple_normalize(f)
+        assert g.is_normalized()
+
+
+def test_arc_matrix_stores_one_index_array():
+    f = cover_933()
+    assert ArcMatrix.__slots__ == ("group", "index")
+    assert f.index.dtype == np.int64 and f.index.shape == (9, 9)
+    assert not f.index.flags.writeable
+    assert (f.index.diagonal() == -1).all()
+    els = f.group.elements()
+    assert all(f.entry(u, v) == els[f.index[u, v]] for u in range(9) for v in range(9) if u != v)
+    assert ArcMatrix(f.group, f.index) == f == ArcMatrix(f.group, f.entries)
+    # nested rows are reduced mod the orders, as before
+    Z3 = AbelianGroup((3,))
+    assert ArcMatrix(Z3, [[None, (4,)], [(-1,), None]]).index.tolist() == [[-1, 1], [2, -1]]
+
+
+@pytest.mark.parametrize(
+    "rows, condition, witness",
+    [
+        ([[None]], "too-small", "need at least 2 fibres, got 1"),
+        ([[None, (1,), (2,)], [(2,), None]], "not-square", "row 0 has 3 entries, want 2"),
+        ([[(0,), (1,)], [(2,), None]], "diagonal", "entry (0,0) must be None"),
+        (
+            [[None, None], [(2,), (0,)]],
+            "entry-outside-group",
+            "f(0,1) = None is not in AbelianGroup(orders=(3,))",
+        ),
+        (
+            [[None, (1,), (1,)], [(2,), None, (2,)], [(2,), (2,), None]],
+            "inverse-pair",
+            "f(2,1) != -f(1,2) at (1,2)",
+        ),
+    ],
+)
+def test_arc_matrix_tags_and_witnesses(rows, condition, witness):
+    Z3 = AbelianGroup((3,))
+    # the same table as an index array (a ragged table has none)
+    arrays = [] if condition == "not-square" else [
+        np.array([[-1 if e is None else e[0] for e in row] for row in rows])
+    ]
+    for entries in (rows, *arrays):
+        with pytest.raises(CoverStructureError) as exc:
+            ArcMatrix(Z3, entries)
+        assert (exc.value.condition, exc.value.witness) == (condition, witness)

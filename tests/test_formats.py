@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drackn.constructions import (
     cover_to_gh,
@@ -14,9 +16,10 @@ from drackn.constructions import (
     standard_symplectic,
     thas_somma,
 )
-from drackn.covers import quotient
+from drackn.covers import ArcMatrix, quotient
 from drackn.cyclotomic import CycNum, zeta
 from drackn.errors import FormatError
+from drackn.groups import AbelianGroup
 from drackn.formats import (
     emit_cover,
     emit_form,
@@ -241,3 +244,67 @@ def test_emit_gram_display():
     assert len(first) == 9
     assert first[0] == "1"  # unit diagonal
     assert "," in first[1]  # cyclotomic entries render as coefficient lists
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_cover_and_seidel_round_trip_random_tables(data):
+    orders = data.draw(st.sampled_from([(2,), (3,), (5,), (2, 2), (3, 3)]))
+    G = AbelianGroup(orders)
+    n = data.draw(st.integers(2, 7))
+    index = np.full((n, n), -1)
+    for u in range(n):
+        for v in range(u + 1, n):
+            index[u, v] = data.draw(st.integers(0, G.order - 1))
+            index[v, u] = G.neg_table()[index[u, v]]
+    f = ArcMatrix(G, index)
+    assert parse_cover(emit_cover(f)) == f
+    # SEIDEL v1 writes zeta_p^k (and +-1): h = 0 for odd p
+    p = data.draw(st.sampled_from([None, 2, 3, 5]))
+    q = p or 2
+    upper = st.sampled_from([0, q] if q == 2 else list(range(q)))
+    sidx = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(u + 1, n):
+            sidx[u, v] = data.draw(upper)
+            sidx[v, u] = sidx[u, v] - sidx[u, v] % q + (-sidx[u, v]) % q
+    s = SeidelMatrix(sidx, p)
+    assert parse_seidel(emit_seidel(s)) == s
+
+
+@pytest.mark.parametrize(
+    "group, tok, want",
+    [
+        # non-canonical tokens read as before: a table, or the same error text
+        ("3", "01", ((None, (1,)), ((2,), None))),
+        ("3", "+1", ((None, (1,)), ((2,), None))),
+        ("3", "-2", "row 1, column 2: element '-2' out of range for orders (3,)"),
+        ("3", "3", "row 1, column 2: element '3' out of range for orders (3,)"),
+        ("2,2", "1,0,0", "row 1, column 2: element '1,0,0' has 3 coordinates, group has 2"),
+        ("2,2", "01,+1", ((None, (1, 1)), ((1, 1), None))),
+    ],
+)
+def test_parse_cover_non_canonical_tokens(group, tok, want):
+    inverse = {"3": "2", "2,2": "1,1"}[group]
+    text = f"DRACKN-COVER v1\nn=2 group={group}\n. {tok}\n{inverse} .\n"
+    if isinstance(want, str):
+        with pytest.raises(FormatError) as exc:
+            parse_cover(text)
+        assert str(exc.value) == want
+    else:
+        assert parse_cover(text).entries == want
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_cover, "DRACKN-COVER v1\nn=-1 group=3\nx\n"),
+        (parse_seidel, "SEIDEL v1\nn=-1 r=3\nx\n"),
+        (parse_gh, "GH v1\nn=-1 group=3\nx\n"),
+    ],
+    ids=["cover", "seidel", "gh"],
+)
+def test_negative_row_count_is_malformed(parse, text):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value).endswith("row count must be >= 0, got -1")

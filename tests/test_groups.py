@@ -71,6 +71,23 @@ def test_group_ops_random():
         assert g.add(a, g.neg(a)) == g.identity
 
 
+@pytest.mark.parametrize("orders", [(), (2,), (3,), (2, 2), (4, 5), (3, 3, 2)])
+def test_index_tables_match_tuple_arithmetic(orders):
+    g = AbelianGroup(orders)
+    els = g.elements()
+    add, neg = g.add_table(), g.neg_table()
+    assert add.shape == (g.order, g.order) and neg.shape == (g.order,)
+    assert not add.flags.writeable and not neg.flags.writeable
+    for i, a in enumerate(els):
+        assert els[neg[i]] == g.neg(a)
+        assert [els[k] for k in add[i]] == [g.add(a, b) for b in els]
+    # index_array reduces each coordinate mod its order, like coerce
+    shifted = [tuple(x + 3 * d for x, d in zip(el, orders)) for el in els]
+    assert g.index_array(np.array(shifted).reshape(len(els), len(orders))).tolist() == list(
+        range(g.order)
+    )
+
+
 def test_coerce_length_mismatch():
     with pytest.raises(GroupMismatchError):
         Z3.coerce((1, 2))

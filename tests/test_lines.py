@@ -12,18 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drackn.arith import sqrt_exact
-from drackn.constructions import thas_somma
-from drackn.covers import drackn_verify
+from drackn.constructions import dcff, thas_somma
+from drackn.covers import drackn_verify, normalize
 from drackn.cyclotomic import CycNum, zeta
 from drackn.errors import UnsupportedError, VerificationError
 from drackn.exact_matrix import ExactMatrix, mat_rank_exact
 from drackn.formats import emit_seidel, parse_seidel
-from drackn.groups import regular_expand
+from drackn.groups import char_apply, characters_of, regular_expand
 from drackn.lines import (
     SeidelMatrix,
     SeidelSpectrum,
     _rational_of,
-    _root_exponent,
     absolute_bound,
     cover_to_lines,
     double_real,
@@ -284,15 +283,37 @@ def test_cover_to_lines_tight_frames(make, want_tau, want_theta):
 
 
 def test_line_bridge_runs_no_matrix_product(monkeypatch):
-    def no_product(self, other):
-        raise AssertionError("ExactMatrix product on the line bridge")
+    """A passing round trip reads index arrays only: no matrix product, no
+    character block, and no exact cyclotomic number is ever built."""
+    covers = {p: thas_somma(p, 2) for p in (3, 5)}  # ts32, ts52
 
-    monkeypatch.setattr(ExactMatrix, "__mul__", no_product)
-    cl = cover_to_lines(thas_somma(3, 2))
-    s = parse_seidel(emit_seidel(cl.seidel))
-    assert seidel_to_linesets(s) == (cl.lines_tau, cl.lines_theta)
-    _, cert = lines_to_cover(s, 3)
-    assert cert == cl.certificate
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact-object work on the line bridge")
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", forbidden)
+    monkeypatch.setattr("drackn.groups.char_apply", forbidden)
+    monkeypatch.setattr(CycNum, "__init__", forbidden)
+    monkeypatch.setattr(CycNum, "_raw", classmethod(forbidden))
+    for p, f in covers.items():
+        cl = cover_to_lines(f)
+        s = parse_seidel(emit_seidel(cl.seidel))
+        assert s == cl.seidel
+        assert seidel_to_linesets(s) == (cl.lines_tau, cl.lines_theta)
+        arc, cert = lines_to_cover(s, p)
+        assert cert == cl.certificate
+        assert arc == normalize(f)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: thas_somma(3, 2), lambda: dcff(1, 3)], ids=["ts32", "dcff13"]
+)
+def test_cover_to_lines_block_matches_char_apply(make):
+    # the index relabelling <e_chi, f(u, v)> mod p against the exact block
+    g = normalize(make())
+    p = g.group.prime_exponent
+    for chi in characters_of(g.group)[1:]:
+        want = SeidelMatrix(char_apply(g, chi).rows, p)
+        assert cover_to_lines(g, char_index=g.group.index(chi.exponents)).seidel == want
 
 
 def test_cover_to_lines_char_index_range():
@@ -325,17 +346,26 @@ def test_lines_to_cover_rejects_bad_parameters():
         lines_to_cover(s, 4)
 
 
-def test_root_exponent():
-    assert _root_exponent(Fraction(1), 3) == 0
-    assert _root_exponent(Fraction(-1), 2) == 1
-    assert _root_exponent(Fraction(-1), 3) is None
-    assert _root_exponent(Fraction(1, 2), 2) is None
+def test_seidel_exponents():
+    """S.exponents(r) reads zeta_r^k off the index array, or names the
+    first entry that is no r-th root of unity."""
+
+    def exps(e, p, r):
+        k, bad = SeidelMatrix([[0, e], [e.conjugate(), 0]], p).exponents(r)
+        return None if bad is not None else int(k[0, 1])
+
+    assert exps(Fraction(1), None, 3) == 0
+    assert exps(Fraction(-1), None, 2) == 1
+    assert exps(Fraction(-1), None, 3) is None
     z = zeta(3)
-    assert _root_exponent(z, 3) == 1
-    assert _root_exponent(z * z, 3) == 2
-    assert _root_exponent(z, 5) is None
-    assert _root_exponent(CycNum.zeta_pow(3, 0), 3) == 0
-    assert _root_exponent(1 + z, 3) is None
+    assert exps(z, 3, 3) == 1
+    assert exps(z * z, 3, 3) == 2
+    assert exps(z, 3, 5) is None
+    assert exps(-z, 3, 3) is None
+    assert exps(CycNum.zeta_pow(3, 0), 3, 3) == 0
+    assert exps(-CycNum.zeta_pow(3, 0), 3, 2) == 1
+    k, bad = SeidelMatrix([[0, 1, z], [1, 0, 1], [z * z, 1, 0]], 3).exponents(2)
+    assert bad == (0, 2) and k[0, 0] == -1
 
 
 def test_double_real_small_cases():

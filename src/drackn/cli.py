@@ -315,6 +315,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     if getattr(args, "func", None) is None:

@@ -30,6 +30,7 @@ from .arith import gfp_rank, is_prime
 from .covers import ArcMatrix, CoverCertificate, drackn_verify
 from .errors import (
     CoverStructureError,
+    GroupMismatchError,
     RoutesDisagreeError,
     UnsupportedError,
     VerificationError,
@@ -316,12 +317,22 @@ def dcff(
 
 
 class GHMatrix:
-    """A square matrix with entries in an abelian group (diagonal included)."""
+    """A square matrix with entries in an abelian group (diagonal included).
+
+    The constructor takes nested rows of exponent tuples (coordinates are
+    reduced mod the orders) or an integer array of element indices.
+    """
 
     __slots__ = ("group", "entries")
 
     def __init__(self, group: AbelianGroup, entries):
-        rows = tuple(tuple(group.coerce(e) for e in row) for row in entries)
+        if isinstance(entries, np.ndarray):
+            if ((entries < 0) | (entries >= group.order)).any():
+                raise GroupMismatchError(f"element index out of range for {group}")
+            els = group.elements()
+            rows = tuple(tuple(els[i] for i in row) for row in entries.tolist())
+        else:
+            rows = tuple(tuple(group.coerce(e) for e in row) for row in entries)
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):
             raise CoverStructureError("not-square", f"need a square table, got {n} rows")
@@ -394,8 +405,9 @@ def cover_to_gh(f: ArcMatrix) -> GHMatrix:
         raise UnsupportedError(
             f"the Hadamard view needs delta = -2 (n = rc), got delta = {cert.params.delta}"
         )
-    g = f.group
-    return GHMatrix(g, [[g.identity if e is None else e for e in row] for row in f.entries])
+    index = np.array(f.index)
+    np.fill_diagonal(index, 0)  # the identity
+    return GHMatrix(f.group, index)
 
 
 def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:

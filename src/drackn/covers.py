@@ -9,7 +9,8 @@ gathers through the group's addition, negation and projection tables.
 
 ``drackn_verify`` proves the defining regularity conditions from one exact
 integer table, the group-ring counts
-N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}.
+N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}, built and checked in
+blocks of fibres.
 """
 
 from __future__ import annotations
@@ -162,22 +163,38 @@ class CoverCertificate:
         return " ".join(f"{_fmt(ev)}^{m}" for ev, m in self.spectrum)
 
 
-def _count_table(idx: np.ndarray, add: np.ndarray) -> np.ndarray:
-    """N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x}.
+# Keys per count block: b fibres make b*n*n keys, about 256 KB of int64
+# temporaries; when one fibre has more, blocks hold one fibre each.
+_BLOCK = 1 << 15
+
+
+def _count_blocks(idx: np.ndarray, add: np.ndarray):
+    """Yield (lo, N[lo:hi]) for blocks of consecutive fibres u, where
+    N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x} and N[u, u] = 0.
 
     ``idx`` holds the element index of f(u, v) (the diagonal is ignored) and
-    ``add`` is the group's addition table on element indices.  One bincount
-    per fibre u keeps the working memory at O(n^2) beside the n x n x r table.
+    ``add`` is the group's addition table on element indices.  The table is
+    padded with a sentinel index r that absorbs every sum: written on the
+    diagonal of ``idx`` it drops the terms w = u and w = v, and its bin is
+    cut off.  Each block is one gather, one offset add and one bincount.
     """
     n, r = idx.shape[0], add.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    rows = np.arange(n)[:, None] * r
-    table = np.empty((n, n, r), dtype=np.int64)
-    for u in range(n):
-        keep = off & off[u][None, :] & off[u][:, None]  # [v, w]: w, v, u distinct
-        keys = rows + add[idx[u][None, :], idx.T]  # [v, w]: f(u, w) + f(w, v)
-        table[u] = np.bincount(keys[keep], minlength=n * r).reshape(n, r)
-    return table
+    pad = np.full((r + 1, r + 1), r, dtype=np.intp)
+    pad[:r, :r] = add
+    pad = pad.ravel()
+    ind = np.array(idx, dtype=np.intp)
+    np.fill_diagonal(ind, r)
+    left, right = ind * (r + 1), np.ascontiguousarray(ind.T)  # [u, w] and [v, w]
+    b = max(1, _BLOCK // (n * n))
+    assert b * n * (r + 1) <= np.iinfo(np.intp).max, "count keys overflow"
+    for lo in range(0, n, b):
+        h = min(b, n - lo)
+        keys = pad[left[lo:lo + h, None, :] + right]  # [u, v, w]: f(u, w) + f(w, v)
+        keys += np.arange(0, h * n * (r + 1), r + 1).reshape(h, n, 1)
+        counts = np.bincount(keys.ravel(), minlength=h * n * (r + 1))
+        counts = counts.reshape(h, n, r + 1)[:, :, :r]
+        counts[np.arange(h), np.arange(lo, lo + h)] = 0
+        yield lo, counts
 
 
 def drackn_verify(f: ArcMatrix) -> CoverCertificate:
@@ -192,13 +209,19 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
     the graph is an (n, r, c) cover iff every non-adjacent cross-fibre pair
     has exactly c >= 1 common neighbours, i.e. N_uv(x) = c for x != f(u, v).
 
-    The checks read the table in the order of a scan over the expanded
+    The table is built in blocks of fibres (``_count_blocks``) and each
+    block is checked as soon as it is built, so a rejection stops at its
+    first failing block.  The verdict is that of a scan over the expanded
     graph: fibre by fibre, first the fibre's mates and then its pairs with
-    later fibres; c is the count of the first such pair.  The first fibre-0
-    mate not reached at distance 3 is ``not-connected`` when it lies outside
-    the subgroup generated by the arc values, else ``not-antipodal``; a
-    later miss is ``not-antipodal`` and a count other than c >= 1 is
-    ``not-distance-regular``.
+    later fibres; c is the count of the first such pair.  Only fibre 0 can
+    miss a mate before some count fails: a fibre whose counts with later
+    fibres are all c >= 1 reaches its mates through the next fibre, and
+    once fibre 0 passes, N_u0(x) = N_0u(-x) = c for x != f(u, 0) lets
+    every later fibre reach its mates through fibre 0.  So the first fibre
+    with a count other than c >= 1 is the first failing one, and it fails
+    ``not-distance-regular`` unless it is fibre 0 and misses a mate: the
+    first such mate is ``not-connected`` when it lies outside the subgroup
+    generated by the arc values, else ``not-antipodal``.
 
     The character blocks follow without a matrix product (Fourier lemma):
     (B_chi^2)[u, v] = sum_x N_uv(x) chi(x) for u != v, and the diagonal is
@@ -222,34 +245,37 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
             f"deck group with orders {G.orders} does not have prime exponent"
         )
     els = G.elements()
-    idx, add = g.index, G.add_table()
-    table = _count_table(idx, add)
-    c = int(table[0, 1, 1])  # pair (0, e), (1, els[1]); f(0, 1) = e after normalizing
-    for u in range(n):
-        others = np.flatnonzero(np.arange(n) != u)
-        # [v, x]: some w gives f(u, w) + f(w, v) = x + f(u, v)
-        reached = (table[u][others[:, None], add[:, idx[u, others]].T] > 0).any(axis=0)
-        if not reached[1:].all():
-            x = int(np.argmin(reached[1:])) + 1
+    idx = g.index
+    fibres, xs = np.arange(n), np.arange(r)
+    for lo, N in _count_blocks(idx, G.add_table()):
+        block = idx[lo:lo + len(N)]
+        if lo == 0:
+            c = int(N[0, 1, 1])  # pair (0, e), (1, els[1]); f(0, 1) = e after normalizing
+        # [u, v, x]: a later fibre v and x != f(u, v) whose count is not c >= 1
+        bad = (N != c) | (c < 1)
+        bad &= (fibres > fibres[lo:lo + len(N), None])[:, :, None] & (xs != block[:, :, None])
+        failed = bad.any(axis=(1, 2))
+        if not failed.any():
+            continue
+        k = int(np.argmax(failed))
+        u = lo + k
+        # mates x of fibre 0 with no N_0v(x) > 0 (f(0, v) = e after normalizing)
+        missed = np.flatnonzero(~N[0, :, 1:].any(axis=0)) + 1 if u == 0 else []
+        if len(missed):
+            x = int(missed[0])
             arcs = [els[i] for i in np.unique(idx[idx >= 0])]
-            if u == 0 and els[x] not in subgroup_closure(G, arcs):
+            if els[x] not in subgroup_closure(G, arcs):
                 raise VerificationError("not-connected", f"no path joins 0 and {x}")
-            raise VerificationError(
-                "not-antipodal", f"fibre mates {u * r},{u * r + x} are not at distance 3"
-            )
-        later = table[u, u + 1:]
-        bad = (later != c) | (later < 1)
-        bad[np.arange(n - u - 1), idx[u, u + 1:]] = False
-        if bad.any():
-            v, x = (int(k) for k in np.argwhere(bad)[0])
-            pair = f"{u * r},{(u + 1 + v) * r + x}"
-            k = int(later[v, x])
-            raise VerificationError(
-                "not-distance-regular",
-                f"cross-fibre pair {pair} has no common neighbour"
-                if k < 1
-                else f"pair {pair} has {k} common neighbours, pair (0, {r + 1}) has {c}",
-            )
+            raise VerificationError("not-antipodal", f"fibre mates 0,{x} are not at distance 3")
+        v, x = (int(i) for i in np.argwhere(bad[k])[0])
+        pair = f"{u * r},{v * r + x}"
+        count = int(N[k, v, x])
+        raise VerificationError(
+            "not-distance-regular",
+            f"cross-fibre pair {pair} has no common neighbour"
+            if count < 1
+            else f"pair {pair} has {count} common neighbours, pair (0, {r + 1}) has {c}",
+        )
     checks = [
         "arc-structure",
         "regular",

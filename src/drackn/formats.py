@@ -132,6 +132,11 @@ def _emit_element(el: tuple[int, ...]) -> str:
     return ",".join(str(x) for x in el) if el else "0"
 
 
+def _element_lookup(group: AbelianGroup) -> dict[str, int]:
+    """Canonical token -> element index."""
+    return {_emit_element(el): i for i, el in enumerate(group.elements())}
+
+
 def _parse_element(tok: str, group: AbelianGroup, where: str) -> tuple[int, ...]:
     if not group.orders:
         if tok != "0":
@@ -199,9 +204,8 @@ def parse_cover(text: str) -> ArcMatrix:
     meta, body = _split_header(text, COVER_TAG, ("n", "group"))
     n = _int_of(meta["n"], "n")
     group = _parse_group(meta["group"])
-    lookup = {_emit_element(el): i for i, el in enumerate(group.elements())}
     index = _index_rows(
-        body, n, COVER_TAG, lookup,
+        body, n, COVER_TAG, _element_lookup(group),
         lambda tok, where: group.index(_parse_element(tok, group, where)),
     )
     return ArcMatrix(group, index)
@@ -263,14 +267,18 @@ def parse_gh(text: str) -> GHMatrix:
     meta, body = _split_header(text, GH_TAG, ("n", "group"))
     n = _int_of(meta["n"], "n")
     group = _parse_group(meta["group"])
-    entries = [
-        [
-            _parse_element(tok, group, f"row {u + 1}, column {v + 1}")
-            for v, tok in enumerate(_split_row(line, n, f"row {u + 1}"))
-        ]
-        for u, line in enumerate(_take_rows(body, n, GH_TAG))
-    ]
-    return GHMatrix(group, entries)
+    lookup = _element_lookup(group)
+    index = []
+    for u, line in enumerate(_take_rows(body, n, GH_TAG)):
+        toks = _split_row(line, n, f"row {u + 1}")
+        row = [lookup.get(tok, -1) for tok in toks]
+        if -1 in row:  # a non-canonical token: read the row token by token
+            row = [
+                group.index(_parse_element(tok, group, f"row {u + 1}, column {v + 1}"))
+                for v, tok in enumerate(toks)
+            ]
+        index.append(row)
+    return GHMatrix(group, np.array(index, dtype=np.int64).reshape(n, n))
 
 
 # -- form pencil format ----------------------------------------------------------

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covers import ArcMatrix, CoverCertificate, _count_table, drackn_verify, normalize
+from .covers import ArcMatrix, CoverCertificate, _count_blocks, drackn_verify, normalize
 from .cyclotomic import CycNum
 from .errors import DracknError, RoutesDisagreeError, UnsupportedError, VerificationError
 from .exact_matrix import ExactMatrix
@@ -179,7 +179,8 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
 
     No matrix product: write S[u, v] = e_uv zeta^k_uv (``S.index``) and let
     M_uv(k) = N_uv(+, k) - N_uv(-, k) from the count table over Z/2 x Z/q
-    (``covers._count_table``), so S^2[u, v] = sum_k M_uv(k) zeta^k for
+    (``covers._count_blocks``; the first block with a failing pair stops
+    the check), so S^2[u, v] = sum_k M_uv(k) zeta^k for
     u != v; the diagonal is n - 1 since the entries are units.  For prime q
     the only rational relation among 1, zeta, ..., zeta^(q-1) is the
     all-equal one, so the identity holds with rational a iff
@@ -192,24 +193,27 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     """
     n = s.n
     q = s.root_order or 2
-    counts = _count_table(s.index, AbelianGroup((2, q)).add_table())
-    m = counts[:, :, :q] - counts[:, :, q:]
     sign, k = 1 - 2 * (s.index // q), s.index % q
-    a_int = int(sign[0, 1] * (m[0, 1, k[0, 1]] - m[0, 1, (k[0, 1] + 1) % q]))
-    a = Fraction(a_int)
-    m[(*np.indices((n, n)), k)] -= a_int * sign
-    bad = (m != m[:, :, :1]).any(axis=2)
-    np.fill_diagonal(bad, False)
-    if bad.any():
-        # a fails on the pair (0, 1) itself exactly when S^2[0,1]/S[0,1] is irrational
-        u, v = (int(i) for i in np.argwhere(bad)[0])
-        sq = sum(s.entry(u, w) * s.entry(w, v) for w in range(n))
-        raise VerificationError(
-            "not-two-eigenvalue",
-            f"S^2[0,1]/S[0,1] = {sq / s.entry(0, 1)!r} is not rational"
-            if (u, v) == (0, 1)
-            else f"(S^2 - {a}S - {n - 1}I)[{u},{v}] = {sq - s.entry(u, v) * a!r}",
-        )
+    for lo, counts in _count_blocks(s.index, AbelianGroup((2, q)).add_table()):
+        h = len(counts)
+        m = counts[:, :, :q] - counts[:, :, q:]
+        if lo == 0:
+            a_int = int(sign[0, 1] * (m[0, 1, k[0, 1]] - m[0, 1, (k[0, 1] + 1) % q]))
+            a = Fraction(a_int)
+        m[(*np.indices((h, n)), k[lo:lo + h])] -= a_int * sign[lo:lo + h]
+        bad = (m != m[:, :, :1]).any(axis=2)
+        bad[np.arange(h), np.arange(lo, lo + h)] = False
+        if bad.any():
+            # a fails on the pair (0, 1) itself exactly when S^2[0,1]/S[0,1] is irrational
+            u, v = (int(i) for i in np.argwhere(bad)[0])
+            u += lo
+            sq = sum(s.entry(u, w) * s.entry(w, v) for w in range(n))
+            raise VerificationError(
+                "not-two-eigenvalue",
+                f"S^2[0,1]/S[0,1] = {sq / s.entry(0, 1)!r} is not rational"
+                if (u, v) == (0, 1)
+                else f"(S^2 - {a}S - {n - 1}I)[{u},{v}] = {sq - s.entry(u, v) * a!r}",
+            )
     root = sqrt_exact(a_int * a_int + 4 * (n - 1))
     if root is not None:
         theta: Fraction | QuadNum = Fraction(a_int + root, 2)

@@ -184,6 +184,15 @@ def test_enumerate_jobs_identical(capsys, monkeypatch):
     assert seq == par
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_usage_error(capsys, monkeypatch, jobs):
+    code, out, err = run(
+        capsys, monkeypatch, ["--jobs", jobs, "enumerate", "--case", "Ib", "--t-max", "4"]
+    )
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument --jobs: must be >= 1, got {jobs}\n")
+
+
 def test_cover_to_lines_reports(capsys, monkeypatch):
     cover = cover_933(capsys, monkeypatch)
     code, out, err = run(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from drackn.constructions import (
@@ -21,6 +22,7 @@ from drackn.constructions import (
 from drackn.covers import drackn_verify
 from drackn.errors import (
     CoverStructureError,
+    GroupMismatchError,
     UnsupportedError,
     VerificationError,
 )
@@ -176,6 +178,11 @@ def test_gh_fixture_and_rebuild():
 
     with pytest.raises(CoverStructureError):
         GHMatrix(G, [[(0,), (0,)]])  # not square
+
+    # the same matrix as an array of element indices
+    assert GHMatrix(G, G.index_array(rows)) == h
+    with pytest.raises(GroupMismatchError):
+        GHMatrix(G, np.array([[0, 2], [1, 0]]))
 
 
 def test_gh_to_cover_rejections():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from drackn import covers
 from drackn.constructions import dcff, thas_somma
 from drackn.covers import (
     ArcMatrix,
+    _count_blocks,
     arc_from_adjacency,
     drackn_verify,
     normalize,
@@ -24,7 +27,7 @@ from drackn.errors import (
     UnsupportedError,
     VerificationError,
 )
-from drackn.groups import AbelianGroup, regular_expand
+from drackn.groups import AbelianGroup, regular_expand, subgroup_closure
 
 
 def cover_933() -> ArcMatrix:
@@ -382,6 +385,126 @@ def test_count_table_agrees_with_expanded_graph_scan():
         n, r = f.n, f.group.order
         graph = nx.from_numpy_array(regular_expand(f))
         assert nx.intersection_array(graph) == ([n - 1, (r - 1) * c, 1], [1, c, n - 1])
+
+
+# The per-fibre count table and scan loop that ``_count_blocks`` and the
+# blockwise checks of ``drackn_verify`` replaced, kept as their oracle.
+
+
+def _count_table(idx: np.ndarray, add: np.ndarray) -> np.ndarray:
+    """N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x}.
+
+    ``idx`` holds the element index of f(u, v) (the diagonal is ignored) and
+    ``add`` is the group's addition table on element indices.  One bincount
+    per fibre u keeps the working memory at O(n^2) beside the n x n x r table.
+    """
+    n, r = idx.shape[0], add.shape[0]
+    off = ~np.eye(n, dtype=bool)
+    rows = np.arange(n)[:, None] * r
+    table = np.empty((n, n, r), dtype=np.int64)
+    for u in range(n):
+        keep = off & off[u][None, :] & off[u][:, None]  # [v, w]: w, v, u distinct
+        keys = rows + add[idx[u][None, :], idx.T]  # [v, w]: f(u, w) + f(w, v)
+        table[u] = np.bincount(keys[keep], minlength=n * r).reshape(n, r)
+    return table
+
+
+def _per_fibre_scan(f: ArcMatrix) -> int:
+    """c of the cover f, or the ``VerificationError`` of the first failing fibre."""
+    g = normalize(f)
+    n = g.n
+    G = g.group
+    r = G.order
+    els = G.elements()
+    idx, add = g.index, G.add_table()
+    table = _count_table(idx, add)
+    c = int(table[0, 1, 1])  # pair (0, e), (1, els[1]); f(0, 1) = e after normalizing
+    for u in range(n):
+        others = np.flatnonzero(np.arange(n) != u)
+        # [v, x]: some w gives f(u, w) + f(w, v) = x + f(u, v)
+        reached = (table[u][others[:, None], add[:, idx[u, others]].T] > 0).any(axis=0)
+        if not reached[1:].all():
+            x = int(np.argmin(reached[1:])) + 1
+            arcs = [els[i] for i in np.unique(idx[idx >= 0])]
+            if u == 0 and els[x] not in subgroup_closure(G, arcs):
+                raise VerificationError("not-connected", f"no path joins 0 and {x}")
+            raise VerificationError(
+                "not-antipodal", f"fibre mates {u * r},{u * r + x} are not at distance 3"
+            )
+        later = table[u, u + 1:]
+        bad = (later != c) | (later < 1)
+        bad[np.arange(n - u - 1), idx[u, u + 1:]] = False
+        if bad.any():
+            v, x = (int(k) for k in np.argwhere(bad)[0])
+            pair = f"{u * r},{(u + 1 + v) * r + x}"
+            k = int(later[v, x])
+            raise VerificationError(
+                "not-distance-regular",
+                f"cross-fibre pair {pair} has no common neighbour"
+                if k < 1
+                else f"pair {pair} has {k} common neighbours, pair (0, {r + 1}) has {c}",
+            )
+    return c
+
+
+# 1: one fibre per block; 150: ragged last blocks for n = 6, 7; None: default
+BLOCK_SIZES = pytest.mark.parametrize("block", [1, 150, None], ids=["1", "150", "default"])
+
+
+@BLOCK_SIZES
+def test_count_blocks_match_per_fibre_table(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(covers, "_BLOCK", block)
+    rng = np.random.default_rng(5)
+    ragged = False
+    for f in [*_random_tables(1000, seed=20261018), cover_933(), dcff(1, 3)]:
+        add = f.group.add_table()
+        idx = np.array(f.index)
+        np.fill_diagonal(idx, rng.integers(0, f.group.order, f.n))  # the diagonal is ignored
+        blocks = list(_count_blocks(idx, add))
+        assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(N) for _, N in blocks[:-1]]))
+        ragged |= len(blocks[-1][1]) < len(blocks[0][1])
+        assert np.array_equal(np.concatenate([N for _, N in blocks]), _count_table(f.index, add))
+    assert ragged == (block == 150)
+
+
+def _verdict(check, f):
+    try:
+        return check(f), None
+    except VerificationError as exc:
+        return None, (exc.condition, exc.witness)
+
+
+@BLOCK_SIZES
+def test_verify_matches_per_fibre_scan(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(covers, "_BLOCK", block)
+    tables = [*_one_arc_changes(cover_933()), *_random_tables(1000, seed=20261018)]
+    tags = set()
+    for f in tables + [cover_933(), dcff(1, 3)]:
+        want = _verdict(_per_fibre_scan, f)
+        assert _verdict(lambda t: drackn_verify(t).params.c, f) == want, (f.group, f.entries)
+        tags.add(want[1][0] if want[1] else None)
+    assert tags == {"not-connected", "not-antipodal", "not-distance-regular", None}
+
+
+def test_verify_rejects_large_non_cover_in_bounded_memory():
+    """A random table of dcff(2, 3) size (n = 256, r = 64) fails in the
+    first block: its full count table alone would take 32 MB."""
+    G = AbelianGroup((2,) * 6)
+    upper = np.triu(np.random.default_rng(1).integers(0, 64, (256, 256)), 1)
+    index = upper + G.neg_table()[upper.T]
+    np.fill_diagonal(index, -1)
+    f = ArcMatrix(G, index)
+    tracemalloc.start()
+    try:
+        with pytest.raises(VerificationError) as exc:
+            drackn_verify(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.condition == "not-distance-regular"
+    assert peak < 8 << 20, peak
 
 
 # The tuple formula that ``normalize``'s two gathers replaced, kept as its oracle.

@@ -296,6 +296,32 @@ def test_parse_cover_non_canonical_tokens(group, tok, want):
 
 
 @pytest.mark.parametrize(
+    "group, tok, want",
+    [
+        # non-canonical tokens read as before: a table, or the same error text
+        ("3", "01", (((0,), (1,)), ((1,), (0,)))),
+        ("3", "+1", (((0,), (1,)), ((1,), (0,)))),
+        ("3", "-2", "row 1, column 2: element '-2' out of range for orders (3,)"),
+        ("3", "3", "row 1, column 2: element '3' out of range for orders (3,)"),
+        ("3", "1,0", "row 1, column 2: element '1,0' has 2 coordinates, group has 1"),
+        ("2,2", "1,0,0", "row 1, column 2: element '1,0,0' has 3 coordinates, group has 2"),
+        ("2,2", "01,+1", (((0, 0), (1, 1)), ((1, 1), (0, 0)))),
+        ("2,2", "1,x", "row 1, column 2: coordinate must be an integer, got 'x'"),
+        ("1", "1", "row 1, column 2: trivial-group entry must be 0, got '1'"),
+    ],
+)
+def test_parse_gh_non_canonical_tokens(group, tok, want):
+    zero = "0,0" if group == "2,2" else "0"
+    text = f"GH v1\nn=2 group={group}\n{zero} {tok}\n{tok} {zero}\n"
+    if isinstance(want, str):
+        with pytest.raises(FormatError) as exc:
+            parse_gh(text)
+        assert str(exc.value) == want
+    else:
+        assert parse_gh(text).entries == want
+
+
+@pytest.mark.parametrize(
     "parse, text",
     [
         (parse_cover, "DRACKN-COVER v1\nn=-1 group=3\nx\n"),

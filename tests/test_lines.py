@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from drackn import covers
 from drackn.arith import sqrt_exact
 from drackn.constructions import dcff, thas_somma
 from drackn.covers import drackn_verify, normalize
@@ -224,12 +225,15 @@ def test_two_eigenvalue_data_matches_exact_square(data):
     _assert_same_as_exact_square(_seidel_from(p, n, upper))
 
 
-def test_two_eigenvalue_data_matches_exact_square_on_small_pm1():
-    for n in (3, 4, 5):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for signs in product((0, 1), repeat=len(pairs)):
-            upper = {uv: _signed_root(None, h, 0) for uv, h in zip(pairs, signs)}
-            _assert_same_as_exact_square(_seidel_from(None, n, upper))
+def test_two_eigenvalue_data_matches_exact_square_on_small_pm1(monkeypatch):
+    # count blocks of one row, ragged last blocks (50 keys: n = 4, 5), the default
+    for block in (1, 50, covers._BLOCK):
+        monkeypatch.setattr(covers, "_BLOCK", block)
+        for n in (3, 4, 5):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for signs in product((0, 1), repeat=len(pairs)):
+                upper = {uv: _signed_root(None, h, 0) for uv, h in zip(pairs, signs)}
+                _assert_same_as_exact_square(_seidel_from(None, n, upper))
 
 
 @pytest.mark.parametrize("p, m, changes", [(3, 2, None), (5, 2, 4)], ids=["ts32", "ts52"])

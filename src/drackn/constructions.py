@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import gfp_rank, is_prime
-from .covers import ArcMatrix, CoverCertificate, drackn_verify
+from . import covers
+from .covers import ArcMatrix, CoverCertificate, check_deck_group, cover_certificate, drackn_verify
 from .errors import (
     CoverStructureError,
     GroupMismatchError,
@@ -319,43 +320,50 @@ def dcff(
 class GHMatrix:
     """A square matrix with entries in an abelian group (diagonal included).
 
-    The constructor takes nested rows of exponent tuples (coordinates are
-    reduced mod the orders) or an integer array of element indices.
+    ``index`` is a read-only (n, n) int64 array of element indices
+    (``AbelianGroup.elements`` order).  The constructor takes such an array
+    or nested rows of exponent tuples (coordinates are reduced mod the orders).
     """
 
-    __slots__ = ("group", "entries")
+    __slots__ = ("group", "index")
 
     def __init__(self, group: AbelianGroup, entries):
         if isinstance(entries, np.ndarray):
             if ((entries < 0) | (entries >= group.order)).any():
                 raise GroupMismatchError(f"element index out of range for {group}")
-            els = group.elements()
-            rows = tuple(tuple(els[i] for i in row) for row in entries.tolist())
         else:
-            rows = tuple(tuple(group.coerce(e) for e in row) for row in entries)
-        n = len(rows)
-        if n < 1 or any(len(row) != n for row in rows):
+            entries = [[group.index(group.coerce(e)) for e in row] for row in entries]
+        n = len(entries)
+        if n < 1 or any(len(row) != n for row in entries):
             raise CoverStructureError("not-square", f"need a square table, got {n} rows")
+        index = np.array(entries, dtype=np.int64)
+        index.flags.writeable = False
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("GHMatrix is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return self.index.shape[0]
+
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        """Nested rows of exponent tuples."""
+        els = self.group.elements()
+        return tuple(tuple(els[i] for i in row) for row in self.index.tolist())
 
     def entry(self, u: int, v: int):
-        return self.entries[u][v]
+        return self.group.elements()[int(self.index[u, v])]
 
     def __eq__(self, other):
         if not isinstance(other, GHMatrix):
             return NotImplemented
-        return self.group == other.group and self.entries == other.entries
+        return self.group == other.group and np.array_equal(self.index, other.index)
 
     def __hash__(self):
-        return hash((self.group, self.entries))
+        return hash((self.group, self.index.tobytes()))
 
     def __repr__(self):
         return f"GHMatrix(n={self.n}, group={self.group})"
@@ -363,23 +371,30 @@ class GHMatrix:
 
 def _gh_defect(h: GHMatrix) -> str | None:
     """None if h satisfies the generalized Hadamard row-pair identity, else
-    a witness string."""
+    a witness: the first failing row pair u < v and its worst difference.
+    Each block of rows u (``covers._BLOCK`` keys) is one gather and one
+    bincount of its differences with the rows v from the block on."""
     n, group = h.n, h.group
     r = group.order
     if n % r:
         return f"order {n} is not a multiple of the group order {r}"
     lam = n // r
-    idx = group.index_array(h.entries)
-    sub = group.add_table()[:, group.neg_table()]  # sub[a, b] is a - b
-    for u in range(n):
-        for v in range(u + 1, n):
-            counts = np.bincount(sub[idx[u], idx[v]], minlength=r)
-            if (counts != lam).any():
-                worst = int(np.argmax(abs(counts - lam)))
-                return (
-                    f"rows {u},{v}: difference {group.elements()[worst]} appears "
-                    f"{counts[worst]} times, want {lam}"
-                )
+    sub = group.add_table()[:, group.neg_table()].ravel()  # sub[a*r + b] is a - b
+    left, later = h.index * r, np.triu(np.ones((n, n), dtype=bool), 1)
+    b = max(1, covers._BLOCK // (n * n))
+    for lo in range(0, n, b):
+        k, m = min(b, n - lo), n - lo
+        keys = sub[left[lo:lo + k, None, :] + h.index[lo:]]  # [u, v, w]: h(u, w) - h(v, w)
+        keys += np.arange(0, k * m * r, r).reshape(k, m, 1)
+        counts = np.bincount(keys.ravel(), minlength=k * m * r).reshape(k, m, r)
+        bad = (counts != lam).any(axis=2) & later[lo:lo + k, lo:]
+        if bad.any():
+            u, v = (int(i) for i in np.argwhere(bad)[0])
+            worst = int(np.argmax(abs(counts[u, v] - lam)))
+            return (
+                f"rows {lo + u},{lo + v}: difference {group.elements()[worst]} appears "
+                f"{counts[u, v, worst]} times, want {lam}"
+            )
     return None
 
 
@@ -392,34 +407,33 @@ def cover_to_gh(f: ArcMatrix) -> GHMatrix:
     """View a delta = -2 cover (n = rc) as a generalized Hadamard matrix.
 
     The arc table with identity diagonal is itself the Hadamard matrix, and
-    ``drackn_verify`` already proves its row-pair identity: in rows u != v
-    the differences h(u, k) - h(v, k) are f(u, k) + f(k, v) for k not in
-    {u, v} and f(u, v) for k in {u, v}, so x appears N_uv(x) + 2[x = f(u, v)]
-    times.  A cover has N_uv(x) = c off f(u, v) and N_uv(f(u, v)) =
-    n - 2 - (r - 1)c, which is c - 2 exactly when delta = -2; then every
-    difference appears c = n/r times.  Other covers raise
-    ``UnsupportedError``.
+    ``drackn_verify`` already proves its row-pair identity: x appears
+    N_uv(x) + 2[x = f(u, v)] times among the differences of rows u != v
+    (``gh_to_cover``).  A cover has N_uv(x) = c off f(u, v) and
+    N_uv(f(u, v)) = n - 2 - (r - 1)c, which is c - 2 exactly when
+    delta = -2.  Other covers raise ``UnsupportedError``.
     """
     cert = drackn_verify(f)
     if cert.params.delta != -2:
         raise UnsupportedError(
             f"the Hadamard view needs delta = -2 (n = rc), got delta = {cert.params.delta}"
         )
-    index = np.array(f.index)
-    np.fill_diagonal(index, 0)  # the identity
-    return GHMatrix(f.group, index)
+    return GHMatrix(f.group, np.maximum(f.index, 0))  # the diagonal's -1 reads the identity
 
 
 def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:
-    """Rebuild and verify the cover of a self-adjoint generalized Hadamard
-    matrix with constant diagonal.
+    """Rebuild the cover of a self-adjoint generalized Hadamard matrix with
+    constant diagonal, certified by the row-pair identity itself.
 
     Requires h(v,u) = -h(u,v) for all u, v (so twice the diagonal is zero)
-    and a constant diagonal g0; the arc table is h(u,v) - g0 off the
-    diagonal.  The verified cover must come out with n = rc.
+    and a constant diagonal g0; the arc table is f(u, v) = h(u,v) - g0 off
+    the diagonal.  In rows u != v the differences h(u, k) - h(v, k) are
+    f(u, k) + f(k, v) for k not in {u, v} and f(u, v) for k in {u, v}, so x
+    appears N_uv(x) + 2[x = f(u, v)] times.  The identity makes that n/r
+    for every x, so N_uv(x) = n/r off f(u, v): by Godsil and Hensel an
+    (n, r, n/r) cover, and delta = n - rc - 2 = -2.
     """
-    group = h.group
-    idx = group.index_array(h.entries)
+    group, idx = h.group, h.index
     bad = np.argwhere(group.neg_table()[idx] != idx.T)
     if len(bad):
         u, v = (int(i) for i in bad[0])
@@ -432,9 +446,5 @@ def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:
     idx = group.add_table()[idx, group.neg_table()[idx[0, 0]]]  # h(u, v) - g0
     np.fill_diagonal(idx, -1)
     arc = ArcMatrix(group, idx)
-    cert = drackn_verify(arc)
-    if cert.params.n != cert.params.r * cert.params.c:
-        raise RoutesDisagreeError(
-            f"Hadamard-derived cover verified with delta = {cert.params.delta}, want -2"
-        )
-    return arc, cert
+    check_deck_group(group)
+    return arc, cover_certificate(h.n, group.order, h.n // group.order)

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
-from .feasibility import ParameterSet, spectral_params, _as_fraction, _fmt
+from .feasibility import ParameterSet, spectral_params, _fmt
 from .groups import AbelianGroup, subgroup_closure
 from .quadratic import QuadNum
 
@@ -238,12 +238,7 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
     n = g.n
     G = g.group
     r = G.order
-    if r < 2:
-        raise UnsupportedError("verification needs fibre size r >= 2")
-    if G.prime_exponent is None:
-        raise UnsupportedError(
-            f"deck group with orders {G.orders} does not have prime exponent"
-        )
+    check_deck_group(G)
     els = G.elements()
     idx = g.index
     fibres, xs = np.arange(n), np.arange(r)
@@ -276,31 +271,36 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
             if count < 1
             else f"pair {pair} has {count} common neighbours, pair (0, {r + 1}) has {c}",
         )
-    checks = [
-        "arc-structure",
-        "regular",
-        "connected",
-        "antipodal",
-        "distance-regular",
-        "character-blocks",
-    ]
+    return cover_certificate(n, r, c)
 
+
+def check_deck_group(G: AbelianGroup) -> None:
+    """``UnsupportedError`` unless the deck group has order r >= 2 and prime exponent."""
+    if G.order < 2:
+        raise UnsupportedError("verification needs fibre size r >= 2")
+    if G.prime_exponent is None:
+        raise UnsupportedError(f"deck group with orders {G.orders} does not have prime exponent")
+
+
+_CHECKS = (
+    "arc-structure", "regular", "connected", "antipodal", "distance-regular",
+    "character-blocks", "multiplicities-integral",
+)
+
+
+def cover_certificate(n: int, r: int, c: int) -> CoverCertificate:
+    """The certificate of a proven (n, r, c) cover: its parameters, its
+    spectrum and the checks passed, ending with the integral multiplicities."""
     params = spectral_params(n, r, c)
-    mt, mtau = params.m_theta, params.m_tau
-    for name, m in (("m_theta", mt), ("m_tau", mtau)):
+    mults = []
+    for name, m in (("m_theta", params.m_theta), ("m_tau", params.m_tau)):
         q = m.rational_value() if isinstance(m, QuadNum) and m.is_rational() else m
         if isinstance(q, QuadNum) or q.denominator != 1 or q.numerator % (r - 1):
             raise RoutesDisagreeError(f"verified cover has inadmissible {name} = {m}")
-    mt_i, mtau_i = int(_as_fraction(mt)), int(_as_fraction(mtau))
-    checks.append("multiplicities-integral")
-
-    spectrum = (
-        (Fraction(n - 1), 1),
-        (params.theta, mt_i),
-        (Fraction(-1), n - 1),
-        (params.tau, mtau_i),
-    )
-    return CoverCertificate(params=params, spectrum=spectrum, checks_passed=tuple(checks))
+        mults.append(q.numerator)
+    mt, mtau = mults
+    spectrum = ((Fraction(n - 1), 1), (params.theta, mt), (Fraction(-1), n - 1), (params.tau, mtau))
+    return CoverCertificate(params=params, spectrum=spectrum, checks_passed=_CHECKS)
 
 
 def quotient(f: ArcMatrix, generators) -> ArcMatrix:

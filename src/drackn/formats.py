@@ -6,8 +6,8 @@ Every emitter produces one canonical rendering (header line, parameter line,
 then matrix rows), and every parser reads exactly the declared number of rows
 after the two header lines and ignores trailing content.  That makes emitted
 payloads pipeable: a command may append report lines after the matrix block
-without breaking a downstream parser.  Cover and Seidel rows are parsed
-straight into the index arrays of ``ArcMatrix`` and ``SeidelMatrix``.
+without breaking a downstream parser.  Cover, Seidel and GH rows are
+parsed straight into the index arrays of their matrix classes.
 
 Encodings:
 
@@ -258,8 +258,9 @@ def parse_seidel(text: str) -> SeidelMatrix:
 
 
 def emit_gh(h: GHMatrix) -> str:
+    names = [_emit_element(el) for el in h.group.elements()]
     out = [GH_TAG, f"n={h.n} group={_emit_group(h.group)}"]
-    out.extend(" ".join(map(_emit_element, row)) for row in h.entries)
+    out.extend(" ".join(names[i] for i in row) for row in h.index.tolist())
     return "\n".join(out) + "\n"
 
 

@@ -19,7 +19,8 @@ prime p the only rational relation among 1, zeta_p, ..., zeta_p^(p-1) is
 the all-equal one.  ``drackn_verify`` proves it for the character blocks of
 a cover, which gives ``cover_to_lines``; conversely a two-eigenvalue Seidel
 matrix whose entries are r-th roots of unity folds back into an arc table
-over Z/r (``lines_to_cover``), with the multiplicity count determining c.
+over Z/r (``lines_to_cover``), and the same lemma makes it a cover with
+c = (n - 2 - a)/r.
 Both directions only relabel indices: a character block's entry is
 <e_chi, f(u, v)> mod p, and a Seidel entry zeta_r^k is the arc value k.
 """
@@ -32,9 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .covers import ArcMatrix, CoverCertificate, _count_blocks, drackn_verify, normalize
+from .covers import ArcMatrix, CoverCertificate, _count_blocks, cover_certificate
+from .covers import drackn_verify, normalize
 from .cyclotomic import CycNum
-from .errors import DracknError, RoutesDisagreeError, UnsupportedError, VerificationError
+from .errors import DracknError, UnsupportedError, VerificationError
 from .exact_matrix import ExactMatrix
 from .feasibility import _as_fraction
 from .groups import AbelianGroup, regular_expand
@@ -364,34 +366,24 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
 def lines_to_cover(s: SeidelMatrix, r: int) -> tuple[ArcMatrix, CoverCertificate]:
     """Fold a two-eigenvalue Seidel matrix with r-th root entries into a cover.
 
-    r must be prime.  The entries become arc values over Z/r; the parameter
-    c is computed from the eigenvalue data as
-
-        c = ((n - 2) + (2d - n) |tau| / d) / r,    d = n - m_tau,
-
-    and the rebuilt cover is fully verified; its certificate must reproduce
-    the same c, otherwise ``RoutesDisagreeError`` is raised.
+    r must be prime.  ``two_eigenvalue_data`` proves S^2 = aS + (n-1)I with
+    rational a.  With entries S[u, v] = zeta_r^f(u, v), S^2[u, v] for u != v
+    is sum_x N_uv(x) zeta_r^x on the count table of the arc values f over
+    Z/r, and the prime-root lemma makes N_uv(x) - a[x = f(u, v)] constant
+    in x.  As sum_x N_uv(x) = n - 2, N_uv(x) = c = (n - 2 - a)/r off
+    f(u, v): by Godsil and Hensel an (n, r, c) cover once c >= 1.  This is
+    the eigenvalue formula c = ((n - 2) + (2d - n)|tau|/d)/r, d = m_theta,
+    since m_theta theta + m_tau tau = 0.  The failure conditions are
+    ``not-two-eigenvalue``, ``parameters`` (c not a positive integer) and
+    ``entry-not-root-of-unity``, in that order.
     """
     if not is_prime(r):
         raise UnsupportedError(f"deck order r must be prime, got {r}")
     spec = two_eigenvalue_data(s)
     n = s.n
-    d = n - spec.m_tau
-    if 2 * d == n:
-        c_frac = Fraction(n - 2, r)
-    else:
-        tau_q = _rational_of(spec.tau)
-        if tau_q is None:
-            raise VerificationError(
-                "parameters",
-                f"irrational tau = {spec.tau!r} with 2d != n cannot give integer c",
-            )
-        c_frac = (Fraction(n - 2) + Fraction(2 * d - n) * (-tau_q) / d) / r
-    if c_frac.denominator != 1 or c_frac < 1:
-        raise VerificationError(
-            "parameters", f"derived c = {c_frac} is not a positive integer"
-        )
-    c = int(c_frac)
+    c = (n - 2 - _as_fraction(spec.theta + spec.tau)) / r
+    if c.denominator != 1 or c < 1:
+        raise VerificationError("parameters", f"derived c = {c} is not a positive integer")
     exps, bad = s.exponents(r)
     if bad is not None:
         u, v = bad
@@ -399,13 +391,7 @@ def lines_to_cover(s: SeidelMatrix, r: int) -> tuple[ArcMatrix, CoverCertificate
             "entry-not-root-of-unity",
             f"entry ({u},{v}) = {s.entry(u, v)!r} is not an order-{r} root of unity",
         )
-    arc = ArcMatrix(AbelianGroup((r,)), exps)
-    cert = drackn_verify(arc)
-    if cert.params.c != c:
-        raise RoutesDisagreeError(
-            f"verified c = {cert.params.c} but the eigenvalue formula gave c = {c}"
-        )
-    return arc, cert
+    return ArcMatrix(AbelianGroup((r,)), exps), cover_certificate(n, r, int(c))
 
 
 def double_real(s: SeidelMatrix) -> tuple[np.ndarray, list[tuple[int, int]]]:

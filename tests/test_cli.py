@@ -268,6 +268,13 @@ def test_gh_round_trip_cli(capsys, monkeypatch):
     assert err == "DRACKN n=9 r=3 c=3 delta=-2 theta=2 tau=-4\n"
 
 
+def test_gh_to_cover_trivial_group_is_unsupported(capsys, monkeypatch):
+    # the all-zero table over the trivial group passes every GH check
+    gh = "GH v1\nn=2 group=1\n0 0\n0 0\n"
+    code, out, err = run(capsys, monkeypatch, ["gh-to-cover"], stdin_text=gh)
+    assert (code, out, err) == (2, "", "error: verification needs fibre size r >= 2\n")
+
+
 def test_quotient_cli(capsys, monkeypatch):
     code, cover, _ = run(capsys, monkeypatch, ["construct", "dcff", "-t", "1", "-d", "3"])
     assert code == 0

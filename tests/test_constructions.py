@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from drackn import constructions, covers
 from drackn.constructions import (
     AlternatingForm,
     GHMatrix,
     LatinSquare,
     SkewProduct,
+    _gh_defect,
     cover_to_gh,
     dcff,
     default_latin,
@@ -19,7 +23,7 @@ from drackn.constructions import (
     standard_symplectic,
     thas_somma,
 )
-from drackn.covers import drackn_verify
+from drackn.covers import ArcMatrix, drackn_verify
 from drackn.errors import (
     CoverStructureError,
     GroupMismatchError,
@@ -27,6 +31,7 @@ from drackn.errors import (
     VerificationError,
 )
 from drackn.gf import FiniteField
+from drackn.groups import AbelianGroup
 from drackn.lines import find_symmetric_conference, lines_to_cover
 
 
@@ -234,3 +239,114 @@ def test_cover_to_gh_needs_n_equal_rc():
     assert cert.params.delta == 0
     with pytest.raises(UnsupportedError):
         cover_to_gh(arc)
+
+
+# The per-pair loop that ``_gh_defect`` replaced, kept as the oracle of the
+# differential test below.
+def _pairwise_gh_defect(h: GHMatrix) -> str | None:
+    """None if h satisfies the generalized Hadamard row-pair identity, else
+    a witness string."""
+    n, group = h.n, h.group
+    r = group.order
+    if n % r:
+        return f"order {n} is not a multiple of the group order {r}"
+    lam = n // r
+    idx = group.index_array(h.entries)
+    sub = group.add_table()[:, group.neg_table()]  # sub[a, b] is a - b
+    for u in range(n):
+        for v in range(u + 1, n):
+            counts = np.bincount(sub[idx[u], idx[v]], minlength=r)
+            if (counts != lam).any():
+                worst = int(np.argmax(abs(counts - lam)))
+                return (
+                    f"rows {u},{v}: difference {group.elements()[worst]} appears "
+                    f"{counts[worst]} times, want {lam}"
+                )
+    return None
+
+
+@lru_cache(maxsize=None)
+def _square_tables() -> tuple[GHMatrix, ...]:
+    """Random square tables over Z/2, Z/3, Z/4 and (Z/2)^2 of every order up
+    to 3r + 1, multiples of r and not; then ts32's and ts52's Hadamard
+    matrices and one-entry changes of them (all of ts32's, a sample of
+    ts52's), which fail at later row pairs."""
+    rng = np.random.default_rng(20261019)
+    tables = []
+    for orders in ((2,), (3,), (4,), (2, 2)):
+        G = AbelianGroup(orders)
+        for n in range(1, 3 * G.order + 2):
+            tables += [GHMatrix(G, rng.integers(0, G.order, (n, n))) for _ in range(4)]
+    for f, sample in ((thas_somma(3, 2), None), (thas_somma(5, 2), 150)):
+        h = cover_to_gh(f)
+        n, r = h.n, h.group.order
+        changes = [(u, v, x) for u in range(n) for v in range(n) for x in range(1, r)]
+        if sample is not None:
+            changes = [changes[i] for i in rng.choice(len(changes), sample, replace=False)]
+        tables.append(h)
+        for u, v, x in changes:
+            index = np.array(h.index)
+            index[u, v] = (index[u, v] + x) % r
+            tables.append(GHMatrix(h.group, index))
+    return tuple(tables)
+
+
+@pytest.mark.parametrize("rows", [1, 2, None], ids=["1", "ragged", "default"])
+def test_gh_defect_matches_pairwise_loop(monkeypatch, rows):
+    # blocks of one row; of two rows (ragged for odd n); the default size
+    verdicts = set()
+    for h in _square_tables():
+        if rows is not None:
+            monkeypatch.setattr(covers, "_BLOCK", rows * h.n * h.n)
+        want = _pairwise_gh_defect(h)
+        assert _gh_defect(h) == want, (h.group, h.entries)
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def _gh_variants(h: GHMatrix, rng) -> list[GHMatrix]:
+    """Gauge switches with permutations, h'(u, v) = h(pu, pv) + g(u) - g(v),
+    and one-pair changes of them that keep h self-adjoint."""
+    G, n = h.group, h.n
+    add, neg = G.add_table(), G.neg_table()
+    out = []
+    for _ in range(8):
+        p, g = rng.permutation(n), rng.integers(0, G.order, n)
+        index = add[add[h.index[np.ix_(p, p)], g[:, None]], neg[g]]
+        out.append(GHMatrix(G, index))
+        u, v = rng.choice(n, 2, replace=False)
+        x = rng.integers(0, G.order)
+        index[u, v], index[v, u] = x, neg[x]
+        out.append(GHMatrix(G, index))
+    return out
+
+
+def test_gh_to_cover_certificate_matches_drackn_verify():
+    """gh_to_cover certifies from the row-pair identity alone; drackn_verify
+    on the rebuilt cover stays the oracle."""
+    rng = np.random.default_rng(7)
+    accepted = 0
+    for f in (thas_somma(3, 2), thas_somma(5, 2), thas_somma(2, 4), dcff(1, 1), dcff(1, 3)):
+        for h in _gh_variants(cover_to_gh(f), rng):
+            try:
+                arc, cert = gh_to_cover(h)
+            except VerificationError as exc:
+                assert exc.condition == "gh-row-pairs"
+                continue
+            assert cert == drackn_verify(arc)
+            accepted += 1
+    assert accepted >= 40
+
+
+def test_gh_to_cover_refuses_the_deck_groups_drackn_verify_refuses(monkeypatch):
+    # no order-4 table over Z/4 satisfies the row-pair identity, so skip it
+    monkeypatch.setattr(constructions, "_gh_defect", lambda h: None)
+    Z4 = AbelianGroup((4,))
+    zeros = np.zeros((4, 4), dtype=np.int64)
+    with pytest.raises(UnsupportedError) as exc:
+        gh_to_cover(GHMatrix(Z4, zeros))
+    assert str(exc.value) == "deck group with orders (4,) does not have prime exponent"
+    np.fill_diagonal(zeros, -1)
+    with pytest.raises(UnsupportedError) as exc_verify:
+        drackn_verify(ArcMatrix(Z4, zeros))
+    assert str(exc_verify.value) == str(exc.value)

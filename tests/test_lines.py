@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from drackn import covers
 from drackn.arith import sqrt_exact
-from drackn.constructions import dcff, thas_somma
-from drackn.covers import drackn_verify, normalize
+from drackn.constructions import cover_to_gh, dcff, gh_to_cover, thas_somma
+from drackn.covers import ArcMatrix, _count_blocks, drackn_verify, normalize
 from drackn.cyclotomic import CycNum, zeta
 from drackn.errors import UnsupportedError, VerificationError
 from drackn.exact_matrix import ExactMatrix, mat_rank_exact
 from drackn.formats import emit_seidel, parse_seidel
-from drackn.groups import char_apply, characters_of, regular_expand
+from drackn.groups import AbelianGroup, char_apply, characters_of, regular_expand
 from drackn.lines import (
     SeidelMatrix,
     SeidelSpectrum,
@@ -338,6 +338,104 @@ def test_lines_to_cover_round_trip():
     assert cert == drackn_verify(arc)
     # folding the rebuilt cover's block gives back the same Seidel matrix
     assert cover_to_lines(arc).seidel == cl.seidel
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: thas_somma(3, 2), lambda: thas_somma(5, 2), lambda: dcff(1, 3)],
+    ids=["ts32", "ts52", "dcff13"],
+)
+def test_bridges_certify_without_drackn_verify(monkeypatch, make):
+    """lines_to_cover and gh_to_cover build no second count table: each
+    certifies from the identity it has just proven."""
+    f = make()
+    cl, h = cover_to_lines(f), cover_to_gh(f)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bridge called drackn_verify")
+
+    monkeypatch.setattr("drackn.lines.drackn_verify", forbidden)
+    monkeypatch.setattr("drackn.constructions.drackn_verify", forbidden)
+    lines_arc, lines_cert = lines_to_cover(cl.seidel, f.group.prime_exponent)
+    gh_arc, gh_cert = gh_to_cover(h)
+    monkeypatch.undo()
+    assert lines_cert == drackn_verify(lines_arc)
+    assert cover_to_lines(lines_arc).seidel == cl.seidel
+    assert gh_arc == f and gh_cert == drackn_verify(f)
+
+
+def _pm1_two_eigenvalue(n: int) -> np.ndarray:
+    """Index arrays of every +-1 Seidel matrix of order n with
+    S^2 = aS + (n-1)I for an integer a (an integer matrix product over all
+    2^(n(n-1)/2) of them at once)."""
+    iu = np.triu_indices(n, 1)
+    bits = (np.arange(2 ** len(iu[0]))[:, None] >> np.arange(len(iu[0]))) & 1
+    S = np.zeros((len(bits), n, n), dtype=np.int64)
+    S[:, iu[0], iu[1]] = 1 - 2 * bits
+    S += S.transpose(0, 2, 1)
+    sq = S @ S
+    a = (sq[:, 0, 1] * S[:, 0, 1])[:, None, None]
+    ok = (sq == a * S + (n - 1) * np.eye(n, dtype=np.int64)).all(axis=(1, 2))
+    return 1 - S[ok]  # +1 -> 0, -1 -> 2
+
+
+def _switched_blocks(rng) -> list[SeidelMatrix]:
+    """Character blocks of ladder covers and the negated +-1 ones, permuted
+    and switched by a diagonal of roots: S'[u, v] = d_u S[pu, pv] / d_v."""
+    out = []
+    for f in (thas_somma(3, 2), thas_somma(5, 2), thas_somma(2, 4), dcff(1, 3), thas_somma(7, 2)):
+        s = cover_to_lines(f).seidel
+        q = s.root_order
+        for t in (s, s.negate()) if q == 2 else (s,):
+            for _ in range(4):
+                p, d = rng.permutation(t.n), rng.integers(0, q, t.n)
+                h, k = np.divmod(t.index[np.ix_(p, p)], q)
+                if q == 2:  # d_u = (-1)^d_u
+                    h = (h + d[:, None] + d) % 2
+                else:  # d_u = zeta^d_u
+                    k = (k + d[:, None] - d) % q
+                out.append(SeidelMatrix(h * q + k, q))
+    return out
+
+
+def test_lines_to_cover_certificate_matches_drackn_verify():
+    """lines_to_cover certifies from S^2 = aS + (n-1)I alone; drackn_verify
+    on the folded cover stays the oracle."""
+    rng = np.random.default_rng(3)
+    seidels = [SeidelMatrix(index) for n in range(3, 7) for index in _pm1_two_eigenvalue(n)]
+    accepted = 0
+    for s in seidels + _switched_blocks(rng):
+        r = s.root_order or 2
+        try:
+            arc, cert = lines_to_cover(s, r)
+        except VerificationError as exc:
+            assert exc.condition == "parameters"  # c < 1
+            continue
+        assert cert == drackn_verify(arc)
+        accepted += 1
+    assert accepted == 444 + 28  # +-1 matrices, then every block
+
+
+@pytest.mark.parametrize("q", [3, 7, 11])
+def test_skew_paley_matrix_needs_the_prime_hypothesis(q):
+    """S = iC for the Paley skew conference matrix C of order n = q + 1 has
+    S^2 = (n-1)I, and its entries +-i fold into an arc table over Z/4; but
+    4 is no prime (1 + zeta_4^2 = 0), and the counts are not constant off
+    f(0, 1), so the folded table is no cover."""
+    squares = {x * x % q for x in range(1, q)}
+    n = q + 1
+    C = np.zeros((n, n), dtype=np.int64)
+    C[0, 1:], C[1:, 0] = 1, -1
+    C[1:, 1:] = [[0 if i == j else 1 if (j - i) % q in squares else -1 for j in range(q)]
+                 for i in range(q)]
+    assert np.array_equal(C @ C, -(n - 1) * np.eye(n, dtype=np.int64))
+    index = np.where(C == 1, 1, 3)  # i -> 1, -i -> 3
+    np.fill_diagonal(index, -1)
+    arc = ArcMatrix(AbelianGroup((4,)), index)
+    _, N = next(_count_blocks(arc.index, arc.group.add_table()))
+    k = (q - 1) // 2
+    assert N[0, 1].tolist() == [k, 0, k, 0]  # f(0, 1) = 1
+    with pytest.raises(UnsupportedError):
+        drackn_verify(arc)
 
 
 def test_lines_to_cover_rejects_bad_parameters():

@@ -6,9 +6,7 @@ stdout; one-line reports accompanying a payload go to stderr so payloads stay
 pipeable.  Exit codes: 0 success, 1 verification or feasibility failure (with
 a machine-readable ``FAIL <condition> <witness>`` line on stdout), 2 malformed
 input or unsupported request (message on stderr), 3 internal consistency
-failure (an ``INTERNAL <message>`` line on stderr).
-
-``--jobs`` is a global option (before the subcommand); no command is
+failure (an ``INTERNAL <message>`` line on stderr).  No command is
 randomized.
 """
 
@@ -201,7 +199,7 @@ def _human_table(rows: tuple[FamilyRow, ...]) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    rows = family_enumerate(_CASE_MAP[args.case], args.t_max, jobs=args.jobs)
+    rows = family_enumerate(_CASE_MAP[args.case], args.t_max)
     if not args.include_two_graph:
         rows = tuple(row for row in rows if FLAG_TWO_GRAPH not in row.flags)
     sys.stdout.write(rows_to_tsv(rows) if args.tsv else _human_table(rows))
@@ -222,9 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "Construct, verify, and interconvert antipodal covers of complete "
             "graphs and the equiangular line systems they carry."
         ),
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers (default 1)"
     )
     subs = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
@@ -315,8 +310,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     if getattr(args, "func", None) is None:

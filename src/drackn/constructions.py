@@ -15,8 +15,9 @@ Both constructions verify their output before returning it.
 
 A cover with delta = -2 (equivalently n = rc) is the same thing as a
 self-adjoint generalized Hadamard matrix with constant diagonal over the
-deck group; ``cover_to_gh`` / ``gh_to_cover`` convert between the two views
-and ``gh_validate`` checks the Hadamard row-pair identity itself.
+deck group; ``cover_to_gh`` / ``gh_to_cover`` convert between the two views.
+``gh_to_cover`` checks the Hadamard row-pair identity on the cover's count
+table (``covers._count_blocks``), the table ``drackn_verify`` checks.
 """
 
 from __future__ import annotations
@@ -27,8 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import gfp_rank, is_prime
-from . import covers
-from .covers import ArcMatrix, CoverCertificate, check_deck_group, cover_certificate, drackn_verify
+from .covers import (
+    ArcMatrix,
+    CoverCertificate,
+    _count_blocks,
+    check_deck_group,
+    cover_certificate,
+    drackn_verify,
+)
 from .errors import (
     CoverStructureError,
     GroupMismatchError,
@@ -369,38 +376,29 @@ class GHMatrix:
         return f"GHMatrix(n={self.n}, group={self.group})"
 
 
-def _gh_defect(h: GHMatrix) -> str | None:
-    """None if h satisfies the generalized Hadamard row-pair identity, else
-    a witness: the first failing row pair u < v and its worst difference.
-    Each block of rows u (``covers._BLOCK`` keys) is one gather and one
-    bincount of its differences with the rows v from the block on."""
-    n, group = h.n, h.group
-    r = group.order
+def _row_pair_defect(group: AbelianGroup, f: np.ndarray) -> str | None:
+    """None if the arc index array ``f`` of ``gh_to_cover`` has
+    N_uv(x) = n/r for x != f(u, v) (the row sum n - 2 then forces n/r - 2 at
+    f(u, v)), else a witness: the first failing row pair u < v and the worst
+    of its row differences, which hit x N_uv(x) + 2[x = f(u, v)] times."""
+    n, r = f.shape[0], group.order
     if n % r:
         return f"order {n} is not a multiple of the group order {r}"
     lam = n // r
-    sub = group.add_table()[:, group.neg_table()].ravel()  # sub[a*r + b] is a - b
-    left, later = h.index * r, np.triu(np.ones((n, n), dtype=bool), 1)
-    b = max(1, covers._BLOCK // (n * n))
-    for lo in range(0, n, b):
-        k, m = min(b, n - lo), n - lo
-        keys = sub[left[lo:lo + k, None, :] + h.index[lo:]]  # [u, v, w]: h(u, w) - h(v, w)
-        keys += np.arange(0, k * m * r, r).reshape(k, m, 1)
-        counts = np.bincount(keys.ravel(), minlength=k * m * r).reshape(k, m, r)
-        bad = (counts != lam).any(axis=2) & later[lo:lo + k, lo:]
+    fibres, xs = np.arange(n), np.arange(r)
+    for lo, N in _count_blocks(f, group.add_table()):
+        block = f[lo:lo + len(N)]
+        bad = (N != lam) & (xs != block[:, :, None])
+        bad = bad.any(axis=2) & (fibres > fibres[lo:lo + len(N), None])
         if bad.any():
-            u, v = (int(i) for i in np.argwhere(bad)[0])
-            worst = int(np.argmax(abs(counts[u, v] - lam)))
+            k, v = (int(i) for i in np.argwhere(bad)[0])
+            diffs = N[k, v] + 2 * (xs == block[k, v])  # times rows lo + k, v differ by x
+            worst = int(np.argmax(abs(diffs - lam)))
             return (
-                f"rows {lo + u},{lo + v}: difference {group.elements()[worst]} appears "
-                f"{counts[u, v, worst]} times, want {lam}"
+                f"rows {lo + k},{v}: difference {group.elements()[worst]} appears "
+                f"{diffs[worst]} times, want {lam}"
             )
     return None
-
-
-def gh_validate(h: GHMatrix) -> bool:
-    """True iff every row pair's differences hit each group element n/r times."""
-    return _gh_defect(h) is None
 
 
 def cover_to_gh(f: ArcMatrix) -> GHMatrix:
@@ -423,7 +421,8 @@ def cover_to_gh(f: ArcMatrix) -> GHMatrix:
 
 def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:
     """Rebuild the cover of a self-adjoint generalized Hadamard matrix with
-    constant diagonal, certified by the row-pair identity itself.
+    constant diagonal, certified by the row-pair identity itself, checked on
+    the count table of its arc values (``_row_pair_defect``).
 
     Requires h(v,u) = -h(u,v) for all u, v (so twice the diagonal is zero)
     and a constant diagonal g0; the arc table is f(u, v) = h(u,v) - g0 off
@@ -440,11 +439,11 @@ def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:
         raise VerificationError("gh-not-self-adjoint", f"h({v},{u}) != -h({u},{v})")
     if (idx.diagonal() != idx[0, 0]).any():
         raise VerificationError("gh-diagonal", "diagonal is not constant")
-    defect = _gh_defect(h)
-    if defect is not None:
-        raise VerificationError("gh-row-pairs", defect)
     idx = group.add_table()[idx, group.neg_table()[idx[0, 0]]]  # h(u, v) - g0
     np.fill_diagonal(idx, -1)
+    defect = _row_pair_defect(group, idx)
+    if defect is not None:
+        raise VerificationError("gh-row-pairs", defect)
     arc = ArcMatrix(group, idx)
     check_deck_group(group)
     return arc, cover_certificate(h.n, group.order, h.n // group.order)

@@ -137,11 +137,17 @@ def normalize(f: ArcMatrix) -> ArcMatrix:
     f'(u, v) = f(u, v) + f(0, u) - f(0, v), reading f(0, 0) as the identity:
     the expanded graph is unchanged up to relabelling within fibres.
     """
+    return ArcMatrix(f.group, _gauged(f))
+
+
+def _gauged(f: ArcMatrix) -> np.ndarray:
+    """The index array of ``normalize(f)``.  A gauge switch keeps
+    f(v, u) = -f(u, v), so the array is valid without a second check."""
     G = f.group
     h = np.append(0, f.index[0, 1:])  # f(0, u), with f(0, 0) read as the identity
     index = G.add_table()[G.add_table()[f.index, h[:, None]], G.neg_table()[h]]
     np.fill_diagonal(index, -1)
-    return ArcMatrix(G, index)
+    return index
 
 
 @dataclass(frozen=True)
@@ -234,13 +240,11 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
     the required regularity, and ``UnsupportedError`` for deck groups without
     prime exponent.
     """
-    g = normalize(f)
-    n = g.n
-    G = g.group
+    n, G = f.n, f.group
     r = G.order
     check_deck_group(G)
     els = G.elements()
-    idx = g.index
+    idx = _gauged(f)
     fibres, xs = np.arange(n), np.arange(r)
     for lo, N in _count_blocks(idx, G.add_table()):
         block = idx[lo:lo + len(N)]

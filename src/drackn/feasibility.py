@@ -16,7 +16,6 @@ with equality, and their enumeration reproduces the known feasible tables.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -550,32 +549,20 @@ def _rows_for_t(case_id: str, t) -> list[FamilyRow]:
     return _rows_case_iib(t)
 
 
-def family_enumerate(case_id: str, t_max: int, jobs: int = 1) -> tuple[FamilyRow, ...]:
+def family_enumerate(case_id: str, t_max: int) -> tuple[FamilyRow, ...]:
     """All feasible rows of one family with integer parameter t <= t_max.
 
     Case I.a additionally yields its sporadic t = sqrt(5) member.  Rows with
     r = 2 carry the two-graph flag and rows outside the published tables the
-    unpublished flag; nothing is silently dropped.  ``jobs`` > 1 distributes
-    the parameter values over a process pool of at most ``jobs`` workers, no
-    more than the CPUs and the parameter values (the result is identical).
+    unpublished flag; nothing is silently dropped.
     """
     if case_id not in CASE_IDS:
         raise ValueError(f"case must be one of {CASE_IDS}, got {case_id!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     t_start = 2 if case_id == "II.a" else 3
     ts: list[int | str] = list(range(t_start, t_max + 1))
     if case_id == "I.a":
         ts = [SQRT5] + ts
-    jobs = min(jobs, os.cpu_count() or 1, len(ts))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            chunks = list(ex.map(_rows_for_t, [case_id] * len(ts), ts))
-    else:
-        chunks = [_rows_for_t(case_id, t) for t in ts]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for t in ts for row in _rows_for_t(case_id, t)]
     rows.sort(key=lambda row: (row.n, row.r, row.c))
     return tuple(rows)
 

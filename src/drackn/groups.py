@@ -1,4 +1,4 @@
-"""Finite abelian groups, their characters, and group-ring bookkeeping.
+"""Finite abelian groups, their characters, and the regular expansion.
 
 Groups are products of cyclic factors Z/d1 x ... x Z/dk; elements are
 exponent tuples numbered in lexicographic order (the identity is 0), and the
@@ -12,11 +12,10 @@ The regular expansion turns an arc matrix over a group of order r into the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 from math import lcm, prod
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -187,99 +186,6 @@ def regular_expand(f: "ArcMatrix") -> np.ndarray:
     adj = np.zeros((n * r, n * r), dtype=np.int64)
     adj[(u * r)[:, None] + g, (v * r)[:, None] + h] = 1
     return adj
-
-
-class GroupRingElement:
-    """An element of the integral (or rational) group ring Z[G].
-
-    Stored as a coefficient tuple indexed by the group's element order.
-    Multiplication is convolution over the group operation.
-    """
-
-    __slots__ = ("group", "counts")
-
-    def __init__(self, group: AbelianGroup, counts: Sequence):
-        cs = tuple(counts)
-        if len(cs) != group.order:
-            raise ValueError(
-                f"need {group.order} coefficients for {group}, got {len(cs)}"
-            )
-        self.group = group
-        self.counts = cs
-
-    @classmethod
-    def zero(cls, group: AbelianGroup) -> "GroupRingElement":
-        return cls(group, (0,) * group.order)
-
-    @classmethod
-    def from_element(cls, group: AbelianGroup, el) -> "GroupRingElement":
-        cs = [0] * group.order
-        cs[group.index(el)] = 1
-        return cls(group, cs)
-
-    @classmethod
-    def identity(cls, group: AbelianGroup) -> "GroupRingElement":
-        return cls.from_element(group, group.identity)
-
-    @classmethod
-    def group_sum(cls, group: AbelianGroup) -> "GroupRingElement":
-        return cls(group, (1,) * group.order)
-
-    def coefficient(self, el):
-        return self.counts[self.group.index(el)]
-
-    def _check(self, other: "GroupRingElement"):
-        if self.group != other.group:
-            raise GroupMismatchError("group ring elements over different groups")
-
-    def __add__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check(other)
-        return GroupRingElement(
-            self.group, tuple(a + b for a, b in zip(self.counts, other.counts))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check(other)
-        return GroupRingElement(
-            self.group, tuple(a - b for a, b in zip(self.counts, other.counts))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GroupRingElement(self.group, tuple(c * other for c in self.counts))
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check(other)
-        g = self.group
-        els = g.elements()
-        out = [0] * g.order
-        for i, a in enumerate(self.counts):
-            if not a:
-                continue
-            for j, b in enumerate(other.counts):
-                if not b:
-                    continue
-                out[g.index(g.add(els[i], els[j]))] += a * b
-        return GroupRingElement(g, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and self.group == other.group
-            and self.counts == other.counts
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.counts))
-
-    def __repr__(self):
-        return f"GroupRingElement({self.group}, {self.counts})"
 
 
 def subgroup_closure(group: AbelianGroup, generators: Iterable) -> set[tuple[int, ...]]:

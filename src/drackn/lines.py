@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .covers import ArcMatrix, CoverCertificate, _count_blocks, cover_certificate
-from .covers import drackn_verify, normalize
+from .covers import _gauged, drackn_verify
 from .cyclotomic import CycNum
 from .errors import DracknError, UnsupportedError, VerificationError
 from .exact_matrix import ExactMatrix
@@ -346,8 +346,7 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
     dimension m_theta/(r-1) and its theta-lines m_tau/(r-1).
     """
     cert = drackn_verify(f)
-    g = normalize(f)
-    G = g.group
+    G = f.group
     p, els = G.prime_exponent, G.elements()
     if not 1 <= char_index < len(els):
         raise ValueError(
@@ -355,7 +354,7 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
         )
     # chi(x) = zeta_p^<e_chi, x> with e_chi = els[char_index] (``characters_of``)
     ks = np.array(els).reshape(len(els), G.rank) @ np.array(els[char_index])
-    s = SeidelMatrix(_root_index(ks, p)[g.index], root_order=p)
+    s = SeidelMatrix(_root_index(ks, p)[_gauged(f)], root_order=p)
     ps = cert.params
     spec = SeidelSpectrum(
         ps.theta, ps.tau, int(_as_fraction(ps.mbar_theta)), int(_as_fraction(ps.mbar_tau))

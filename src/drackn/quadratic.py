@@ -195,9 +195,6 @@ class QuadNum:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * (self.m**0.5)
-
     def __repr__(self):
         return f"QuadNum({self.a!r}, {self.b!r}, {self.m})"
 

@@ -177,20 +177,14 @@ def test_enumerate_human_table(capsys, monkeypatch):
     assert len(lines) == 2
 
 
-def test_enumerate_jobs_identical(capsys, monkeypatch):
-    argv = ["enumerate", "--case", "Ib", "--t-max", "9", "--tsv"]
-    _, seq, _ = run(capsys, monkeypatch, argv)
-    _, par, _ = run(capsys, monkeypatch, ["--jobs", "3"] + argv)
-    assert seq == par
-
-
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_jobs_below_one_is_usage_error(capsys, monkeypatch, jobs):
-    code, out, err = run(
-        capsys, monkeypatch, ["--jobs", jobs, "enumerate", "--case", "Ib", "--t-max", "4"]
-    )
+def test_jobs_is_not_an_option(capsys, monkeypatch):
+    argv = ["enumerate", "--case", "Ib", "--t-max", "4"]
+    code, out, err = run(capsys, monkeypatch, ["--jobs", "2"] + argv)
     assert code == 2 and out == ""
-    assert err.endswith(f"error: argument --jobs: must be >= 1, got {jobs}\n")
+    assert "error: argument SUBCOMMAND: invalid choice: '2'" in err
+    code, out, err = run(capsys, monkeypatch, argv + ["--jobs", "2"])
+    assert code == 2 and out == ""
+    assert err.endswith("error: unrecognized arguments: --jobs 2\n")
 
 
 def test_cover_to_lines_reports(capsys, monkeypatch):

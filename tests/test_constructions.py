@@ -13,17 +13,15 @@ from drackn.constructions import (
     GHMatrix,
     LatinSquare,
     SkewProduct,
-    _gh_defect,
     cover_to_gh,
     dcff,
     default_latin,
     default_skew,
     gh_to_cover,
-    gh_validate,
     standard_symplectic,
     thas_somma,
 )
-from drackn.covers import ArcMatrix, drackn_verify
+from drackn.covers import ArcMatrix, drackn_verify, normalize
 from drackn.errors import (
     CoverStructureError,
     GroupMismatchError,
@@ -170,16 +168,16 @@ def test_gh_fixture_and_rebuild():
         [(0,), (1,), (1,), (0,)],
     ]
     h = GHMatrix(G, rows)
-    assert gh_validate(h)
+    assert _pairwise_gh_defect(h) is None
     arc, cert = gh_to_cover(h)
     assert (cert.params.n, cert.params.r, cert.params.c) == (4, 2, 2)
     assert cert.params.delta == -2
 
     flat = GHMatrix(G, [[(0,)] * 4 for _ in range(4)])
-    assert not gh_validate(flat)  # identical rows: differences all hit 0
+    assert _pairwise_gh_defect(flat) is not None  # identical rows: differences all hit 0
 
     odd = GHMatrix(G, [[(0,)] * 3 for _ in range(3)])
-    assert not gh_validate(odd)  # order not a multiple of the group order
+    assert _pairwise_gh_defect(odd) is not None  # order not a multiple of the group order
 
     with pytest.raises(CoverStructureError):
         GHMatrix(G, [[(0,), (0,)]])  # not square
@@ -214,7 +212,7 @@ def test_gh_to_cover_rejections():
 def test_cover_gh_round_trip():
     f = thas_somma(3, 2)
     h = cover_to_gh(f)
-    assert gh_validate(h)
+    assert _pairwise_gh_defect(h) is None
     assert h.entry(2, 2) == f.group.identity
     back, cert = gh_to_cover(h)
     assert back == f
@@ -226,10 +224,10 @@ def test_cover_gh_round_trip():
     ids=["ts32", "ts52", "dcff13"],
 )
 def test_cover_to_gh_satisfies_hadamard_identity(make):
-    # cover_to_gh no longer re-checks the identity; gh_validate is the oracle
+    # cover_to_gh does not re-check the identity; _pairwise_gh_defect is the oracle
     f = make()
     h = cover_to_gh(f)
-    assert gh_validate(h)
+    assert _pairwise_gh_defect(h) is None
     assert gh_to_cover(h)[0] == f
 
 
@@ -241,8 +239,8 @@ def test_cover_to_gh_needs_n_equal_rc():
         cover_to_gh(arc)
 
 
-# The per-pair loop that ``_gh_defect`` replaced, kept as the oracle of the
-# differential test below.
+# The per-pair loop of the row-pair identity, kept as the oracle of the
+# count-table check in ``gh_to_cover``.
 def _pairwise_gh_defect(h: GHMatrix) -> str | None:
     """None if h satisfies the generalized Hadamard row-pair identity, else
     a witness string."""
@@ -266,42 +264,78 @@ def _pairwise_gh_defect(h: GHMatrix) -> str | None:
 
 
 @lru_cache(maxsize=None)
-def _square_tables() -> tuple[GHMatrix, ...]:
-    """Random square tables over Z/2, Z/3, Z/4 and (Z/2)^2 of every order up
-    to 3r + 1, multiples of r and not; then ts32's and ts52's Hadamard
-    matrices and one-entry changes of them (all of ts32's, a sample of
-    ts52's), which fail at later row pairs."""
+def _self_adjoint_tables() -> tuple[GHMatrix, ...]:
+    """Random self-adjoint tables with constant diagonal over Z/2, Z/3, Z/4,
+    (Z/2)^2 and Z/5 of every order 2 to 3r + 1, multiples of r and not; then
+    the Hadamard matrices of ts32, ts52, ts24, dcff11 and dcff13 with their
+    ``_gh_variants``, and ``_row_switches`` of ts32's, ts52's, ts24's and
+    dcff13's, which fail at later row pairs."""
     rng = np.random.default_rng(20261019)
     tables = []
-    for orders in ((2,), (3,), (4,), (2, 2)):
+    for orders in ((2,), (3,), (4,), (2, 2), (5,)):
         G = AbelianGroup(orders)
-        for n in range(1, 3 * G.order + 2):
-            tables += [GHMatrix(G, rng.integers(0, G.order, (n, n))) for _ in range(4)]
-    for f, sample in ((thas_somma(3, 2), None), (thas_somma(5, 2), 150)):
+        neg = G.neg_table()
+        involutions = np.flatnonzero(neg == np.arange(G.order))  # 2 g0 = 0
+        for n in range(2, 3 * G.order + 2):
+            for _ in range(4):
+                index = rng.integers(0, G.order, (n, n))
+                index = np.where(np.triu(np.ones((n, n), dtype=bool), 1), index, neg[index.T])
+                np.fill_diagonal(index, rng.choice(involutions))
+                tables.append(GHMatrix(G, index))
+    for f in (thas_somma(3, 2), thas_somma(5, 2), thas_somma(2, 4), dcff(1, 1), dcff(1, 3)):
         h = cover_to_gh(f)
-        n, r = h.n, h.group.order
-        changes = [(u, v, x) for u in range(n) for v in range(n) for x in range(1, r)]
-        if sample is not None:
-            changes = [changes[i] for i in rng.choice(len(changes), sample, replace=False)]
-        tables.append(h)
-        for u, v, x in changes:
-            index = np.array(h.index)
-            index[u, v] = (index[u, v] + x) % r
-            tables.append(GHMatrix(h.group, index))
+        tables += [h] + _gh_variants(h, rng)
+    for f in (thas_somma(3, 2), thas_somma(5, 2), thas_somma(2, 4), dcff(1, 3)):
+        tables += _row_switches(f, rng, 10)
     return tuple(tables)
+
+
+def _row_switches(f: ArcMatrix, rng, count: int) -> list[GHMatrix]:
+    """Switches a <-> b on 2 x 2 submatrices h(u, v) = h(u', w) = a,
+    h(u, w) = h(u', v) = b off row 0 of a Hadamard matrix whose row 0 is the
+    identity, with their adjoint entries.  Every row keeps its multiset of
+    entries, so each pair with row 0 still passes: any failure is later."""
+    h = cover_to_gh(normalize(f))
+    neg = h.group.neg_table()
+    out = []
+    while len(out) < count:
+        u, u2, v, w = rng.choice(np.arange(1, h.n), 4, replace=False)
+        a, b = h.index[u, v], h.index[u, w]
+        if a == b or h.index[u2, w] != a or h.index[u2, v] != b:
+            continue
+        index = np.array(h.index)
+        for i, j, x in ((u, v, b), (u, w, a), (u2, v, a), (u2, w, b)):
+            index[i, j], index[j, i] = x, neg[x]
+        out.append(GHMatrix(h.group, index))
+    return out
+
+
+def _row_pairs_witness(h: GHMatrix) -> str | None:
+    """The ``gh-row-pairs`` witness of ``gh_to_cover``, None if it passes."""
+    try:
+        gh_to_cover(h)
+    except VerificationError as exc:
+        assert exc.condition == "gh-row-pairs"
+        return exc.witness
+    except UnsupportedError:  # passes the identity, refused as a deck group
+        assert h.group.prime_exponent is None
+    return None
 
 
 @pytest.mark.parametrize("rows", [1, 2, None], ids=["1", "ragged", "default"])
 def test_gh_defect_matches_pairwise_loop(monkeypatch, rows):
-    # blocks of one row; of two rows (ragged for odd n); the default size
+    # count blocks of one row; of two rows (ragged for odd n); the default size
     verdicts = set()
-    for h in _square_tables():
+    for h in _self_adjoint_tables():
         if rows is not None:
             monkeypatch.setattr(covers, "_BLOCK", rows * h.n * h.n)
         want = _pairwise_gh_defect(h)
-        assert _gh_defect(h) == want, (h.group, h.entries)
-        verdicts.add(want is None)
-    assert verdicts == {True, False}
+        assert _row_pairs_witness(h) == want, (h.group, h.entries)
+        if want is None:
+            verdicts.add("pass")
+        elif want.startswith("rows"):
+            verdicts.add("row 0" if want.startswith("rows 0,") else "later rows")
+    assert verdicts == {"pass", "row 0", "later rows"}
 
 
 def _gh_variants(h: GHMatrix, rng) -> list[GHMatrix]:
@@ -340,7 +374,7 @@ def test_gh_to_cover_certificate_matches_drackn_verify():
 
 def test_gh_to_cover_refuses_the_deck_groups_drackn_verify_refuses(monkeypatch):
     # no order-4 table over Z/4 satisfies the row-pair identity, so skip it
-    monkeypatch.setattr(constructions, "_gh_defect", lambda h: None)
+    monkeypatch.setattr(constructions, "_row_pair_defect", lambda group, f: None)
     Z4 = AbelianGroup((4,))
     zeros = np.zeros((4, 4), dtype=np.int64)
     with pytest.raises(UnsupportedError) as exc:

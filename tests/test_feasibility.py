@@ -275,55 +275,6 @@ def test_enumerate_identity_and_attainment():
             assert tau_bounds(row.n, row.r).lower_attained(row.params.tau)
 
 
-def test_enumerate_jobs_deterministic():
-    assert family_enumerate("I.b", 9, jobs=2) == family_enumerate("I.b", 9)
-    assert family_enumerate("I.a", 5, jobs=3) == family_enumerate("I.a", 5)
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
-
-    workers: list[int] = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize(
-    "cpus, jobs, t_max, workers",
-    [
-        (4, 64, 9, [4]),  # clamped to the CPUs
-        (8, 64, 4, [2]),  # clamped to the t values 3, 4
-        (None, 8, 9, []),  # an unknown CPU count reads as 1: no pool
-        (4, 1, 9, []),
-        (4, 8, 3, []),  # one t value: no pool
-    ],
-)
-def test_enumerate_jobs_clamped(monkeypatch, cpus, jobs, t_max, workers):
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "workers", [])
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    assert family_enumerate("I.b", t_max, jobs=jobs) == family_enumerate("I.b", t_max)
-    assert _RecordingPool.workers == workers
-
-
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_enumerate_rejects_jobs_below_one(jobs):
-    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
-        family_enumerate("I.b", 5, jobs=jobs)
-
-
 def test_enumerate_rejects_unknown_case():
     with pytest.raises(ValueError):
         family_enumerate("IV.c", 5)

@@ -1,9 +1,8 @@
-"""Abelian groups, characters, regular expansion, and the group ring."""
+"""Abelian groups, characters, and the regular expansion."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -16,7 +15,6 @@ from drackn.errors import GroupMismatchError, UnsupportedError
 from drackn.groups import (
     AbelianGroup,
     Character,
-    GroupRingElement,
     char_apply,
     characters_of,
     regular_expand,
@@ -171,44 +169,6 @@ def test_character_diagonalizes_regular_expansion():
             gi, hi = arc.group.index(g), arc.group.index(h)
             expect = int(u != v and arc.group.sub(h, g) == arc.entry(u, v))
             assert adj[u * r + gi, v * r + hi] == expect
-
-
-def test_group_ring_identity_and_convolution():
-    g = Z3
-    e0 = GroupRingElement.identity(g)
-    assert e0 * e0 == e0
-    x = GroupRingElement.from_element(g, (1,))
-    y = GroupRingElement.from_element(g, (2,))
-    assert x * y == e0  # (1) + (2) = (0)
-    assert x * x == y
-
-
-def test_group_ring_group_sum_absorbs():
-    for g in (Z3, Z2x2):
-        gs = GroupRingElement.group_sum(g)
-        assert gs * gs == gs * g.order
-        for el in g.elements():
-            assert GroupRingElement.from_element(g, el) * gs == gs
-
-
-def test_group_ring_scalar_and_coefficient():
-    g = Z3
-    x = GroupRingElement.from_element(g, (1,)) * 5
-    assert x.coefficient((1,)) == 5
-    assert x.coefficient((0,)) == 0
-    assert (x + x).coefficient((1,)) == 10
-    assert (x - x) == GroupRingElement.zero(g)
-
-
-def test_group_ring_rational_coefficients():
-    g = Z3
-    x = GroupRingElement(g, (Fraction(1, 2), 0, 0))
-    assert (x * 2) == GroupRingElement.identity(g)
-
-
-def test_group_ring_mismatch():
-    with pytest.raises(GroupMismatchError):
-        GroupRingElement.identity(Z3) + GroupRingElement.identity(Z2x2)
 
 
 def test_subgroup_closure():

@@ -21,6 +21,11 @@ def test_sqrt_constructor():
     assert r * r == Fraction(1, 2)
 
 
+def test_no_float_conversion():
+    with pytest.raises(TypeError):
+        float(QuadNum.sqrt(5))
+
+
 def test_sqrt_negative_raises():
     with pytest.raises(ValueError):
         QuadNum.sqrt(-1)

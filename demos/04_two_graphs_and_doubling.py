@@ -14,18 +14,17 @@ from __future__ import annotations
 
 from drackn.lines import (
     double_real,
-    find_symmetric_conference,
     lines_to_cover,
+    paley_conference,
     relative_bound,
     seidel_to_linesets,
     two_eigenvalue_data,
 )
 from drackn.quadratic import QuadNum
 
-# A seeded randomized search (with exhaustive fallback at small orders)
-# for a 6 x 6 symmetric conference matrix: zero diagonal, +/-1 entries,
-# S^2 = 5 I.
-s = find_symmetric_conference(6, seed=0)
+# Paley's 6 x 6 symmetric conference matrix: the Legendre symbol of GF(5)
+# bordered by ones.  Zero diagonal, +/-1 entries, S^2 = 5 I.
+s = paley_conference(5)
 print("Seidel matrix rows:")
 for u in range(s.n):
     print("  ", [int(s.entry(u, v)) for v in range(s.n)])

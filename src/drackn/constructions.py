@@ -11,7 +11,8 @@ Two infinite families are built here:
   Vertices K x F, deck group (Z/2)^(td), parameters
   (2^(t(d+1)), 2^(td), 2^t), with d odd.
 
-Both constructions verify their output before returning it.
+Both build the n x n arc index array as integer tables, with no per-pair
+loop and no field arithmetic per pair, and verify it before returning it.
 
 A cover with delta = -2 (equivalently n = rc) is the same thing as a
 self-adjoint generalized Hadamard matrix with constant diagonal over the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import gfp_rank, is_prime
+from .arith import is_prime
 from .covers import (
     ArcMatrix,
     CoverCertificate,
@@ -49,8 +50,34 @@ from .groups import AbelianGroup
 #: Largest field size for which the exhaustive skew-product checks run.
 _SKEW_CHECK_LIMIT = 1 << 10
 
+#: Most fibres a construction builds: its n x n tables and self-verify stay
+#: within memory and minutes (thas_somma(2, 10) and dcff(1, 9) have 1,024).
+_MAX_FIBRES = 1 << 11
+
+
+def _check_fibres(p: int, e: int, what: str) -> None:
+    """Refuse p^e > _MAX_FIBRES fibres (for p >= 2) without computing a huge p^e."""
+    if p > 1 and (e >= _MAX_FIBRES.bit_length() or p**e > _MAX_FIBRES):
+        raise UnsupportedError(
+            f"{what} gives a cover with {p}^{e} fibres, more than the limit of {_MAX_FIBRES}"
+        )
+
+
+def _self_verified(arc: ArcMatrix, want: tuple[int, int, int], family: str) -> ArcMatrix:
+    """``arc`` once ``drackn_verify`` certifies it with parameters ``want``."""
+    cert = drackn_verify(arc)
+    got = (cert.params.n, cert.params.r, cert.params.c)
+    if got != want:
+        raise RoutesDisagreeError(f"{family} cover verified as {got}, want {want}")
+    return arc
+
 
 # -- alternating-form covers --------------------------------------------------
+
+
+def _vectors(p: int, m: int) -> np.ndarray:
+    """The p^m x m matrix of GF(p)^m in lexicographic order."""
+    return np.indices((p,) * m).reshape(m, -1).T
 
 
 @dataclass(frozen=True)
@@ -73,6 +100,7 @@ class AlternatingForm:
             raise ValueError(f"p must be prime, got {self.p}")
         if not 1 <= self.s <= self.m:
             raise ValueError(f"need 1 <= s <= m, got s={self.s}, m={self.m}")
+        _check_fibres(self.p, self.m, f"a form pencil on GF({self.p})^{self.m}")
         mats = tuple(
             tuple(tuple(int(x) % self.p for x in row) for row in mat) for mat in self.mats
         )
@@ -88,34 +116,28 @@ class AlternatingForm:
                 for j in range(self.m):
                     if (mat[i][j] + mat[j][i]) % self.p != 0:
                         raise ValueError(f"matrix {k} is not alternating at ({i},{j})")
-        for v in itertools.product(range(self.p), repeat=self.m):
-            if not any(v):
-                continue
-            stacked = [
-                [sum(v[i] * mat[i][j] for i in range(self.m)) % self.p for j in range(self.m)]
-                for mat in mats
-            ]
-            if gfp_rank(stacked, self.p) != self.s:
-                raise ValueError(
-                    f"form pencil is not onto at v = {v}: rank < {self.s}"
-                )
-
-    def apply(self, v, w) -> tuple[int, ...]:
-        return tuple(
-            sum(v[i] * mat[i][j] * w[j] for i in range(self.m) for j in range(self.m))
-            % self.p
-            for mat in self.mats
-        )
+        # (v M_1; ...; v M_s) has rank < s iff v (sum_k l_k M_k) = 0 for some l != 0
+        vs, stack = _vectors(self.p, self.m), np.array(mats, dtype=np.int64)
+        singular = np.zeros(len(vs), dtype=bool)
+        for lam in itertools.product(range(self.p), repeat=self.s):
+            if any(lam):
+                member = np.tensordot(lam, stack, 1) % self.p
+                singular |= ~(vs @ member % self.p).any(axis=1)
+        singular[0] = False
+        if singular.any():
+            v = tuple(int(x) for x in vs[np.argmax(singular)])
+            raise ValueError(f"form pencil is not onto at v = {v}: rank < {self.s}")
 
 
 def standard_symplectic(p: int, m: int) -> AlternatingForm:
     """The block-diagonal symplectic form on GF(p)^m (m even), as s = 1 pencil."""
     if m % 2 or m < 2:
         raise ValueError(f"the standard symplectic form needs even m >= 2, got {m}")
+    _check_fibres(p, m, f"a form pencil on GF({p})^{m}")
     mat = [[0] * m for _ in range(m)]
     for b in range(0, m, 2):
         mat[b][b + 1] = 1
-        mat[b + 1][b] = (-1) % p
+        mat[b + 1][b] = p - 1
     return AlternatingForm(p, m, 1, (tuple(tuple(row) for row in mat),))
 
 
@@ -124,6 +146,8 @@ def thas_somma(p: int, m: int, s: int = 1, form: AlternatingForm | None = None) 
 
     With the default (s = 1, m even) standard symplectic form, or any valid
     ``AlternatingForm``, this produces a verified (p^m, p^s, p^(m-s)) cover.
+    The arc values of all vertex pairs are the s tables V M_k V^T mod p, with
+    V the p^m x m vertex matrix; alternating M_k make f(w, v) = -f(v, w).
     """
     if form is None:
         if s != 1 or m % 2:
@@ -136,25 +160,31 @@ def thas_somma(p: int, m: int, s: int = 1, form: AlternatingForm | None = None) 
             f"form is over (p={form.p}, m={form.m}, s={form.s}), "
             f"requested (p={p}, m={m}, s={s})"
         )
-    vertices = list(itertools.product(range(p), repeat=m))
-    n = len(vertices)
+    vs = _vectors(p, m)
+    values = (vs @ np.array(form.mats, dtype=np.int64) % p) @ vs.T % p  # [k, v, w]
     group = AbelianGroup((p,) * s)
-    entries: list[list] = [[None] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            val = form.apply(vertices[u], vertices[v])
-            entries[u][v] = val
-            entries[v][u] = group.neg(val)
-    arc = ArcMatrix(group, entries)
-    cert = drackn_verify(arc)
-    want = (p**m, p**s, p ** (m - s))
-    got = (cert.params.n, cert.params.r, cert.params.c)
-    if got != want:
-        raise RoutesDisagreeError(f"alternating-form cover verified as {got}, want {want}")
-    return arc
+    index = group.index_array(np.moveaxis(values, 0, -1))
+    np.fill_diagonal(index, -1)
+    return _self_verified(ArcMatrix(group, index), (p**m, p**s, p ** (m - s)), "alternating-form")
 
 
 # -- characteristic-2 skew-product covers -------------------------------------
+
+
+def _bits(e: FFElement) -> int:
+    """The index of a GF(2^k) element in ``FiniteField.elements`` order: its
+    coefficients as binary digits, the constant term most significant."""
+    return int("".join(map(str, e.coeffs)), 2)
+
+
+def _xor_span(values: np.ndarray) -> np.ndarray:
+    """out[x] = XOR of values[a] over the bits a of x, bit 0 the most
+    significant: the table of the GF(2)-linear map sending basis vector a
+    to values[a], on all of GF(2)^k in ``FiniteField.elements`` order."""
+    out = np.zeros((1,) + values.shape[1:], dtype=np.int64)
+    for v in values:
+        out = np.stack([out, out ^ v], axis=1).reshape((-1,) + values.shape[1:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,19 +209,13 @@ class SkewProduct:
         td = self.t * self.d
         if len(self.table) != td or any(len(row) != td for row in self.table):
             raise ValueError(f"skew table must be {td} x {td} over GF(2^{td})")
+        if any(e.field != self.field for row in self.table for e in row):
+            raise GroupMismatchError(f"skew table entries must lie in {self.field}")
 
-    def mul(self, x: FFElement, y: FFElement) -> FFElement:
-        acc = self.field.zero
-        for a, xa in enumerate(x.coeffs):
-            if not xa:
-                continue
-            row = self.table[a]
-            for b, yb in enumerate(y.coeffs):
-                if yb:
-                    acc = acc + row[b]
-        return acc
-
-    def validate(self) -> None:
+    def validate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Check the three axioms exhaustively and return the tables checked,
+        on element indices (``FiniteField.elements`` order): the product
+        table prod[x, y] = x*y and the scalar table mul[s, x] = s x."""
         K, F = self.field, self.subfield
         if K.order > _SKEW_CHECK_LIMIT:
             raise UnsupportedError(
@@ -199,31 +223,33 @@ class SkewProduct:
             )
         emb = embed_subfield(F, K)
         basis = [K.element(tuple(1 if i == a else 0 for i in range(K.t))) for a in range(K.t)]
-        for s in F.elements():
-            se = emb[s]
-            for ea in basis:
-                for eb in basis:
-                    prod = self.mul(ea, eb)
-                    if self.mul(se * ea, eb) != se * prod or self.mul(ea, se * eb) != se * prod:
-                        raise ValueError(
-                            f"skew product is not F-homogeneous at s={s.coeffs}, "
-                            f"basis pair ({ea.coeffs}, {eb.coeffs})"
-                        )
-        squares = {self.mul(x, x).coeffs for x in K.elements()}
-        if len(squares) != K.order:
+        scalars = [emb[s] for s in F.elements()]
+        # x*y is GF(2)-linear in x for each basis y, then in y for each x
+        prod = _xor_span(_xor_span(np.array([[_bits(e) for e in row] for row in self.table])).T).T
+        mul = _xor_span(np.array([[_bits(se * ea) for se in scalars] for ea in basis])).T
+        e = np.array([_bits(ea) for ea in basis])
+        want = mul[:, prod[e[:, None], e]]  # [s, a, b]: s (e_a * e_b)
+        homogeneous = (prod[mul[:, e, None], e] == want) & (
+            prod[e[:, None], mul[:, None, e]] == want
+        )
+        if not homogeneous.all():
+            s, a, b = np.argwhere(~homogeneous)[0]
+            raise ValueError(
+                f"skew product is not F-homogeneous at s={list(F.elements())[s].coeffs}, "
+                f"basis pair ({basis[a].coeffs}, {basis[b].coeffs})"
+            )
+        if (np.sort(prod.diagonal()) != np.arange(K.order)).any():
             raise ValueError("x -> x*x is not a bijection")
-        lines: dict[tuple, frozenset] = {}
-        f_scalars = [emb[s] for s in F.elements()]
-        for x in K.elements():
-            lines[x.coeffs] = frozenset((se * x).coeffs for se in f_scalars)
-        for x in K.elements():
-            for y in K.elements():
-                commutes = self.mul(x, y) == self.mul(y, x)
-                dependent = y.coeffs in lines[x.coeffs] or x.coeffs in lines[y.coeffs]
-                if commutes != dependent:
-                    raise ValueError(
-                        f"commuting/F-dependence mismatch at ({x.coeffs}, {y.coeffs})"
-                    )
+        dependent = np.zeros_like(prod, dtype=bool)
+        dependent[np.arange(K.order), mul] = True  # y = s x
+        bad = (prod == prod.T) != (dependent | dependent.T)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            els = list(K.elements())
+            raise ValueError(
+                f"commuting/F-dependence mismatch at ({els[x].coeffs}, {els[y].coeffs})"
+            )
+        return prod, mul
 
 
 def default_skew(t: int, d: int) -> SkewProduct:
@@ -257,9 +283,6 @@ class LatinSquare:
                 if self.table[i][j] != self.table[j][i]:
                     raise ValueError(f"latin square is not symmetric at ({i},{j})")
 
-    def value(self, i: int, j: int) -> FFElement:
-        return self.table[i][j]
-
 
 def default_latin(t: int) -> LatinSquare:
     """s(i, j) = i + j on GF(2^t)."""
@@ -277,48 +300,37 @@ def dcff(
 ) -> ArcMatrix:
     """Characteristic-2 cover with parameters (2^(t(d+1)), 2^(td), 2^t), d odd.
 
-    Vertices are pairs (a, i) in GF(2^(td)) x GF(2^t); the arc value is
+    Vertices are pairs (a, i) in GF(2^(td)) x GF(2^t), numbered a * 2^t + i;
+    the arc value is
 
         f((a,i), (b,j)) = a*b + b*a + s(i,j) (a*a + b*b)
 
-    computed in GF(2^(td)) and read off as a (Z/2)^(td) element.
+    computed in GF(2^(td)) and read off as a (Z/2)^(td) element.  The element
+    indices of the two agree, and addition is XOR on them, so every arc value
+    is a gather from the tables that ``SkewProduct.validate`` checked.
     """
     if t < 1 or d < 1:
         raise ValueError(f"need t >= 1 and d >= 1, got t={t}, d={d}")
     if d % 2 == 0:
         raise UnsupportedError(f"the skew-product family needs odd d, got {d}")
+    _check_fibres(2, t * (d + 1), f"dcff(t={t}, d={d})")
     if skew is None:
         skew = default_skew(t, d)
     if (skew.t, skew.d) != (t, d):
         raise ValueError(f"skew product is for (t={skew.t}, d={skew.d})")
     if latin is None:
         latin = default_latin(t)
-    K, F = skew.field, skew.subfield
-    if latin.field != F:
+    if latin.field != skew.subfield:
         raise ValueError("latin square must live on the skew product's subfield")
-    skew.validate()
-    emb = embed_subfield(F, K)
-    f_els = list(F.elements())
-    vertices = [(a, i) for a in K.elements() for i in range(len(f_els))]
-    n = len(vertices)
+    prod, mul = skew.validate()
+    n, q = 2 ** (t * (d + 1)), 2**t
+    a, i = np.divmod(np.arange(n), q)
+    ab, square = prod[np.ix_(a, a)], prod.diagonal()[a]
+    s_ij = np.array([[_bits(e) for e in row] for row in latin.table])[np.ix_(i, i)]
+    index = ab ^ ab.T ^ mul[s_ij, square[:, None] ^ square]
+    np.fill_diagonal(index, -1)
     group = AbelianGroup((2,) * (t * d))
-    square = {a.coeffs: skew.mul(a, a) for a in K.elements()}
-    entries: list[list] = [[None] * n for _ in range(n)]
-    for u in range(n):
-        a, i = vertices[u]
-        for v in range(u + 1, n):
-            b, j = vertices[v]
-            s_ij = emb[latin.value(i, j)]
-            val = skew.mul(a, b) + skew.mul(b, a) + s_ij * (square[a.coeffs] + square[b.coeffs])
-            entries[u][v] = val.coeffs
-            entries[v][u] = val.coeffs  # -x = x in characteristic 2
-    arc = ArcMatrix(group, entries)
-    cert = drackn_verify(arc)
-    want = (2 ** (t * (d + 1)), 2 ** (t * d), 2**t)
-    got = (cert.params.n, cert.params.r, cert.params.c)
-    if got != want:
-        raise RoutesDisagreeError(f"skew-product cover verified as {got}, want {want}")
-    return arc
+    return _self_verified(ArcMatrix(group, index), (n, 2 ** (t * d), q), "skew-product")
 
 
 # -- generalized Hadamard bridge ----------------------------------------------

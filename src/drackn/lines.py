@@ -27,7 +27,6 @@ Both directions only relabel indices: a character block's entry is
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ import numpy as np
 from .covers import ArcMatrix, CoverCertificate, _count_blocks, cover_certificate
 from .covers import _gauged, drackn_verify
 from .cyclotomic import CycNum
-from .errors import DracknError, UnsupportedError, VerificationError
+from .errors import UnsupportedError, VerificationError
 from .exact_matrix import ExactMatrix
 from .feasibility import _as_fraction
 from .groups import AbelianGroup, regular_expand
@@ -412,37 +411,19 @@ def double_real(s: SeidelMatrix) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return adj, [(2 * u, 2 * u + 1) for u in range(s.n)]
 
 
-def find_symmetric_conference(
-    n: int, seed: int = 0, max_tries: int = 200_000
-) -> SeidelMatrix:
-    """Search for a symmetric conference matrix of order n (S^2 = (n-1) I).
+def paley_conference(q: int) -> SeidelMatrix:
+    """The Paley conference matrix of order q + 1 for a prime q = 1 (mod 4).
 
-    Seeded random search over symmetric +-1 matrices with zero diagonal,
-    with an exhaustive sweep as fallback for very small n.  The result is a
-    Seidel matrix whose two eigenvalues are +-sqrt(n-1).
+    Rows and columns are infinity, then 0, ..., q - 1; entry (x, y) is the
+    Legendre symbol of y - x mod q, and the row and column at infinity are
+    ones.  q = 1 (mod 4) makes -1 a square, so the matrix is symmetric, and
+    S^2 = q I: a Seidel matrix with the two eigenvalues +-sqrt(q) (Paley 1933).
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"conference matrices need even order >= 2, got {n}")
-    rng = random.Random(seed)
-    m = n * (n - 1) // 2
-    target = (n - 1) * np.eye(n, dtype=np.int64)
-
-    def build(bits) -> np.ndarray:
-        a = np.zeros((n, n), dtype=np.int64)
-        k = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                a[u, v] = a[v, u] = 1 if bits[k] else -1
-                k += 1
-        return a
-
-    for _ in range(max_tries):
-        cand = build([rng.randrange(2) for _ in range(m)])
-        if np.array_equal(cand @ cand, target):
-            return SeidelMatrix(1 - cand, root_order=None)  # +1 -> 0, -1 -> 2
-    if m <= 21:
-        for code in range(1 << m):
-            cand = build([(code >> k) & 1 for k in range(m)])
-            if np.array_equal(cand @ cand, target):
-                return SeidelMatrix(1 - cand, root_order=None)
-    raise DracknError(f"no symmetric conference matrix of order {n} found")
+    if not is_prime(q) or q % 4 != 1:
+        raise ValueError(f"Paley conference matrices need a prime q = 1 (mod 4), got {q}")
+    x = np.arange(q)
+    legendre = np.full(q, -1, dtype=np.int64)
+    legendre[x**2 % q] = 1
+    s = np.ones((q + 1, q + 1), dtype=np.int64)
+    s[1:, 1:] = legendre[(x - x[:, None]) % q]
+    return SeidelMatrix(1 - s, root_order=None)  # +1 -> 0, -1 -> 2; the diagonal is ignored

@@ -31,8 +31,8 @@ from drackn.groups import char_apply, characters_of
 from drackn.lines import (
     absolute_bound,
     cover_to_lines,
-    find_symmetric_conference,
     lines_to_cover,
+    paley_conference,
 )
 from drackn.quadratic import QuadNum
 
@@ -235,7 +235,7 @@ def test_08_generalized_hadamard_bridge():
 
 def test_09_conference_search_and_doubling():
     with criterion(9, "conference-search-doubling", budget=5.0):
-        s = find_symmetric_conference(6, seed=0)
+        s = paley_conference(5)
         sq = s.mat * s.mat
         assert all(
             sq.entry(u, v) == (5 if u == v else 0)
@@ -252,7 +252,7 @@ def test_09_conference_search_and_doubling():
 
 def test_10_property_suites_on_constructed_covers():
     with criterion(10, "property-suites"):
-        conference_arc, _ = lines_to_cover(find_symmetric_conference(6, seed=0), 2)
+        conference_arc, _ = lines_to_cover(paley_conference(5), 2)
         gh_arc, _ = gh_to_cover(cover_to_gh(thas_somma(3, 2)))
         covers = [
             thas_somma(2, 2),

@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from drackn import constructions
 from drackn.cli import main
 from drackn.constructions import default_latin, default_skew, standard_symplectic
 from drackn.errors import DracknError, RoutesDisagreeError
@@ -328,6 +329,42 @@ def test_construct_missing_ingredient_file(capsys, monkeypatch, tmp_path):
         ],
     )
     assert code == 2 and err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize(
+    "argv, what, fibres",
+    [
+        (["thas-somma", "-p", "2", "-m", "20"], "a form pencil on GF(2)^20", "2^20"),
+        (["thas-somma", "-p", "3", "-m", "1000000000"], "a form pencil on GF(3)^1000000000",
+         "3^1000000000"),
+        (["thas-somma", "-p", "2", "-m", "12", "--form", "FORM"], "a form pencil on GF(2)^12",
+         "2^12"),
+        (["dcff", "-t", "10", "-d", "1"], "dcff(t=10, d=1)", "2^20"),
+        (["dcff", "-t", "1", "-d", "11"], "dcff(t=1, d=11)", "2^12"),
+    ],
+    ids=["ts2_20", "ts3_huge", "form2_12", "dcff10_1", "dcff1_11"],
+)
+def test_construct_size_limit(capsys, monkeypatch, tmp_path, argv, what, fibres):
+    # sizes that reach the fibre limit and nothing else: the large job never starts
+    def refuse(*args):
+        raise AssertionError("built an ingredient of an oversized cover")
+
+    monkeypatch.setattr(constructions, "default_skew", refuse)
+    monkeypatch.setattr(constructions, "default_latin", refuse)
+    monkeypatch.setattr(constructions.SkewProduct, "validate", refuse)
+    form = tmp_path / "big.form"
+    form.write_text("FORM v1\np=2 m=12 s=1\n" + "0 0 0 0 0 0 0 0 0 0 0 0\n" * 12)
+    argv = ["construct"] + [str(form) if a == "FORM" else a for a in argv]
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert (code, out) == (2, "")
+    limit = f"gives a cover with {fibres} fibres, more than the limit of 2048"
+    assert err == f"error: {what} {limit}\n"
+
+
+def test_construct_refuses_zero_characteristic(capsys, monkeypatch):
+    # the default form is built before AlternatingForm checks p
+    code, out, err = run(capsys, monkeypatch, ["construct", "thas-somma", "-p", "0", "-m", "2"])
+    assert (code, out, err) == (2, "", "error: p must be prime, got 0\n")
 
 
 @pytest.mark.parametrize(

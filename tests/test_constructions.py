@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from drackn import constructions, covers
+from drackn.arith import gfp_rank
 from drackn.constructions import (
     AlternatingForm,
     GHMatrix,
@@ -28,9 +31,9 @@ from drackn.errors import (
     UnsupportedError,
     VerificationError,
 )
-from drackn.gf import FiniteField
+from drackn.gf import FFElement, FiniteField, embed_subfield
 from drackn.groups import AbelianGroup
-from drackn.lines import find_symmetric_conference, lines_to_cover
+from drackn.lines import lines_to_cover, paley_conference
 
 
 def params_of(arc):
@@ -48,15 +51,15 @@ def test_standard_symplectic_shape():
     form = standard_symplectic(3, 4)
     assert (form.p, form.m, form.s) == (3, 4, 1)
     # B(e0, e1) = 1, B(e1, e0) = -1
-    assert form.apply((1, 0, 0, 0), (0, 1, 0, 0)) == (1,)
-    assert form.apply((0, 1, 0, 0), (1, 0, 0, 0)) == (2,)
+    assert _apply(form, (1, 0, 0, 0), (0, 1, 0, 0)) == (1,)
+    assert _apply(form, (0, 1, 0, 0), (1, 0, 0, 0)) == (2,)
     with pytest.raises(ValueError):
         standard_symplectic(2, 3)
 
 
-def test_two_dim_pencil_cover():
-    # a rank-2 pencil of nonsingular alternating forms on GF(2)^4:
-    # every nonzero combination a*M1 + b*M2 has Pfaffian 1
+def _pencil_s2() -> AlternatingForm:
+    """A rank-2 pencil of nonsingular alternating forms on GF(2)^4: every
+    nonzero combination a*M1 + b*M2 has Pfaffian 1."""
     m1 = (
         (0, 1, 0, 0),
         (1, 0, 0, 0),
@@ -69,8 +72,11 @@ def test_two_dim_pencil_cover():
         (1, 0, 0, 0),
         (0, 1, 0, 0),
     )
-    form = AlternatingForm(2, 4, 2, (m1, m2))
-    assert params_of(thas_somma(2, 4, s=2, form=form)) == (16, 4, 4)
+    return AlternatingForm(2, 4, 2, (m1, m2))
+
+
+def test_two_dim_pencil_cover():
+    assert params_of(thas_somma(2, 4, s=2, form=_pencil_s2())) == (16, 4, 4)
 
 
 def test_alternating_form_validation():
@@ -133,6 +139,10 @@ def test_corrupt_skew_table_rejected():
         corrupt.validate()
     with pytest.raises(ValueError):
         SkewProduct(t=1, d=3, field=good.field, subfield=good.subfield, table=(zero_row,))
+    foreign = default_skew(2, 1).table[0][0]  # an element of GF(4), not GF(8)
+    table = ((foreign,) + zero_row[1:], zero_row, zero_row)
+    with pytest.raises(GroupMismatchError):
+        SkewProduct(t=1, d=3, field=good.field, subfield=good.subfield, table=table)
 
 
 def test_skew_validation_size_limit():
@@ -152,8 +162,211 @@ def test_latin_square_validation():
     with pytest.raises(ValueError):
         LatinSquare(field=F, table=((z, o),))  # wrong shape
     square = default_latin(2)
-    assert square.value(0, 0) == square.field.zero
-    assert square.value(1, 2) == square.value(2, 1)
+    assert square.table[0][0] == square.field.zero
+    assert square.table[1][2] == square.table[2][1]
+
+
+# The per-pair loops that the integer tables of ``constructions`` replaced,
+# kept as the oracles of the differential tests below.
+def _apply(form: AlternatingForm, v, w) -> tuple[int, ...]:
+    return tuple(
+        sum(v[i] * mat[i][j] * w[j] for i in range(form.m) for j in range(form.m))
+        % form.p
+        for mat in form.mats
+    )
+
+
+def _pairwise_thas_somma(form: AlternatingForm) -> ArcMatrix:
+    p, m, s = form.p, form.m, form.s
+    vertices = list(itertools.product(range(p), repeat=m))
+    n = len(vertices)
+    group = AbelianGroup((p,) * s)
+    entries: list[list] = [[None] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            val = _apply(form, vertices[u], vertices[v])
+            entries[u][v] = val
+            entries[v][u] = group.neg(val)
+    return ArcMatrix(group, entries)
+
+
+def _onto_defect(p: int, m: int, s: int, mats) -> str | None:
+    """The per-v rank check of an alternating pencil: None if it is onto."""
+    for v in itertools.product(range(p), repeat=m):
+        if not any(v):
+            continue
+        stacked = [
+            [sum(v[i] * mat[i][j] for i in range(m)) % p for j in range(m)]
+            for mat in mats
+        ]
+        if gfp_rank(stacked, p) != s:
+            return f"form pencil is not onto at v = {v}: rank < {s}"
+    return None
+
+
+def _skew_mul(skew: SkewProduct, x: FFElement, y: FFElement) -> FFElement:
+    acc = skew.field.zero
+    for a, xa in enumerate(x.coeffs):
+        if not xa:
+            continue
+        row = skew.table[a]
+        for b, yb in enumerate(y.coeffs):
+            if yb:
+                acc = acc + row[b]
+    return acc
+
+
+def _loop_validate(skew: SkewProduct) -> None:
+    K, F = skew.field, skew.subfield
+    emb = embed_subfield(F, K)
+    basis = [K.element(tuple(1 if i == a else 0 for i in range(K.t))) for a in range(K.t)]
+    for s in F.elements():
+        se = emb[s]
+        for ea in basis:
+            for eb in basis:
+                prod = _skew_mul(skew, ea, eb)
+                if (
+                    _skew_mul(skew, se * ea, eb) != se * prod
+                    or _skew_mul(skew, ea, se * eb) != se * prod
+                ):
+                    raise ValueError(
+                        f"skew product is not F-homogeneous at s={s.coeffs}, "
+                        f"basis pair ({ea.coeffs}, {eb.coeffs})"
+                    )
+    squares = {_skew_mul(skew, x, x).coeffs for x in K.elements()}
+    if len(squares) != K.order:
+        raise ValueError("x -> x*x is not a bijection")
+    lines: dict[tuple, frozenset] = {}
+    f_scalars = [emb[s] for s in F.elements()]
+    for x in K.elements():
+        lines[x.coeffs] = frozenset((se * x).coeffs for se in f_scalars)
+    for x in K.elements():
+        for y in K.elements():
+            commutes = _skew_mul(skew, x, y) == _skew_mul(skew, y, x)
+            dependent = y.coeffs in lines[x.coeffs] or x.coeffs in lines[y.coeffs]
+            if commutes != dependent:
+                raise ValueError(
+                    f"commuting/F-dependence mismatch at ({x.coeffs}, {y.coeffs})"
+                )
+
+
+def _pairwise_dcff(skew: SkewProduct, latin: LatinSquare) -> ArcMatrix:
+    t, d = skew.t, skew.d
+    K, F = skew.field, skew.subfield
+    emb = embed_subfield(F, K)
+    f_els = list(F.elements())
+    vertices = [(a, i) for a in K.elements() for i in range(len(f_els))]
+    n = len(vertices)
+    group = AbelianGroup((2,) * (t * d))
+    square = {a.coeffs: _skew_mul(skew, a, a) for a in K.elements()}
+    entries: list[list] = [[None] * n for _ in range(n)]
+    for u in range(n):
+        a, i = vertices[u]
+        for v in range(u + 1, n):
+            b, j = vertices[v]
+            s_ij = emb[latin.table[i][j]]
+            val = (
+                _skew_mul(skew, a, b)
+                + _skew_mul(skew, b, a)
+                + s_ij * (square[a.coeffs] + square[b.coeffs])
+            )
+            entries[u][v] = val.coeffs
+            entries[v][u] = val.coeffs  # -x = x in characteristic 2
+    return ArcMatrix(group, entries)
+
+
+@pytest.mark.parametrize(
+    "p, m, s",
+    [(2, 2, 1), (3, 2, 1), (5, 2, 1), (2, 4, 1), (2, 6, 1), (7, 2, 1), (3, 4, 1), (2, 4, 2)],
+    ids=["ts22", "ts32", "ts52", "ts24", "ts26", "ts72", "ts34", "pencil-s2"],
+)
+def test_thas_somma_matches_pairwise_loop(p, m, s):
+    form = _pencil_s2() if s == 2 else standard_symplectic(p, m)
+    assert thas_somma(p, m, s, form=form) == _pairwise_thas_somma(form)
+
+
+@pytest.mark.parametrize("t, d", [(1, 1), (2, 1), (1, 3), (1, 5), (3, 1)])
+def test_dcff_matches_pairwise_loop(t, d):
+    skew, latin = default_skew(t, d), default_latin(t)
+    assert dcff(t, d) == _pairwise_dcff(skew, latin)
+
+
+def test_onto_check_matches_rank_loop():
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(300):
+        p, m = rng.choice((2, 3)), rng.choice((2, 3, 4))
+        s = rng.randint(1, min(m, 3))
+        mats = []
+        for _ in range(s):
+            mat = [[0] * m for _ in range(m)]
+            for i, j in itertools.combinations(range(m), 2):
+                mat[i][j] = rng.randrange(p)
+                mat[j][i] = -mat[i][j] % p
+            mats.append(tuple(map(tuple, mat)))
+        want = _onto_defect(p, m, s, mats)
+        try:
+            AlternatingForm(p, m, s, tuple(mats))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (p, m, s, mats)
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def _skew_tables():
+    """default_skew(1, 3) with each of its basis products changed to every
+    other value; default_skew(2, 1), and the same changes of it."""
+    for good in (default_skew(1, 3), default_skew(2, 1)):
+        yield good
+        for a, b in itertools.product(range(len(good.table)), repeat=2):
+            for e in good.field.elements():
+                if e != good.table[a][b]:
+                    table = [list(row) for row in good.table]
+                    table[a][b] = e
+                    yield SkewProduct(
+                        good.t, good.d, good.field, good.subfield, tuple(map(tuple, table))
+                    )
+
+
+def test_skew_validate_matches_loops():
+    verdicts = set()
+    for skew in _skew_tables():
+        try:
+            _loop_validate(skew)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            skew.validate()
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, skew.table
+        verdicts.add(want.split(" at")[0] if want else "pass")
+    assert verdicts == {
+        "pass",
+        "skew product is not F-homogeneous",
+        "x -> x*x is not a bijection",
+        "commuting/F-dependence mismatch",
+    }
+
+
+def test_dcff_builds_without_field_arithmetic_per_pair(monkeypatch):
+    # ingredients are prebuilt; the per-pair field loop made 794,784 calls here
+    skew, latin = default_skew(2, 3), default_latin(2)
+    calls = {"n": 0}
+    for name in ("__add__", "__mul__"):
+        op = getattr(FFElement, name)
+
+        def counted(x, y, op=op):
+            calls["n"] += 1
+            return op(x, y)
+
+        monkeypatch.setattr(FFElement, name, counted)
+    assert dcff(2, 3, skew=skew, latin=latin).n == 256
+    assert calls["n"] < 2000
 
 
 def test_gh_fixture_and_rebuild():
@@ -232,7 +445,7 @@ def test_cover_to_gh_satisfies_hadamard_identity(make):
 
 
 def test_cover_to_gh_needs_n_equal_rc():
-    s = find_symmetric_conference(6, seed=0)
+    s = paley_conference(5)
     arc, cert = lines_to_cover(s, 2)
     assert cert.params.delta == 0
     with pytest.raises(UnsupportedError):

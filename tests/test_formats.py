@@ -35,7 +35,7 @@ from drackn.formats import (
     parse_seidel,
     parse_skew,
 )
-from drackn.lines import SeidelMatrix, cover_to_lines, find_symmetric_conference
+from drackn.lines import SeidelMatrix, cover_to_lines, paley_conference
 
 
 def test_cover_round_trip():
@@ -87,7 +87,7 @@ def test_seidel_round_trip_prime():
 
 
 def test_seidel_round_trip_generic():
-    s = find_symmetric_conference(6, seed=0)
+    s = paley_conference(5)
     text = emit_seidel(s)
     assert text.splitlines()[1] == "n=6 r=generic"
     toks = set(text.splitlines()[2].split())

@@ -27,8 +27,8 @@ from drackn.lines import (
     absolute_bound,
     cover_to_lines,
     double_real,
-    find_symmetric_conference,
     lines_to_cover,
+    paley_conference,
     relative_bound,
     seidel_to_linesets,
     tight_frame_check,
@@ -127,7 +127,7 @@ def _ladder_block(p: int, m: int) -> SeidelMatrix:
 
 
 def _conference_cover():
-    return lines_to_cover(find_symmetric_conference(6, seed=0), 2)[0]
+    return lines_to_cover(paley_conference(5), 2)[0]
 
 
 def test_relative_bound_values():
@@ -495,14 +495,13 @@ def test_double_real_needs_pm1_entries():
 
 
 def test_conference_search_and_doubling():
-    s = find_symmetric_conference(6, seed=0)
+    s = paley_conference(5)
     sq = s.mat * s.mat
     assert (sq - sq.plus_scalar_diag(0)).is_zero()  # sanity on helper use
     assert all(
         sq.entry(u, v) == (5 if u == v else 0) for u in range(6) for v in range(6)
     )
-    # deterministic for a fixed seed
-    assert find_symmetric_conference(6, seed=0) == s
+    assert paley_conference(5) == s
     spec = two_eigenvalue_data(s)
     assert spec.theta == QuadNum.sqrt(5)
     assert spec.tau == -QuadNum.sqrt(5)
@@ -521,9 +520,24 @@ def test_conference_search_and_doubling():
     assert np.array_equal(adj, regular_expand(arc))
 
 
-def test_conference_search_rejects_odd_order():
-    with pytest.raises(ValueError):
-        find_symmetric_conference(5)
+def test_paley_conference_needs_a_prime_one_mod_four():
+    for q in (1, 2, 3, 4, 7, 9, 21, 25):
+        with pytest.raises(ValueError) as exc:
+            paley_conference(q)
+        assert str(exc.value) == (
+            f"Paley conference matrices need a prime q = 1 (mod 4), got {q}"
+        )
+
+
+def test_paley_conference_of_order_14():
+    s = paley_conference(13)
+    assert s.n == 14 and s.root_order is None
+    assert not (s.index % 2).any()  # every entry is +-1
+    arc, cert = lines_to_cover(s, 2)
+    assert (cert.params.n, cert.params.r, cert.params.c) == (14, 2, 6)
+    assert cert.params.delta == 0
+    assert cert.params.theta == QuadNum.sqrt(13)
+    assert cert == drackn_verify(arc)
 
 
 def test_seidel_to_linesets_dimension_split():

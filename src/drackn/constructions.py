@@ -52,6 +52,7 @@ _SKEW_CHECK_LIMIT = 1 << 10
 
 #: Most fibres a construction builds: its n x n tables and self-verify stay
 #: within memory and minutes (thas_somma(2, 10) and dcff(1, 9) have 1,024).
+#: The parsers refuse deck groups of larger order (``formats``).
 _MAX_FIBRES = 1 << 11
 
 

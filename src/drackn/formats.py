@@ -9,6 +9,12 @@ payloads pipeable: a command may append report lines after the matrix block
 without breaking a downstream parser.  Cover, Seidel and GH rows are
 parsed straight into the index arrays of their matrix classes.
 
+A cover of K_n needs a deck group of order r <= n - 1, and the constructions
+build at most ``constructions._MAX_FIBRES`` = 2048 fibres.  The parsers use
+the same number as their size budget: a cover or GH ``group=`` of larger
+order, or a Seidel ``r=`` above it, is refused before any table of the group
+is built (those tables take O(r^2) memory).
+
 Encodings:
 
 * ``DRACKN-COVER v1`` — ``n=<int> group=<d1,d2,...>``; entries are ``.`` on
@@ -38,11 +44,12 @@ rational values).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 
 from .arith import is_prime
-from .constructions import AlternatingForm, GHMatrix, LatinSquare, SkewProduct
+from .constructions import _MAX_FIBRES, AlternatingForm, GHMatrix, LatinSquare, SkewProduct
 from .covers import ArcMatrix
 from .cyclotomic import CycNum
 from .errors import FormatError
@@ -125,7 +132,17 @@ def _parse_group(text: str) -> AbelianGroup:
     orders = tuple(_int_of(p, "group order") for p in parts)
     if any(d < 2 for d in orders):
         raise FormatError(f"cyclic factor orders must be >= 2, got {text!r}")
+    order = 1
+    for d in orders:  # every factor is >= 2, so this stops within 12 factors
+        order *= d
+        _check_order(order, f"the order of group={text}")
     return AbelianGroup(orders)
+
+
+def _check_order(order: int, what: str) -> None:
+    """Refuse a deck group (or Seidel root order) above ``_MAX_FIBRES``."""
+    if order > _MAX_FIBRES:
+        raise FormatError(f"{what} is above the size limit of {_MAX_FIBRES}")
 
 
 def _emit_element(el: tuple[int, ...]) -> str:
@@ -166,11 +183,20 @@ def _bits_of(tok: str, length: int, where: str) -> tuple[int, ...]:
 
 def _index_rows(body: list[str], n: int, tag: str, lookup: dict, parse_entry) -> np.ndarray:
     """(n, n) index array of a matrix block with '.' exactly on the diagonal
-    (read as -1).  Tokens go through ``lookup``; a row with any other token
-    is read token by token, where ``parse_entry(tok, where)`` reads an entry
-    or raises the ``FormatError`` that names it."""
-    lookup, out = {**lookup, ".": -1}, []
-    for u, line in enumerate(_take_rows(body, n, tag)):
+    (read as -1).  All tokens go through ``lookup`` in one pass.  If a row
+    has the wrong length, or a token is unknown or misplaced, the block is
+    read again row by row, and a row with any other token token by token,
+    where ``parse_entry(tok, where)`` reads an entry or raises the
+    ``FormatError`` that names it."""
+    rows = _take_rows(body, n, tag)
+    lookup, split = {**lookup, ".": -1}, [line.split() for line in rows]
+    if all(len(toks) == n for toks in split):
+        flat = map(lookup.get, chain.from_iterable(split), repeat(-2))
+        index = np.fromiter(flat, dtype=np.int64, count=n * n).reshape(n, n)
+        if (index.diagonal() == -1).all() and (index < 0).sum() == n:
+            return index
+    out = []
+    for u, line in enumerate(rows):
         toks = _split_row(line, n, f"row {u + 1}")
         row = [lookup.get(tok, -2) for tok in toks]
         if row[u] != -1 or row.count(-1) != 1 or -2 in row:
@@ -243,6 +269,7 @@ def parse_seidel(text: str) -> SeidelMatrix:
         parse_entry = _generic_entry
     else:
         root_order = _int_of(meta["r"], "r")
+        _check_order(root_order, f"r={meta['r']}")
         if not is_prime(root_order):
             raise FormatError(f"r must be a prime or 'generic', got {meta['r']!r}")
         lookup = {str(k): _root_index(k, root_order) for k in range(root_order)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import pytest
 
@@ -359,6 +360,40 @@ def test_construct_size_limit(capsys, monkeypatch, tmp_path, argv, what, fibres)
     assert (code, out) == (2, "")
     limit = f"gives a cover with {fibres} fibres, more than the limit of 2048"
     assert err == f"error: {what} {limit}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, what",
+    [
+        (["verify"], "DRACKN-COVER v1\nn=2 group=1000000000\n. 1\n999999999 .\n",
+         "the order of group=1000000000"),
+        (["verify"], "DRACKN-COVER v1\nn=2 group=2,1000000000\n. 0,1\n0,999999999 .\n",
+         "the order of group=2,1000000000"),
+        (["gh-to-cover"], "GH v1\nn=2 group=1000000000\n0 1\n999999999 0\n",
+         "the order of group=1000000000"),
+        (["lines-to-cover", "--r", "3"], "SEIDEL v1\nn=2 r=1000000007\n. 1\n1 .\n",
+         "r=1000000007"),
+    ],
+    ids=["cover", "cover-product", "gh", "seidel"],
+)
+def test_group_order_above_size_limit(capsys, monkeypatch, argv, text, what):
+    # sizes that reach the budget and nothing else: no table of the group is built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, monkeypatch, argv, stdin_text=text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: {what} is above the size limit of 2048\n")
+    assert peak < 1 << 20, peak
+
+
+def test_group_order_at_size_limit_is_read(capsys, monkeypatch):
+    # Z/2048 passes the budget and is refused later, as a deck group
+    text = "DRACKN-COVER v1\nn=2 group=2048\n. 1\n2047 .\n"
+    code, out, err = run(capsys, monkeypatch, ["verify"], stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err == "error: deck group with orders (2048,) does not have prime exponent\n"
 
 
 def test_construct_refuses_zero_characteristic(capsys, monkeypatch):

@@ -8,8 +8,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from count_routes import ROUTES, count_route
 
-from drackn import constructions, covers
+from drackn import constructions
 from drackn.arith import gfp_rank
 from drackn.constructions import (
     AlternatingForm,
@@ -536,14 +537,16 @@ def _row_pairs_witness(h: GHMatrix) -> str | None:
 
 
 @pytest.mark.parametrize("rows", [1, 2, None], ids=["1", "ragged", "default"])
-def test_gh_defect_matches_pairwise_loop(monkeypatch, rows):
+def test_gh_defect_matches_pairwise_loop(rows):
     # count blocks of one row; of two rows (ragged for odd n); the default size
     verdicts = set()
     for h in _self_adjoint_tables():
-        if rows is not None:
-            monkeypatch.setattr(covers, "_BLOCK", rows * h.n * h.n)
         want = _pairwise_gh_defect(h)
-        assert _row_pairs_witness(h) == want, (h.group, h.entries)
+        for route in ROUTES:
+            # a block of k rows holds k n n gather keys or k n r one-hot counts
+            width = h.n if route == "gather" else h.group.order
+            with count_route(route, None if rows is None else rows * h.n * width):
+                assert _row_pairs_witness(h) == want, (route, h.group, h.entries)
         if want is None:
             verdicts.add("pass")
         elif want.startswith("rows"):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
+from count_routes import ROUTES, count_route
 
 from drackn import covers
 from drackn.constructions import dcff, thas_somma
@@ -447,25 +448,29 @@ def _per_fibre_scan(f: ArcMatrix) -> int:
     return c
 
 
-# 1: one fibre per block; 150: ragged last blocks for n = 6, 7; None: default
+# 1: one fibre per block; 150: ragged last blocks (gathers for n = 6, 7,
+# products for n r in 38..75); None: default.  Each test runs both routes.
 BLOCK_SIZES = pytest.mark.parametrize("block", [1, 150, None], ids=["1", "150", "default"])
 
 
 @BLOCK_SIZES
-def test_count_blocks_match_per_fibre_table(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(covers, "_BLOCK", block)
-    rng = np.random.default_rng(5)
-    ragged = False
-    for f in [*_random_tables(1000, seed=20261018), cover_933(), dcff(1, 3)]:
-        add = f.group.add_table()
-        idx = np.array(f.index)
-        np.fill_diagonal(idx, rng.integers(0, f.group.order, f.n))  # the diagonal is ignored
-        blocks = list(_count_blocks(idx, add))
-        assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(N) for _, N in blocks[:-1]]))
-        ragged |= len(blocks[-1][1]) < len(blocks[0][1])
-        assert np.array_equal(np.concatenate([N for _, N in blocks]), _count_table(f.index, add))
-    assert ragged == (block == 150)
+def test_count_blocks_match_per_fibre_table(block):
+    tables = [*_random_tables(1000, seed=20261018), cover_933(), dcff(1, 3)]
+    for route in ROUTES:
+        rng = np.random.default_rng(5)
+        ragged = False
+        with count_route(route, block):
+            for f in tables:
+                add = f.group.add_table()
+                idx = np.array(f.index)
+                np.fill_diagonal(idx, rng.integers(0, f.group.order, f.n))  # the diagonal is ignored
+                blocks = list(_count_blocks(idx, add))
+                los = [lo for lo, _ in blocks]
+                assert los == list(np.cumsum([0] + [len(N) for _, N in blocks[:-1]]))
+                ragged |= len(blocks[-1][1]) < len(blocks[0][1])
+                table = np.concatenate([N for _, N in blocks])
+                assert np.array_equal(table, _count_table(f.index, add)), route
+        assert ragged == (block == 150), route
 
 
 def _verdict(check, f):
@@ -476,16 +481,78 @@ def _verdict(check, f):
 
 
 @BLOCK_SIZES
-def test_verify_matches_per_fibre_scan(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(covers, "_BLOCK", block)
+def test_verify_matches_per_fibre_scan(block):
     tables = [*_one_arc_changes(cover_933()), *_random_tables(1000, seed=20261018)]
     tags = set()
     for f in tables + [cover_933(), dcff(1, 3)]:
         want = _verdict(_per_fibre_scan, f)
-        assert _verdict(lambda t: drackn_verify(t).params.c, f) == want, (f.group, f.entries)
+        for route in ROUTES:
+            with count_route(route, block):
+                got = _verdict(lambda t: drackn_verify(t).params.c, f)
+            assert got == want, (route, f.group, f.entries)
         tags.add(want[1][0] if want[1] else None)
     assert tags == {"not-connected", "not-antipodal", "not-distance-regular", None}
+
+
+def test_count_plan_rule():
+    """The route and block size of ``_count_blocks`` as a pure function of
+    (n, r): no table is built."""
+    plan = covers._count_plan
+    # the ladder and the large thas_somma covers take the one-hot products
+    assert plan(64, 2) == (True, 4096)  # ts26: the whole table is one block
+    assert plan(49, 7) == (True, 1528)  # ts72
+    assert plan(16, 8) == (True, 4096)  # dcff(1, 3)
+    assert plan(729, 3) == (True, 239)  # thas_somma(3, 6)
+    assert plan(1024, 2) == (True, 256)  # thas_somma(2, 10): 256-row products
+    assert plan(121, 11) == (True, 393)  # r^2 = 121 <= 128
+    assert plan(2048, 2) == (True, 128)  # the r^2 n^2 <= 2^24 stack bound, attained
+    # r^2 above 128, or a right factor above 2^24 entries: gathers
+    assert plan(169, 13) == (False, 1)
+    assert plan(64, 16) == (False, 8)
+    assert plan(256, 64) == (False, 1)  # dcff(2, 3)
+    assert plan(1024, 512) == (False, 1)  # dcff(1, 9)
+    assert plan(2049, 2) == (False, 1)
+    assert plan(1025, 4) == (False, 1)
+    with count_route("one-hot"):  # lift the stack bound: only exactness refuses
+        assert plan(1 << 24, 2) == (True, 1)
+        with pytest.raises(AssertionError, match="2\\^24"):
+            plan((1 << 24) + 1, 2)
+
+
+def test_count_routes_give_one_certificate():
+    """thas_somma(2, 8), n = 256: the same table and certificate both ways."""
+    f = thas_somma(2, 8)
+    idx, add = normalize(f).index, f.group.add_table()
+    tables, certs = [], []
+    for route in ROUTES:
+        with count_route(route):
+            tables.append(np.concatenate([N for _, N in _count_blocks(idx, add)]))
+            certs.append(drackn_verify(f))
+    assert np.array_equal(*tables)
+    assert certs[0] == certs[1]
+    assert (certs[0].params.n, certs[0].params.r, certs[0].params.c) == (256, 2, 128)
+
+
+@pytest.mark.parametrize("orders", [(2,), (2,) * 4], ids=["r2-one-hot", "r16-gathers"])
+def test_verify_rejects_large_non_cover_in_bounded_memory_on_either_route(orders):
+    """Random n = 256 tables under the default rule: r = 2 takes the
+    products (a 1 MB right factor), r = 16 the gathers; both stop in the
+    first block."""
+    G = AbelianGroup(orders)
+    upper = np.triu(np.random.default_rng(2).integers(0, G.order, (256, 256)), 1)
+    index = upper + G.neg_table()[upper.T]
+    np.fill_diagonal(index, -1)
+    f = ArcMatrix(G, index)
+    assert covers._count_plan(256, G.order)[0] == (G.order == 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(VerificationError) as exc:
+            drackn_verify(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.condition == "not-distance-regular"
+    assert peak < 8 << 20, peak
 
 
 def test_verify_rejects_large_non_cover_in_bounded_memory():
@@ -496,6 +563,7 @@ def test_verify_rejects_large_non_cover_in_bounded_memory():
     index = upper + G.neg_table()[upper.T]
     np.fill_diagonal(index, -1)
     f = ArcMatrix(G, index)
+    assert not covers._count_plan(256, 64)[0]  # the rule keeps r = 64 on gathers
     tracemalloc.start()
     try:
         with pytest.raises(VerificationError) as exc:

@@ -334,3 +334,18 @@ def test_negative_row_count_is_malformed(parse, text):
     with pytest.raises(FormatError) as exc:
         parse(text)
     assert str(exc.value).endswith("row count must be >= 0, got -1")
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_cover, "DRACKN-COVER v1\nn=3 group=3\n. 1 2 1\n. 2\n2 1 .\n"),
+        (parse_seidel, "SEIDEL v1\nn=3 r=generic\n. 1 1 1\n. 1\n1 1 .\n"),
+    ],
+    ids=["cover", "seidel"],
+)
+def test_rows_of_compensating_lengths_are_malformed(parse, text):
+    # joined, the 9 tokens put every "." on the diagonal; the rows are still malformed
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == "row 1: expected 3 entries, got 4"

@@ -9,9 +9,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from count_routes import ROUTES, count_route
 from hypothesis import given, settings, strategies as st
 
-from drackn import covers
 from drackn.arith import sqrt_exact
 from drackn.constructions import cover_to_gh, dcff, gh_to_cover, thas_somma
 from drackn.covers import ArcMatrix, _count_blocks, drackn_verify, normalize
@@ -103,8 +103,12 @@ def _outcome(fn, s: SeidelMatrix):
         return exc.condition, str(exc)
 
 
-def _assert_same_as_exact_square(s: SeidelMatrix):
-    assert _outcome(two_eigenvalue_data, s) == _outcome(_exact_square_two_eigenvalue_data, s)
+def _assert_same_as_exact_square(s: SeidelMatrix, block: int | None = None):
+    """Both count routes, with ``block``-sized blocks when given."""
+    want = _outcome(_exact_square_two_eigenvalue_data, s)
+    for route in ROUTES:
+        with count_route(route, block):
+            assert _outcome(two_eigenvalue_data, s) == want, route
 
 
 def _signed_root(p, h: int, k: int):
@@ -225,15 +229,14 @@ def test_two_eigenvalue_data_matches_exact_square(data):
     _assert_same_as_exact_square(_seidel_from(p, n, upper))
 
 
-def test_two_eigenvalue_data_matches_exact_square_on_small_pm1(monkeypatch):
-    # count blocks of one row, ragged last blocks (50 keys: n = 4, 5), the default
-    for block in (1, 50, covers._BLOCK):
-        monkeypatch.setattr(covers, "_BLOCK", block)
+def test_two_eigenvalue_data_matches_exact_square_on_small_pm1():
+    # count blocks of one row, ragged last blocks (50 keys or counts: n = 4, 5), the default
+    for block in (1, 50, None):
         for n in (3, 4, 5):
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             for signs in product((0, 1), repeat=len(pairs)):
                 upper = {uv: _signed_root(None, h, 0) for uv, h in zip(pairs, signs)}
-                _assert_same_as_exact_square(_seidel_from(None, n, upper))
+                _assert_same_as_exact_square(_seidel_from(None, n, upper), block)
 
 
 @pytest.mark.parametrize("p, m, changes", [(3, 2, None), (5, 2, 4)], ids=["ts32", "ts52"])

@@ -20,13 +20,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    s = isqrt(n)
-    return s * s == n
-
-
 def sqrt_exact(n: int) -> int | None:
     """Integer square root of ``n`` if ``n`` is a perfect square, else None."""
     if n < 0:
@@ -93,10 +86,6 @@ def gfp_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]
         pivots.append(col)
         rank += 1
     return work[:rank], pivots
-
-
-def gfp_rank(rows: list[list[int]], p: int) -> int:
-    return len(gfp_rref(rows, p)[0])
 
 
 def squarefree_split(n: int) -> tuple[int, int]:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf
 from .arith import is_prime
 from .covers import (
     ArcMatrix,
@@ -44,7 +45,6 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
-from .gf import FFElement, FiniteField, embed_subfield
 from .groups import AbelianGroup
 
 #: Largest field size for which the exhaustive skew-product checks run.
@@ -172,16 +172,10 @@ def thas_somma(p: int, m: int, s: int = 1, form: AlternatingForm | None = None) 
 # -- characteristic-2 skew-product covers -------------------------------------
 
 
-def _bits(e: FFElement) -> int:
-    """The index of a GF(2^k) element in ``FiniteField.elements`` order: its
-    coefficients as binary digits, the constant term most significant."""
-    return int("".join(map(str, e.coeffs)), 2)
-
-
 def _xor_span(values: np.ndarray) -> np.ndarray:
     """out[x] = XOR of values[a] over the bits a of x, bit 0 the most
     significant: the table of the GF(2)-linear map sending basis vector a
-    to values[a], on all of GF(2)^k in ``FiniteField.elements`` order."""
+    to values[a], on all of GF(2)^k in ``gf`` index order."""
     out = np.zeros((1,) + values.shape[1:], dtype=np.int64)
     for v in values:
         out = np.stack([out, out ^ v], axis=1).reshape((-1,) + values.shape[1:])
@@ -196,39 +190,37 @@ class SkewProduct:
     * square-bijective: x -> x*x is a bijection of K, and
     * F-commuting: x*y = y*x exactly when x and y are F-dependent.
 
-    The product is stored by its values on basis pairs and extended
-    biadditively.  ``default_skew`` uses x*y = x . y^(2^t).
+    The product is stored by its values on basis pairs, table[a][b] =
+    x^a * x^b as a ``gf`` index of K, and extended biadditively.
+    ``default_skew`` uses x*y = x . y^(2^t).
     """
 
     t: int
     d: int
-    field: FiniteField
-    subfield: FiniteField
-    table: tuple[tuple[FFElement, ...], ...]
+    table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         td = self.t * self.d
         if len(self.table) != td or any(len(row) != td for row in self.table):
             raise ValueError(f"skew table must be {td} x {td} over GF(2^{td})")
-        if any(e.field != self.field for row in self.table for e in row):
-            raise GroupMismatchError(f"skew table entries must lie in {self.field}")
+        table = tuple(tuple(int(e) for e in row) for row in self.table)
+        if any(not 0 <= e < 1 << td for row in table for e in row):
+            raise GroupMismatchError(f"skew table entries must lie in GF(2^{td})")
+        object.__setattr__(self, "table", table)
 
     def validate(self) -> tuple[np.ndarray, np.ndarray]:
         """Check the three axioms exhaustively and return the tables checked,
-        on element indices (``FiniteField.elements`` order): the product
-        table prod[x, y] = x*y and the scalar table mul[s, x] = s x."""
-        K, F = self.field, self.subfield
-        if K.order > _SKEW_CHECK_LIMIT:
+        on ``gf`` indices: the product table prod[x, y] = x*y and the scalar
+        table mul[s, x] = s x."""
+        t, k = self.t, self.t * self.d
+        if 1 << k > _SKEW_CHECK_LIMIT:
             raise UnsupportedError(
                 f"exhaustive skew validation is limited to |K| <= {_SKEW_CHECK_LIMIT}"
             )
-        emb = embed_subfield(F, K)
-        basis = [K.element(tuple(1 if i == a else 0 for i in range(K.t))) for a in range(K.t)]
-        scalars = [emb[s] for s in F.elements()]
         # x*y is GF(2)-linear in x for each basis y, then in y for each x
-        prod = _xor_span(_xor_span(np.array([[_bits(e) for e in row] for row in self.table])).T).T
-        mul = _xor_span(np.array([[_bits(se * ea) for se in scalars] for ea in basis])).T
-        e = np.array([_bits(ea) for ea in basis])
+        prod = _xor_span(_xor_span(np.array(self.table)).T).T
+        mul = gf.mul(gf.embedding(t, k)[:, None], np.arange(1 << k), k)
+        e = 1 << np.arange(k - 1, -1, -1)  # 1, x, ..., x^(k-1)
         want = mul[:, prod[e[:, None], e]]  # [s, a, b]: s (e_a * e_b)
         homogeneous = (prod[mul[:, e, None], e] == want) & (
             prod[e[:, None], mul[:, None, e]] == want
@@ -236,61 +228,59 @@ class SkewProduct:
         if not homogeneous.all():
             s, a, b = np.argwhere(~homogeneous)[0]
             raise ValueError(
-                f"skew product is not F-homogeneous at s={list(F.elements())[s].coeffs}, "
-                f"basis pair ({basis[a].coeffs}, {basis[b].coeffs})"
+                f"skew product is not F-homogeneous at s={gf.coeffs(s, t)}, "
+                f"basis pair ({gf.coeffs(e[a], k)}, {gf.coeffs(e[b], k)})"
             )
-        if (np.sort(prod.diagonal()) != np.arange(K.order)).any():
+        if (np.sort(prod.diagonal()) != np.arange(1 << k)).any():
             raise ValueError("x -> x*x is not a bijection")
         dependent = np.zeros_like(prod, dtype=bool)
-        dependent[np.arange(K.order), mul] = True  # y = s x
+        dependent[np.arange(1 << k), mul] = True  # y = s x
         bad = (prod == prod.T) != (dependent | dependent.T)
         if bad.any():
             x, y = np.argwhere(bad)[0]
-            els = list(K.elements())
             raise ValueError(
-                f"commuting/F-dependence mismatch at ({els[x].coeffs}, {els[y].coeffs})"
+                f"commuting/F-dependence mismatch at ({gf.coeffs(x, k)}, {gf.coeffs(y, k)})"
             )
         return prod, mul
 
 
 def default_skew(t: int, d: int) -> SkewProduct:
     """The skew product x*y = x . y^(2^t) on GF(2^(td))."""
-    K = FiniteField(2, t * d)
-    F = FiniteField(2, t)
-    basis = [K.element(tuple(1 if i == a else 0 for i in range(K.t))) for a in range(K.t)]
-    table = tuple(
-        tuple(ea * eb.frobenius(t) for eb in basis) for ea in basis
-    )
-    return SkewProduct(t=t, d=d, field=K, subfield=F, table=table)
+    k = t * d
+    basis = frob = 1 << np.arange(k - 1, -1, -1)  # 1, x, ..., x^(k-1)
+    for _ in range(t):
+        frob = gf.mul(frob, frob, k)
+    return SkewProduct(t=t, d=d, table=gf.mul(basis[:, None], frob, k))
 
 
 @dataclass(frozen=True)
 class LatinSquare:
-    """A symmetric Latin square on the elements of GF(2^t)."""
+    """A symmetric Latin square on GF(2^t), as a table of ``gf`` indices."""
 
-    field: FiniteField
-    table: tuple[tuple[FFElement, ...], ...]
+    t: int
+    table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        q = self.field.order
-        els = self.field.elements()
+        q = 1 << self.t
         if len(self.table) != q or any(len(row) != q for row in self.table):
             raise ValueError(f"latin table must be {q} x {q}")
-        full = set(e.coeffs for e in els)
-        for i, row in enumerate(self.table):
-            if {e.coeffs for e in row} != full:
+        table = np.array(self.table, dtype=np.int64)
+        object.__setattr__(self, "table", tuple(map(tuple, table.tolist())))
+        # row by row: a row's permutation check, then its symmetry
+        not_perm = (np.sort(table, axis=1) != np.arange(q)).any(axis=1)
+        asym = table != table.T
+        bad = not_perm | asym.any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not_perm[i]:
                 raise ValueError(f"row {i} is not a permutation of the field")
-            for j in range(q):
-                if self.table[i][j] != self.table[j][i]:
-                    raise ValueError(f"latin square is not symmetric at ({i},{j})")
+            raise ValueError(f"latin square is not symmetric at ({i},{np.argmax(asym[i])})")
 
 
 def default_latin(t: int) -> LatinSquare:
     """s(i, j) = i + j on GF(2^t)."""
-    F = FiniteField(2, t)
-    els = list(F.elements())
-    table = tuple(tuple(a + b for b in els) for a in els)
-    return LatinSquare(field=F, table=table)
+    q = np.arange(1 << t)
+    return LatinSquare(t=t, table=q[:, None] ^ q)
 
 
 def dcff(
@@ -306,9 +296,10 @@ def dcff(
 
         f((a,i), (b,j)) = a*b + b*a + s(i,j) (a*a + b*b)
 
-    computed in GF(2^(td)) and read off as a (Z/2)^(td) element.  The element
-    indices of the two agree, and addition is XOR on them, so every arc value
-    is a gather from the tables that ``SkewProduct.validate`` checked.
+    computed in GF(2^(td)) and read off as a (Z/2)^(td) element.  The ``gf``
+    index of the one is the element index of the other, and addition is XOR
+    on them, so every arc value is a gather from the tables that
+    ``SkewProduct.validate`` checked.
     """
     if t < 1 or d < 1:
         raise ValueError(f"need t >= 1 and d >= 1, got t={t}, d={d}")
@@ -321,13 +312,13 @@ def dcff(
         raise ValueError(f"skew product is for (t={skew.t}, d={skew.d})")
     if latin is None:
         latin = default_latin(t)
-    if latin.field != skew.subfield:
+    if latin.t != skew.t:
         raise ValueError("latin square must live on the skew product's subfield")
     prod, mul = skew.validate()
     n, q = 2 ** (t * (d + 1)), 2**t
     a, i = np.divmod(np.arange(n), q)
     ab, square = prod[np.ix_(a, a)], prod.diagonal()[a]
-    s_ij = np.array([[_bits(e) for e in row] for row in latin.table])[np.ix_(i, i)]
+    s_ij = np.array(latin.table)[np.ix_(i, i)]
     index = ab ^ ab.T ^ mul[s_ij, square[:, None] ^ square]
     np.fill_diagonal(index, -1)
     group = AbelianGroup((2,) * (t * d))

@@ -150,7 +150,14 @@ class FeasibilityReport:
 
 
 def feasibility_battery(n: int, r: int, c: int) -> FeasibilityReport:
-    """Run the full battery of necessary conditions on (n, r, c)."""
+    """Run the full battery of necessary conditions on (n, r, c).
+
+    Its scope is covers with an abelian deck group (regular covers), the
+    covers this library builds and verifies.  Two conditions need that
+    scope: ``mbar`` and ``corollary``.  Some distance-regular covers
+    outside it, such as Mathon's (8, 3, 2) and (14, 3, 4), fail
+    ``corollary``.
+    """
     ps = spectral_params(n, r, c)
     delta, theta, tau = ps.delta, ps.theta, ps.tau
     out: list[ConditionResult] = []
@@ -166,6 +173,12 @@ def feasibility_battery(n: int, r: int, c: int) -> FeasibilityReport:
     # (b) multiplicities are positive integers
     ok = _is_positive_integer(ps.m_theta) and _is_positive_integer(ps.m_tau)
     add("b", True, ok, "" if ok else f"m_theta={_fmt(ps.m_theta)} m_tau={_fmt(ps.m_tau)}")
+
+    # (mbar) a non-trivial character block of an abelian cover has trace 0 and
+    #        eigenvalues theta, tau only: their multiplicities m / (r - 1) are integers
+    mbar = _is_positive_integer(ps.mbar_theta) and _is_positive_integer(ps.mbar_tau)
+    wit = f"mbar_theta={_fmt(ps.mbar_theta)} mbar_tau={_fmt(ps.mbar_tau)}"
+    add("mbar", ok, mbar, "" if mbar else wit)
 
     # (c) delta != 0 forces integral eigenvalues
     add(

@@ -28,11 +28,17 @@ Encodings:
   tuples, no diagonal marker.
 * ``FORM v1`` — ``p=<int> m=<int> s=<int>``, then s blocks of m rows of m
   integers: the alternating matrices of a form pencil.
-* ``SKEW v1`` — ``t=<int> d=<int>``, then a td x td table of GF(2^(td))
-  elements, each a comma-joined list of td bits (coefficients over the
-  default modulus of GF(2^(td))).
+* ``SKEW v1`` — ``t=<int> d=<int>``, then the td x td table of the skew
+  product on basis pairs: entry (a, b) is x^a * x^b in GF(2^(td)), written
+  as its td polynomial coefficients over the fixed modulus ``gf.MODULI``,
+  comma-joined, constant term first.
 * ``LATIN v1`` — ``t=<int>``, then a 2^t x 2^t table of GF(2^t) elements,
-  each a comma-joined list of t bits.
+  each its t comma-joined coefficients, constant term first.  Rows and
+  columns follow the ``gf`` index order of GF(2^t).
+
+The SKEW and LATIN entries are read straight into ``gf`` indices, whose
+binary digits are those coefficients, and no field is built: a SKEW file
+of any td parses, and a td too large for a cover is refused by ``dcff``.
 
 ``emit_gram`` renders a line-set Gram matrix for display: one header line
 ``GRAM <label> n=... d=... alpha_sq=... field=...`` and then one line per
@@ -48,12 +54,12 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from . import gf
 from .arith import is_prime
 from .constructions import _MAX_FIBRES, AlternatingForm, GHMatrix, LatinSquare, SkewProduct
 from .covers import ArcMatrix
 from .cyclotomic import CycNum
 from .errors import FormatError
-from .gf import FiniteField
 from .groups import AbelianGroup
 from .lines import LineSet, SeidelMatrix, _root_index
 from .quadratic import QuadNum
@@ -172,13 +178,29 @@ def _parse_element(tok: str, group: AbelianGroup, where: str) -> tuple[int, ...]
     return el
 
 
-def _bits_of(tok: str, length: int, where: str) -> tuple[int, ...]:
+def _gf_index(tok: str, k: int, where: str) -> int:
+    """The ``gf`` index of a GF(2^k) element written as k comma-joined bits."""
     bits = tuple(_int_of(x, f"{where}: coefficient") for x in tok.split(","))
-    if len(bits) != length:
-        raise FormatError(f"{where}: expected {length} coefficients, got {len(bits)}")
+    if len(bits) != k:
+        raise FormatError(f"{where}: expected {k} coefficients, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise FormatError(f"{where}: coefficients must be bits, got {tok!r}")
-    return bits
+    return int("".join(map(str, bits)), 2)
+
+
+def _gf_rows(body: list[str], k: int, count: int, tag: str) -> tuple[tuple[int, ...], ...]:
+    """A count x count block of GF(2^k) elements, as ``gf`` indices."""
+    return tuple(
+        tuple(
+            _gf_index(tok, k, f"row {i + 1}, column {j + 1}")
+            for j, tok in enumerate(_split_row(line, count, f"row {i + 1}"))
+        )
+        for i, line in enumerate(_take_rows(body, count, tag))
+    )
+
+
+def _emit_gf_rows(table, k: int) -> list[str]:
+    return [" ".join(",".join(map(str, gf.coeffs(e, k))) for e in row) for row in table]
 
 
 def _index_rows(body: list[str], n: int, tag: str, lookup: dict, parse_entry) -> np.ndarray:
@@ -346,34 +368,21 @@ def parse_form(text: str) -> AlternatingForm:
 
 
 def emit_skew(skew: SkewProduct) -> str:
-    out = [SKEW_TAG, f"t={skew.t} d={skew.d}"]
-    for row in skew.table:
-        out.append(" ".join(",".join(str(b) for b in e.coeffs) for e in row))
+    out = [SKEW_TAG, f"t={skew.t} d={skew.d}"] + _emit_gf_rows(skew.table, skew.t * skew.d)
     return "\n".join(out) + "\n"
 
 
 def parse_skew(text: str) -> SkewProduct:
-    """Read a skew-product table; coefficients are over the default modulus
-    of GF(2^(td))."""
+    """Read a skew-product table; coefficients are over the fixed modulus
+    of GF(2^(td)) (``gf.MODULI``)."""
     meta, body = _split_header(text, SKEW_TAG, ("t", "d"))
     t = _int_of(meta["t"], "t")
     d = _int_of(meta["d"], "d")
     if t < 1 or d < 1:
         raise FormatError(f"need t >= 1 and d >= 1, got t={t} d={d}")
-    td = t * d
-    field = FiniteField(2, td)
-    subfield = FiniteField(2, t)
-    table = []
-    for i, line in enumerate(_take_rows(body, td, SKEW_TAG)):
-        toks = _split_row(line, td, f"row {i + 1}")
-        table.append(
-            tuple(
-                field.element(_bits_of(tok, td, f"row {i + 1}, column {j + 1}"))
-                for j, tok in enumerate(toks)
-            )
-        )
+    table = _gf_rows(body, t * d, t * d, SKEW_TAG)
     try:
-        return SkewProduct(t=t, d=d, field=field, subfield=subfield, table=tuple(table))
+        return SkewProduct(t=t, d=d, table=table)
     except ValueError as exc:
         raise FormatError(f"invalid skew product: {exc}") from None
 
@@ -382,9 +391,7 @@ def parse_skew(text: str) -> SkewProduct:
 
 
 def emit_latin(latin: LatinSquare) -> str:
-    out = [LATIN_TAG, f"t={latin.field.t}"]
-    for row in latin.table:
-        out.append(" ".join(",".join(str(b) for b in e.coeffs) for e in row))
+    out = [LATIN_TAG, f"t={latin.t}"] + _emit_gf_rows(latin.table, latin.t)
     return "\n".join(out) + "\n"
 
 
@@ -393,19 +400,10 @@ def parse_latin(text: str) -> LatinSquare:
     t = _int_of(meta["t"], "t")
     if t < 1:
         raise FormatError(f"need t >= 1, got t={t}")
-    field = FiniteField(2, t)
-    q = 2**t
-    table = []
-    for i, line in enumerate(_take_rows(body, q, LATIN_TAG)):
-        toks = _split_row(line, q, f"row {i + 1}")
-        table.append(
-            tuple(
-                field.element(_bits_of(tok, t, f"row {i + 1}, column {j + 1}"))
-                for j, tok in enumerate(toks)
-            )
-        )
+    _check_order(2 ** min(t, 12), f"the order of GF(2^{t})")  # min: no huge 2^t is built
+    table = _gf_rows(body, t, 2**t, LATIN_TAG)
     try:
-        return LatinSquare(field=field, table=tuple(table))
+        return LatinSquare(t=t, table=table)
     except ValueError as exc:
         raise FormatError(f"invalid Latin square: {exc}") from None
 

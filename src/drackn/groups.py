@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -106,11 +106,11 @@ class AbelianGroup:
 
     def add_table(self) -> np.ndarray:
         """add[i, j] is the index of element i + element j (read-only)."""
-        return _tables(self.orders)[0]
+        return _add_table(self.orders)
 
     def neg_table(self) -> np.ndarray:
         """neg[i] is the index of -(element i) (read-only)."""
-        return _tables(self.orders)[1]
+        return _neg_table(self.orders)
 
 
 @lru_cache(maxsize=None)
@@ -119,13 +119,24 @@ def _elements(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _tables(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    group = AbelianGroup(orders)
-    coords = np.array(_elements(orders), dtype=np.int64).reshape(prod(orders), len(orders))
-    add = group.index_array(coords[:, None] + coords[None, :])
-    neg = group.index_array(-coords)
-    add.flags.writeable = neg.flags.writeable = False
-    return add, neg
+def _neg_table(orders: tuple[int, ...]) -> np.ndarray:
+    """Built one factor at a time: -(i d + x) = neg[i] d + (-x) % d."""
+    neg = np.zeros(1, dtype=np.int64)
+    for d in orders:
+        neg = (neg[:, None] * d + -np.arange(d) % d).ravel()
+    neg.flags.writeable = False
+    return neg
+
+
+@lru_cache(maxsize=None)
+def _add_table(orders: tuple[int, ...]) -> np.ndarray:
+    """Built one factor at a time: (i d + x) + (j d + y) = add[i, j] d + (x + y) % d."""
+    add = np.zeros((1, 1), dtype=np.int64)
+    for d in orders:
+        x, m = np.arange(d), add.shape[0] * d
+        add = (add[:, None, :, None] * d + ((x[:, None] + x) % d)[:, None, :]).reshape(m, m)
+    add.flags.writeable = False
+    return add
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,16 @@ def run(capsys, monkeypatch, argv, stdin_text=""):
     return code, out, err
 
 
+def run_peak(capsys, monkeypatch, argv, stdin_text=""):
+    """``run`` plus the tracemalloc peak of the command, in bytes."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, monkeypatch, argv, stdin_text)
+        return code, out, err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def cover_933(capsys, monkeypatch) -> str:
     code, out, err = run(capsys, monkeypatch, ["construct", "thas-somma", "-p", "3", "-m", "2"])
     assert code == 0 and err == ""
@@ -342,8 +352,9 @@ def test_construct_missing_ingredient_file(capsys, monkeypatch, tmp_path):
          "2^12"),
         (["dcff", "-t", "10", "-d", "1"], "dcff(t=10, d=1)", "2^20"),
         (["dcff", "-t", "1", "-d", "11"], "dcff(t=1, d=11)", "2^12"),
+        (["dcff", "-t", "1", "-d", "13", "--skew", "SKEW"], "dcff(t=1, d=13)", "2^14"),
     ],
-    ids=["ts2_20", "ts3_huge", "form2_12", "dcff10_1", "dcff1_11"],
+    ids=["ts2_20", "ts3_huge", "form2_12", "dcff10_1", "dcff1_11", "skew1_13"],
 )
 def test_construct_size_limit(capsys, monkeypatch, tmp_path, argv, what, fibres):
     # sizes that reach the fibre limit and nothing else: the large job never starts
@@ -355,7 +366,11 @@ def test_construct_size_limit(capsys, monkeypatch, tmp_path, argv, what, fibres)
     monkeypatch.setattr(constructions.SkewProduct, "validate", refuse)
     form = tmp_path / "big.form"
     form.write_text("FORM v1\np=2 m=12 s=1\n" + "0 0 0 0 0 0 0 0 0 0 0 0\n" * 12)
-    argv = ["construct"] + [str(form) if a == "FORM" else a for a in argv]
+    # GF(2^13) has no fixed modulus, but a SKEW file is read without one
+    skew = tmp_path / "big.skew"
+    skew.write_text("SKEW v1\nt=1 d=13\n" + (" ".join(["0," * 12 + "1"] * 13) + "\n") * 13)
+    files = {"FORM": str(form), "SKEW": str(skew)}
+    argv = ["construct"] + [files.get(a, a) for a in argv]
     code, out, err = run(capsys, monkeypatch, argv)
     assert (code, out) == (2, "")
     limit = f"gives a cover with {fibres} fibres, more than the limit of 2048"
@@ -378,22 +393,30 @@ def test_construct_size_limit(capsys, monkeypatch, tmp_path, argv, what, fibres)
 )
 def test_group_order_above_size_limit(capsys, monkeypatch, argv, text, what):
     # sizes that reach the budget and nothing else: no table of the group is built
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, monkeypatch, argv, stdin_text=text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, out, err, peak = run_peak(capsys, monkeypatch, argv, stdin_text=text)
     assert (code, out, err) == (2, "", f"error: {what} is above the size limit of 2048\n")
     assert peak < 1 << 20, peak
 
 
 def test_group_order_at_size_limit_is_read(capsys, monkeypatch):
-    # Z/2048 passes the budget and is refused later, as a deck group
+    # Z/2048 passes the budget and is refused later, as a deck group, with
+    # only its O(r) negation table built (the addition table took 128 MB)
     text = "DRACKN-COVER v1\nn=2 group=2048\n. 1\n2047 .\n"
-    code, out, err = run(capsys, monkeypatch, ["verify"], stdin_text=text)
+    code, out, err, peak = run_peak(capsys, monkeypatch, ["verify"], stdin_text=text)
     assert (code, out) == (2, "")
     assert err == "error: deck group with orders (2048,) does not have prime exponent\n"
+    assert peak < 2 << 20, peak
+
+
+def test_verify_at_size_limit_builds_tables_one_factor_at_a_time(capsys, monkeypatch):
+    # (Z/2)^11: the addition table is built factor by factor, with no
+    # r x r x 11 coordinate array (448 MB before, 66 MB after; the table
+    # itself is 32 MB)
+    group, e = ",".join(["2"] * 11), ",".join(["0"] * 10 + ["1"])
+    text = f"DRACKN-COVER v1\nn=2 group={group}\n. {e}\n{e} .\n"
+    code, out, err, peak = run_peak(capsys, monkeypatch, ["verify"], stdin_text=text)
+    assert (code, out, err) == (1, "FAIL not-connected no path joins 0 and 1\n", "")
+    assert peak < 96 << 20, peak
 
 
 def test_construct_refuses_zero_characteristic(capsys, monkeypatch):

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import pkgutil
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from count_routes import ROUTES, count_route
+from gf_oracle import FFElement, FiniteField, embed_subfield
+from oracles import gfp_rank
 
+import drackn
 from drackn import constructions
-from drackn.arith import gfp_rank
 from drackn.constructions import (
     AlternatingForm,
     GHMatrix,
@@ -32,7 +37,6 @@ from drackn.errors import (
     UnsupportedError,
     VerificationError,
 )
-from drackn.gf import FFElement, FiniteField, embed_subfield
 from drackn.groups import AbelianGroup
 from drackn.lines import lines_to_cover, paley_conference
 
@@ -127,23 +131,16 @@ def test_default_skew_validates():
 
 
 def test_corrupt_skew_table_rejected():
-    good = default_skew(1, 3)
-    zero_row = tuple(good.field.zero for _ in range(3))
-    corrupt = SkewProduct(
-        t=1,
-        d=3,
-        field=good.field,
-        subfield=good.subfield,
-        table=(zero_row, zero_row, zero_row),
-    )
+    zero_row = (0, 0, 0)
+    corrupt = SkewProduct(t=1, d=3, table=(zero_row, zero_row, zero_row))
     with pytest.raises(ValueError):
         corrupt.validate()
     with pytest.raises(ValueError):
-        SkewProduct(t=1, d=3, field=good.field, subfield=good.subfield, table=(zero_row,))
-    foreign = default_skew(2, 1).table[0][0]  # an element of GF(4), not GF(8)
-    table = ((foreign,) + zero_row[1:], zero_row, zero_row)
-    with pytest.raises(GroupMismatchError):
-        SkewProduct(t=1, d=3, field=good.field, subfield=good.subfield, table=table)
+        SkewProduct(t=1, d=3, table=(zero_row,))
+    for foreign in (8, -1):  # not indices of GF(8)
+        table = ((foreign, 0, 0), zero_row, zero_row)
+        with pytest.raises(GroupMismatchError):
+            SkewProduct(t=1, d=3, table=table)
 
 
 def test_skew_validation_size_limit():
@@ -153,22 +150,21 @@ def test_skew_validation_size_limit():
 
 
 def test_latin_square_validation():
-    F = FiniteField(2, 1)
-    z, o = list(F.elements())
-    LatinSquare(field=F, table=((z, o), (o, z)))
+    LatinSquare(t=1, table=((0, 1), (1, 0)))
     with pytest.raises(ValueError):
-        LatinSquare(field=F, table=((z, z), (z, z)))  # rows not permutations
+        LatinSquare(t=1, table=((0, 0), (0, 0)))  # rows not permutations
     with pytest.raises(ValueError):
-        LatinSquare(field=F, table=((z, o), (z, o)))  # not symmetric
+        LatinSquare(t=1, table=((0, 1), (0, 1)))  # not symmetric
     with pytest.raises(ValueError):
-        LatinSquare(field=F, table=((z, o),))  # wrong shape
+        LatinSquare(t=1, table=((0, 1),))  # wrong shape
     square = default_latin(2)
-    assert square.table[0][0] == square.field.zero
+    assert square.table[0][0] == 0
     assert square.table[1][2] == square.table[2][1]
 
 
 # The per-pair loops that the integer tables of ``constructions`` replaced,
-# kept as the oracles of the differential tests below.
+# kept as the oracles of the differential tests below; the field arithmetic
+# is the tuple-coefficient oracle ``gf_oracle``.
 def _apply(form: AlternatingForm, v, w) -> tuple[int, ...]:
     return tuple(
         sum(v[i] * mat[i][j] * w[j] for i in range(form.m) for j in range(form.m))
@@ -205,20 +201,25 @@ def _onto_defect(p: int, m: int, s: int, mats) -> str | None:
     return None
 
 
+def _fields(skew: SkewProduct) -> tuple[FiniteField, FiniteField]:
+    return FiniteField(2, skew.t * skew.d), FiniteField(2, skew.t)
+
+
 def _skew_mul(skew: SkewProduct, x: FFElement, y: FFElement) -> FFElement:
-    acc = skew.field.zero
+    els = list(x.field.elements())  # in index order
+    acc = x.field.zero
     for a, xa in enumerate(x.coeffs):
         if not xa:
             continue
         row = skew.table[a]
         for b, yb in enumerate(y.coeffs):
             if yb:
-                acc = acc + row[b]
+                acc = acc + els[row[b]]
     return acc
 
 
 def _loop_validate(skew: SkewProduct) -> None:
-    K, F = skew.field, skew.subfield
+    K, F = _fields(skew)
     emb = embed_subfield(F, K)
     basis = [K.element(tuple(1 if i == a else 0 for i in range(K.t))) for a in range(K.t)]
     for s in F.elements():
@@ -253,7 +254,7 @@ def _loop_validate(skew: SkewProduct) -> None:
 
 def _pairwise_dcff(skew: SkewProduct, latin: LatinSquare) -> ArcMatrix:
     t, d = skew.t, skew.d
-    K, F = skew.field, skew.subfield
+    K, F = _fields(skew)
     emb = embed_subfield(F, K)
     f_els = list(F.elements())
     vertices = [(a, i) for a in K.elements() for i in range(len(f_els))]
@@ -265,7 +266,7 @@ def _pairwise_dcff(skew: SkewProduct, latin: LatinSquare) -> ArcMatrix:
         a, i = vertices[u]
         for v in range(u + 1, n):
             b, j = vertices[v]
-            s_ij = emb[latin.table[i][j]]
+            s_ij = emb[f_els[latin.table[i][j]]]
             val = (
                 _skew_mul(skew, a, b)
                 + _skew_mul(skew, b, a)
@@ -322,13 +323,11 @@ def _skew_tables():
     for good in (default_skew(1, 3), default_skew(2, 1)):
         yield good
         for a, b in itertools.product(range(len(good.table)), repeat=2):
-            for e in good.field.elements():
+            for e in range(2 ** len(good.table)):
                 if e != good.table[a][b]:
                     table = [list(row) for row in good.table]
                     table[a][b] = e
-                    yield SkewProduct(
-                        good.t, good.d, good.field, good.subfield, tuple(map(tuple, table))
-                    )
+                    yield SkewProduct(good.t, good.d, tuple(map(tuple, table)))
 
 
 def test_skew_validate_matches_loops():
@@ -354,20 +353,16 @@ def test_skew_validate_matches_loops():
     }
 
 
-def test_dcff_builds_without_field_arithmetic_per_pair(monkeypatch):
-    # ingredients are prebuilt; the per-pair field loop made 794,784 calls here
-    skew, latin = default_skew(2, 3), default_latin(2)
-    calls = {"n": 0}
-    for name in ("__add__", "__mul__"):
-        op = getattr(FFElement, name)
-
-        def counted(x, y, op=op):
-            calls["n"] += 1
-            return op(x, y)
-
-        monkeypatch.setattr(FFElement, name, counted)
-    assert dcff(2, 3, skew=skew, latin=latin).n == 256
-    assert calls["n"] < 2000
+def test_field_arithmetic_is_not_in_drackn():
+    # GF(2^k) is integer tables (drackn.gf); the polynomial arithmetic is
+    # only the tests' oracle
+    gone = ("FFElement", "FiniteField", "embed_subfield", "is_irreducible", "_pmul")
+    for info in pkgutil.iter_modules(drackn.__path__):
+        module = importlib.import_module(f"drackn.{info.name}")
+        assert not [name for name in gone if hasattr(module, name)], info.name
+    for path in Path(drackn.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert not [name for name in gone if name in text], path.name
 
 
 def test_gh_fixture_and_rebuild():

@@ -11,13 +11,13 @@ import networkx as nx
 import numpy as np
 import pytest
 from count_routes import ROUTES, count_route
+from oracles import arc_from_adjacency
 
 from drackn import covers
 from drackn.constructions import dcff, thas_somma
 from drackn.covers import (
     ArcMatrix,
     _count_blocks,
-    arc_from_adjacency,
     drackn_verify,
     normalize,
     quotient,

@@ -56,7 +56,7 @@ def test_spectral_params_rejects_bad_triples():
 def test_battery_condition_keys_and_applicability():
     report = feasibility_battery(9, 3, 3)
     keys = [cond.key for cond in report.conditions]
-    assert keys == ["a", "b", "c", "d", "e", "f", "g", "h", "i", "corollary"]
+    assert keys == ["a", "b", "mbar", "c", "d", "e", "f", "g", "h", "i", "corollary"]
     assert report.passed
     assert report.failing() == ()
     assert not report.condition("d").applicable  # delta = -2 != 0

@@ -232,6 +232,8 @@ def test_latin_parse_errors():
     assert "invalid Latin square" in str(exc.value)
     with pytest.raises(FormatError):
         parse_latin("LATIN v1\nt=1\n0 1\n1 0\n0 1\n"[:14])  # truncated body
+    with pytest.raises(FormatError, match=r"GF\(2\^100000\) is above the size limit of 2048"):
+        parse_latin("LATIN v1\nt=100000\n0 1\n")  # 2^t rows, never computed
 
 
 def test_emit_gram_display():

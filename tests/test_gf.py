@@ -1,14 +1,79 @@
-"""Finite fields GF(p^t): construction, arithmetic, Frobenius, embeddings."""
+"""GF(2^k) on element indices (``drackn.gf``) against the tuple-coefficient
+oracle ``gf_oracle``, and the oracle's own construction, arithmetic,
+Frobenius and embeddings."""
 
 from __future__ import annotations
 
 import random
 from itertools import product
 
+import numpy as np
 import pytest
+from gf_oracle import (
+    FFElement,
+    FiniteField,
+    default_modulus,
+    embed_subfield,
+    index_of,
+    is_irreducible,
+)
 
-from drackn.errors import GroupMismatchError
-from drackn.gf import FFElement, FiniteField, embed_subfield, is_irreducible
+from drackn import gf
+from drackn.constructions import default_skew
+from drackn.errors import GroupMismatchError, UnsupportedError
+
+
+def test_moduli_are_the_oracle_defaults():
+    assert gf.MODULI[1] == (1, 1)
+    for k in range(2, 12):
+        assert gf.MODULI[k] == default_modulus(2, k), k
+        assert is_irreducible(gf.MODULI[k], 2), k
+
+
+def test_indices_are_coefficient_bits():
+    for k in range(1, 8):
+        els = list(FiniteField(2, k).elements())
+        assert [index_of(e) for e in els] == list(range(2**k))
+        assert [gf.coeffs(i, k) for i in range(2**k)] == [e.coeffs for e in els]
+
+
+def test_every_product_matches_the_oracle():
+    for k in range(1, 8):
+        els = list(FiniteField(2, k).elements())
+        want = [[index_of(x * y) for y in els] for x in els]
+        q = np.arange(2**k)
+        assert gf.mul(q[:, None], q, k).tolist() == want, k
+
+
+def test_every_basis_row_matches_the_oracle():
+    for k in range(1, 11):
+        K = FiniteField(2, k)
+        els = list(K.elements())
+        basis = [els[1 << (k - 1 - a)] for a in range(k)]
+        assert basis == [K.gen**a for a in range(k)]
+        want = [[index_of(e * y) for y in els] for e in basis]
+        got = gf.mul([[index_of(e)] for e in basis], np.arange(2**k), k)
+        assert got.tolist() == want, k
+
+
+def test_every_embedding_matches_the_oracle():
+    for k in range(1, 11):
+        for t in range(1, k + 1):
+            if k % t == 0:
+                sub, big = FiniteField(2, t), FiniteField(2, k)
+                emb = embed_subfield(sub, big)
+                want = [index_of(emb[s]) for s in sub.elements()]
+                assert gf.embedding(t, k).tolist() == want, (t, k)
+
+
+def test_fields_stop_at_degree_11():
+    assert gf.mul(3, 5, 11).shape == ()
+    with pytest.raises(UnsupportedError, match="GF\\(2\\^12\\) has no fixed modulus"):
+        gf.mul(3, 5, 12)
+    with pytest.raises(UnsupportedError, match="GF\\(2\\^12\\) has no fixed modulus"):
+        default_skew(1, 12)  # the polynomial search used to build it
+    with pytest.raises(UnsupportedError):
+        gf.embedding(2, 3)
 
 
 def test_is_irreducible_gf2():

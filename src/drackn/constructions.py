@@ -26,9 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import gf
+from . import gf, np
 from .arith import is_prime
 from .covers import (
     ArcMatrix,

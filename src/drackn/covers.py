@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from . import np
 from .arith import gfp_rref
 from .errors import (
     CoverStructureError,

@@ -269,6 +269,12 @@ class TauBounds:
     For odd r:   -(sqrt(n)-1)*sqrt(sqrt(n)+1) <= tau <= -sqrt(sqrt(n)+1).
     For even r:  -sqrt((n-1)*(sqrt(8n+1)-3))/2 <= tau <= -sqrt((sqrt(8n+1)+3)/2).
 
+    The window comes from the absolute bound on the line systems of a cover,
+    so it holds for covers with an abelian deck group (the scope of
+    ``feasibility_battery``) whose eigenvalues have theta != 1 and
+    tau != -1.  Triples with theta = 1 or tau = -1, such as (4, 2, 2) with
+    tau = -3, pass the battery and still lie outside it.
+
     Membership and attainment are decided by exact squared comparisons, so
     tau may be an int, Fraction, or a QuadNum surd.
     """
@@ -324,7 +330,8 @@ class TauBounds:
 
 
 def tau_bounds(n: int, r_parity) -> TauBounds:
-    """Bounds on tau for covers of K_n whose index r has the given parity.
+    """Bounds on tau for abelian covers of K_n whose index r has the given
+    parity, and whose eigenvalues have theta != 1 and tau != -1.
 
     ``r_parity`` may be the string "odd"/"even" or an integer r.
     """

@@ -52,9 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 
-import numpy as np
-
-from . import gf
+from . import gf, np
 from .arith import is_prime
 from .constructions import _MAX_FIBRES, AlternatingForm, GHMatrix, LatinSquare, SkewProduct
 from .covers import ArcMatrix

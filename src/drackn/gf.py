@@ -11,8 +11,7 @@ until a caller asks for one.
 
 from __future__ import annotations
 
-import numpy as np
-
+from . import np
 from .errors import UnsupportedError
 
 #: Modulus coefficients low -> high (monic).  For k <= 8 the standard

@@ -17,8 +17,7 @@ from itertools import product
 from math import lcm
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
+from . import np
 from .arith import is_prime
 from .cyclotomic import CycNum
 from .errors import GroupMismatchError, UnsupportedError

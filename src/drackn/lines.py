@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from . import np
 from .covers import ArcMatrix, CoverCertificate, _count_blocks, cover_certificate
 from .covers import _gauged, drackn_verify
 from .cyclotomic import CycNum

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from drackn.constructions import default_latin, default_skew, standard_symplecti
 from drackn.errors import DracknError, RoutesDisagreeError
 from drackn.feasibility import family_enumerate, rows_to_tsv
 from drackn.formats import emit_form, emit_latin, emit_skew
+
+ROOT = Path(__file__).resolve().parents[1]
 
 VERIFY_933 = (
     "DRACKN n=9 r=3 c=3 delta=-2 theta=2 tau=-4\n"
@@ -444,3 +450,67 @@ def test_global_seed_removed(capsys, monkeypatch):
     # no command is randomized, so there is no global --seed
     code, out, err = run(capsys, monkeypatch, ["--seed", "7", "feasible", "9", "3", "3"])
     assert code == 2 and out == "" and "error:" in err
+
+
+def python_last_line(script: str) -> str:
+    """Run ``script`` in a fresh interpreter importing drackn from this
+    checkout; return the last line it prints."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.rstrip("\n").rsplit("\n", 1)[-1]
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_numpy",
+    [
+        (["feasible", "276", "4", "56"], 0, False),
+        (["feasible", "46", "16", "2"], 1, False),
+        (["enumerate", "--case", "IIb", "--t-max", "21", "--tsv"], 0, False),
+        (["enumerate", "--case", "Ib", "--t-max", "9", "--include-two-graph"], 0, False),
+        (["--help"], 0, False),
+        (["construct", "thas-somma", "-p", "3", "-m", "2"], 0, True),
+    ],
+    ids=["feasible-pass", "feasible-fail", "enumerate-tsv", "enumerate-table", "help", "construct"],
+)
+def test_table_commands_never_load_numpy(argv, code, loads_numpy):
+    # the lazy stub sits in sys.modules["numpy"]; a loaded numpy has submodules
+    script = (
+        "import sys\n"
+        "from drackn.cli import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as e:\n"
+        "    code = e.code\n"
+        "print(code, any(k.startswith('numpy.') for k in sys.modules))\n"
+    )
+    assert python_last_line(script) == f"{code} {loads_numpy}"
+
+
+@pytest.mark.parametrize(
+    "script, last",
+    [
+        ("import numpy, drackn.covers\nprint(drackn.covers.np is numpy)", "True"),
+        (
+            "import drackn.cli, drackn.covers\nimport numpy.linalg\n"
+            "print(numpy.zeros(2).tolist(), drackn.covers.np is numpy)",
+            "[0.0, 0.0] True",
+        ),
+        (
+            "import sys\nsys.modules['numpy'] = None\n"
+            "try:\n    import drackn.cli\nexcept ModuleNotFoundError as e:\n    print(e.name)",
+            "numpy",
+        ),
+        (
+            "import importlib.util\nimportlib.util.find_spec = lambda name, package=None: None\n"
+            "try:\n    import drackn.cli\nexcept ModuleNotFoundError as e:\n    print(e.name)",
+            "numpy",
+        ),
+    ],
+    ids=["numpy-first", "numpy-after", "numpy-none", "numpy-not-found"],
+)
+def test_lazy_numpy_binding(script, last):
+    assert python_last_line(script) == last

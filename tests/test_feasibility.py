@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -131,6 +132,41 @@ def test_tau_bounds_even_parity():
     assert b28.upper_attained(-3) and not b28.lower_attained(-3)
     assert b28.contains(-9) and b28.contains(-3)
     assert not b28.contains(-15)
+
+
+def _may_pass(n: int, r: int, c: int) -> bool:
+    """Integer prefilter that drops only triples the battery fails: condition
+    (a), then (c) and the integrality of mbar."""
+    if not 1 <= c * (r - 1) <= n - 2 <= c * (2 * r - 1) - 2:
+        return False
+    delta = n - r * c - 2
+    disc = delta * delta + 4 * (n - 1)
+    s = isqrt(disc)
+    if s * s != disc:
+        # only delta = 0 allows surd eigenvalues; then mbar = n / 2
+        return delta == 0 and n % 2 == 0
+    theta, tau = (delta + s) // 2, (delta - s) // 2
+    # mbar_theta = -n tau / s and mbar_tau = n theta / s
+    return n * tau % s == 0 and n * theta % s == 0
+
+
+def test_tau_bounds_contain_every_passing_triple():
+    """Up to n = 100, each triple the battery passes with theta != 1 and
+    tau != -1 has tau inside ``tau_bounds(n, r)``; those with theta = 1 or
+    tau = -1 all lie outside, which is why the window excludes them.  The
+    battery without the prefilter finds the same 230 passing triples."""
+    reports = (
+        feasibility_battery(n, r, c)
+        for n in range(3, 101)
+        for r in range(2, n)
+        for c in range(1, (n - 2) // (r - 1) + 1)
+        if _may_pass(n, r, c)
+    )
+    passing = [rep.params for rep in reports if rep.passed]
+    scoped = [p.theta != 1 and p.tau != -1 for p in passing]
+    assert (len(passing), sum(scoped)) == (230, 132)
+    for p, in_scope in zip(passing, scoped):
+        assert tau_bounds(p.n, p.r).contains(p.tau) == in_scope, (p.n, p.r, p.c)
 
 
 def test_tau_bounds_argument_checks():

@@ -6,7 +6,7 @@ The 3-fold antipodal cover of K_9 built from the standard symplectic
 form on GF(3)^2 projects, through any nontrivial character of its deck
 group, onto 9 equiangular lines in complex dimension 3 -- a maximal
 equiangular line system (a SIC-POVM).  Everything below is exact
-rational / cyclotomic arithmetic; no floating point is involved.
+integer / rational arithmetic; no floating point is involved.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from drackn.constructions import thas_somma
 from drackn.covers import drackn_verify
-from drackn.exact_matrix import mat_rank_exact
-from drackn.lines import absolute_bound, cover_to_lines, relative_bound
+from drackn.formats import emit_gram
+from drackn.lines import absolute_bound, cover_to_lines, relative_bound, tight_frame_check
 
 # Build the cover from the symplectic pencil and verify it from scratch:
 # the verifier re-derives the parameters by breadth-first search on the
@@ -42,17 +42,14 @@ for label, lines in (("tau side", tau_lines), ("theta side", theta_lines)):
 
 # The theta-side system is the interesting one: 9 lines in dimension 3
 # meet the absolute bound d^2 exactly, which is the defining property of
-# a SIC-POVM.  Its Gram matrix G has rank exactly d and satisfies the
-# tight-frame identity G^2 = (n/d) G with n/d = 3.
-g = theta_lines.gram
+# a SIC-POVM.  Its Gram matrix G = I - S/theta satisfies the tight-frame
+# identity G^2 = (n/d) G with n/d = 3: with S^2 = aS + (n-1)I, both sides
+# are combinations of I and S, and the check compares their coefficients.
 assert theta_lines.n == absolute_bound(theta_lines.d, "complex") == 9
-assert mat_rank_exact(g) == 3
-assert (g * g - g * Fraction(3)).is_zero()
+assert tight_frame_check(theta_lines)
 assert theta_lines.alpha_sq == Fraction(1, 4)
-print("rank of Gram matrix:", mat_rank_exact(g), "(exact elimination)")
 print("tight frame: G^2 == 3 G holds exactly")
 
-# A few Gram entries, as exact cyclotomic numbers (third roots of unity):
-print("sample off-diagonal Gram entries:")
-for u, v in ((0, 1), (0, 4), (2, 7)):
-    print(f"  G[{u},{v}] = {g.entry(u, v)}")
+# The Gram matrix itself: each off-diagonal entry is written by its
+# coefficients on 1 and z = zeta_3, so "1/2,1/2" is 1/2 + z/2.
+print(emit_gram("theta", theta_lines), end="")

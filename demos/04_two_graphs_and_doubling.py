@@ -25,16 +25,17 @@ from drackn.quadratic import QuadNum
 # Paley's 6 x 6 symmetric conference matrix: the Legendre symbol of GF(5)
 # bordered by ones.  Zero diagonal, +/-1 entries, S^2 = 5 I.
 s = paley_conference(5)
+# The matrix is stored as one index array: +1 is index 0 and -1 is index 2.
 print("Seidel matrix rows:")
-for u in range(s.n):
-    print("  ", [int(s.entry(u, v)) for v in range(s.n)])
+for u, row in enumerate(s.index.tolist()):
+    print("  ", [0 if u == v else 1 - i for v, i in enumerate(row)])
 
-sq = s.mat * s.mat
-assert all(sq.entry(u, v) == (5 if u == v else 0) for u in range(6) for v in range(6))
-print("S^2 == 5 I holds exactly")
-
-# Its two eigenvalues are the exact surds +/- sqrt(5), multiplicity 3 each.
+# two_eigenvalue_data proves S^2 = aS + (n-1)I from integer counts; here
+# a = theta + tau = 0, so S^2 = 5 I.  Its two eigenvalues are the exact
+# surds +/- sqrt(5), multiplicity 3 each.
 spec = two_eigenvalue_data(s)
+assert spec.theta + spec.tau == 0 and s.n - 1 == 5
+print("S^2 == 5 I holds exactly")
 print("eigenvalues:", spec.theta, "and", spec.tau, "with multiplicities",
       spec.m_theta, "/", spec.m_tau)
 assert spec.theta == QuadNum.sqrt(5) and spec.tau == -QuadNum.sqrt(5)

@@ -30,7 +30,7 @@ from .errors import (
     VerificationError,
 )
 from .feasibility import ParameterSet, spectral_params, _fmt
-from .groups import AbelianGroup, subgroup_closure
+from .groups import AbelianGroup
 from .quadratic import QuadNum
 
 
@@ -320,8 +320,11 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
         missed = np.flatnonzero(~N[0, :, 1:].any(axis=0)) + 1 if u == 0 else []
         if len(missed):
             x = int(missed[0])
-            arcs = [els[i] for i in np.unique(idx[idx >= 0])]
-            if els[x] not in subgroup_closure(G, arcs):
+            # G is elementary abelian: x lies in the span of the arc values
+            # iff adding it keeps their GF(p) rank
+            arcs = [list(els[i]) for i in np.unique(idx[idx >= 0])]
+            span = len(gfp_rref(arcs, G.prime_exponent)[0])
+            if len(gfp_rref(arcs + [list(els[x])], G.prime_exponent)[0]) > span:
                 raise VerificationError("not-connected", f"no path joins 0 and {x}")
             raise VerificationError("not-antipodal", f"fibre mates 0,{x} are not at distance 3")
         v, x = (int(i) for i in np.argwhere(bad[k])[0])

@@ -42,9 +42,12 @@ of any td parses, and a td too large for a cover is refused by ``dcff``.
 
 ``emit_gram`` renders a line-set Gram matrix for display: one header line
 ``GRAM <label> n=... d=... alpha_sq=... field=...`` and then one line per
-Gram row with space-separated entries, each entry the comma-joined
-coefficient list of the value in the cyclotomic basis (a single fraction for
-rational values).
+Gram row with space-separated entries.  The diagonal is ``1``.  An entry
+G[u, v] = -S[u, v]/lam is one value when the entries are +-1 (``r=generic``
+or r = 2) or lam is a surd (then S is +-1 whatever its root order, and an
+entry reads ``1/5*sqrt(5)``); otherwise it is the comma-joined coefficient
+list on 1, zeta, ..., zeta^(p-2), so a rational entry of a zeta_3 matrix
+reads ``1/4,0``.
 """
 
 from __future__ import annotations
@@ -56,10 +59,9 @@ from . import gf, np
 from .arith import is_prime
 from .constructions import _MAX_FIBRES, AlternatingForm, GHMatrix, LatinSquare, SkewProduct
 from .covers import ArcMatrix
-from .cyclotomic import CycNum
 from .errors import FormatError
 from .groups import AbelianGroup
-from .lines import LineSet, SeidelMatrix, _root_index
+from .lines import LineSet, SeidelMatrix, _root_index, _zeta_coeffs
 from .quadratic import QuadNum
 
 COVER_TAG = "DRACKN-COVER v1"
@@ -266,7 +268,7 @@ def emit_seidel(s: SeidelMatrix) -> str:
     if bad is not None:
         u, v = bad
         raise FormatError(
-            f"entry ({u},{v}) = {s.entry(u, v)!r} is not a power of zeta_{p}; not representable"
+            f"entry ({u},{v}) = {s._entry_repr(u, v)} is not a power of zeta_{p}; not representable"
         )
     names = ["1", "-1"] if p is None else [str(k) for k in range(p)]
     names.append(".")  # exponent -1: diagonal
@@ -409,16 +411,16 @@ def parse_latin(text: str) -> LatinSquare:
 # -- Gram display -----------------------------------------------------------------
 
 
-def _coeff_text(e) -> str:
-    if isinstance(e, CycNum):
-        return ",".join(str(c) for c in e.coeffs)
-    if isinstance(e, QuadNum):
-        return str(e)
-    return str(Fraction(e))
-
-
 def emit_gram(label: str, ls: LineSet) -> str:
+    q = ls.seidel.root_order or 2
+    index = ls.seidel.index.copy()
+    np.fill_diagonal(index, 2 * q)
+    scale = Fraction(-1) / ls.lam  # G[u, v] = -S[u, v]/lam
+    one_value = q == 2 or isinstance(scale, QuadNum)  # a surd lam has +-1 entries
+    names = [""] * (2 * q) + ["1"]  # index 2q: the diagonal
+    for i in np.unique(index).tolist()[:-1]:
+        coeffs = _zeta_coeffs(i, q)
+        names[i] = str(coeffs[0] * scale) if one_value else ",".join(str(c * scale) for c in coeffs)
     out = [f"GRAM {label} n={ls.n} d={ls.d} alpha_sq={ls.alpha_sq} field={ls.field}"]
-    for row in ls.gram.rows:
-        out.append(" ".join(_coeff_text(e) for e in row))
+    out.extend(" ".join([names[i] for i in row]) for row in index.tolist())
     return "\n".join(out) + "\n"

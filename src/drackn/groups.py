@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from math import lcm
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from . import np
 from .arith import is_prime
@@ -196,20 +196,3 @@ def regular_expand(f: "ArcMatrix") -> np.ndarray:
     adj = np.zeros((n * r, n * r), dtype=np.int64)
     adj[(u * r)[:, None] + g, (v * r)[:, None] + h] = 1
     return adj
-
-
-def subgroup_closure(group: AbelianGroup, generators: Iterable) -> set[tuple[int, ...]]:
-    """The subgroup generated by the given elements (breadth-first closure)."""
-    gens = [group.coerce(g) for g in generators]
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in gens:
-                s = group.add(h, g)
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return seen

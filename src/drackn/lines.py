@@ -3,9 +3,10 @@
 A Seidel matrix here is a Hermitian n x n matrix with zero diagonal and
 off-diagonal entries +-zeta_p^k for a prime p (just +-1 in the rational
 case), stored as one integer array: (-1)^h zeta_p^k is the index h*p + k
-in Z/2 x Z/p; exact ``CycNum`` values are built only on demand, for failure
-witnesses, the Gram display and test oracles.  If S has exactly two
-eigenvalues theta > 0 > tau, then for each eigenvalue lambda the matrix
+in Z/2 x Z/p.  Everything here reads that array and integer count tables;
+failure witnesses print exact values straight from integer coefficient
+vectors (``_value_repr``).  If S has exactly two eigenvalues theta > 0 > tau,
+then for each eigenvalue lambda the matrix
 
     G = I - S / lambda
 
@@ -33,24 +34,11 @@ from fractions import Fraction
 from . import np
 from .covers import ArcMatrix, CoverCertificate, _count_blocks, cover_certificate
 from .covers import _gauged, drackn_verify
-from .cyclotomic import CycNum
 from .errors import UnsupportedError, VerificationError
-from .exact_matrix import ExactMatrix
 from .feasibility import _as_fraction
 from .groups import AbelianGroup, regular_expand
 from .arith import is_prime, sqrt_exact
 from .quadratic import QuadNum
-
-
-def _rational_of(x) -> Fraction | None:
-    """Exact rational value of x, or None when x is irrational."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (QuadNum, CycNum)):
-        return x.rational_value() if x.is_rational() else None
-    return None
 
 
 def _root_index(k, p: int):
@@ -58,12 +46,26 @@ def _root_index(k, p: int):
     return 2 * (k % 2) if p == 2 else k % p
 
 
-def _signed_root(i: int, root_order: int | None):
-    """The entry (-1)^h zeta_q^k with index i = h*q + k."""
-    h, k = divmod(i, root_order or 2)
+def _zeta_coeffs(value, q: int) -> list[int]:
+    """Coefficients on 1, zeta, ..., zeta^(q-2) of sum_k value[k] zeta_q^k,
+    reduced by zeta^(q-1) = -(1 + zeta + ... + zeta^(q-2)).  An int
+    ``value`` is the entry index h*q + k, that is (-1)^h zeta_q^k."""
+    if isinstance(value, int):
+        h, k = divmod(value, q)
+        value = [0] * q
+        value[k] = 1 - 2 * h
+    top = int(value[-1])
+    return [int(x) - top for x in value[:-1]]
+
+
+def _value_repr(root_order: int | None, value) -> str:
+    """``repr`` of the exact number sum_k value[k] zeta_q^k (or of the entry
+    with index ``value``): a ``Fraction`` for +-1 matrices (root_order None),
+    else a ``CycNum``, which lists its ``_zeta_coeffs`` as strings."""
+    coeffs = _zeta_coeffs(value, root_order or 2)
     if root_order is None:
-        return Fraction(1 - 2 * h)
-    return (1 - 2 * h) * CycNum.zeta_pow(root_order, k)
+        return repr(Fraction(coeffs[0]))
+    return f"CycNum({root_order}, {tuple(str(c) for c in coeffs)!r})"
 
 
 class SeidelMatrix:
@@ -72,36 +74,30 @@ class SeidelMatrix:
     ``root_order`` is None for +-1 entries, or a prime p.  ``index`` is the
     one stored array: it holds each off-diagonal entry (-1)^h zeta_q^k as
     h*q + k in Z/2 x Z/q, where q = p, or q = 2 and k = 0 for +-1 entries;
-    the diagonal holds 0.  The constructor takes such an array (its diagonal
-    is ignored) or nested rows of ints, ``Fraction`` and ``CycNum`` values.
+    the diagonal holds 0.  The constructor takes such an (n, n) array (its
+    diagonal is ignored) and nothing else.
     """
 
     __slots__ = ("root_order", "index")
 
     def __init__(self, entries, root_order: int | None = None):
-        array = isinstance(entries, np.ndarray)
-        rows = entries.tolist() if array else [list(row) for row in entries]
-        n = len(rows)
-        if n < 2 or any(len(row) != n for row in rows):
-            shape = (n, len(rows[0]) if rows else 0)
-            raise ValueError(f"Seidel matrix must be square of order >= 2, got {shape}")
+        if not isinstance(entries, np.ndarray) or entries.ndim != 2:
+            raise TypeError(
+                f"SeidelMatrix takes an (n, n) index array, got {type(entries).__name__}"
+            )
+        n = entries.shape[0]
+        if n < 2 or entries.shape[1] != n:
+            raise ValueError(f"Seidel matrix must be square of order >= 2, got {entries.shape}")
         if root_order is not None and not is_prime(root_order):
             raise ValueError(f"root_order must be a prime or None, got {root_order}")
         q = root_order or 2
         valid = [i for i in range(2 * q) if q > 2 or i % 2 == 0]  # zeta_2 = -1 is h = 1
-        if array:
-            index = np.where(np.isin(entries, valid), entries, -1).astype(np.int64)
-        else:
-            u = next((u for u, row in enumerate(rows) if row[u] != 0), None)
-            if u is not None:
-                raise ValueError(f"diagonal entry ({u},{u}) is {rows[u][u]!r}, not 0")
-            table = {_signed_root(i, root_order): i for i in valid}
-            index = np.array([[table.get(e, -1) for e in row] for row in rows], dtype=np.int64)
+        index = np.where(np.isin(entries, valid), entries, -1).astype(np.int64)
         np.fill_diagonal(index, 0)
         bad = np.argwhere(index < 0)
         if len(bad):
             u, v = (int(i) for i in bad[0])
-            raise ValueError(f"entry ({u},{v}) = {rows[u][v]!r} is not +-zeta_{q}^k")
+            raise ValueError(f"entry ({u},{v}) = {entries[u, v].item()!r} is not +-zeta_{q}^k")
         # conj((-1)^h zeta^k) = (-1)^h zeta^(-k)
         bad = index.T != index - index % q + (-index) % q
         if bad.any():
@@ -118,23 +114,9 @@ class SeidelMatrix:
     def n(self) -> int:
         return self.index.shape[0]
 
-    def entry(self, u: int, v: int):
-        return Fraction(0) if u == v else _signed_root(int(self.index[u, v]), self.root_order)
-
-    def _exact(self, fn, diagonal) -> ExactMatrix:
-        """``diagonal`` on the diagonal and fn(S[u, v]) off it."""
-        values = {i: fn(_signed_root(i, self.root_order)) for i in np.unique(self.index).tolist()}
-        return ExactMatrix(
-            tuple(
-                tuple(diagonal if u == v else values[i] for v, i in enumerate(row))
-                for u, row in enumerate(self.index.tolist())
-            )
-        )
-
-    @property
-    def mat(self) -> ExactMatrix:
-        """The exact matrix, built on demand (witnesses and test oracles)."""
-        return self._exact(lambda e: e, Fraction(0))
+    def _entry_repr(self, u: int, v: int) -> str:
+        """repr of the exact entry S[u, v], u != v, for refusal messages."""
+        return _value_repr(self.root_order, int(self.index[u, v]))
 
     def exponents(self, r: int) -> tuple[np.ndarray, tuple[int, int] | None]:
         """k with S[u, v] = zeta_r^k (-1 on the diagonal), and the first
@@ -188,8 +170,8 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     read off the pair (0, 1).  +-1 matrices are the case q = 2, k_uv = 0.
 
     Raises ``VerificationError`` with condition ``not-two-eigenvalue`` when S
-    has more than two eigenvalues, witnessed by the first failing entry (one
-    exact row-column product) or by a multiplicity obstruction.
+    has more than two eigenvalues, witnessed by the first failing entry (its
+    vector M_uv read as an exact number) or by a multiplicity obstruction.
     """
     n = s.n
     q = s.root_order or 2
@@ -206,14 +188,14 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
         if bad.any():
             # a fails on the pair (0, 1) itself exactly when S^2[0,1]/S[0,1] is irrational
             u, v = (int(i) for i in np.argwhere(bad)[0])
-            u += lo
-            sq = sum(s.entry(u, w) * s.entry(w, v) for w in range(n))
-            raise VerificationError(
-                "not-two-eigenvalue",
-                f"S^2[0,1]/S[0,1] = {sq / s.entry(0, 1)!r} is not rational"
-                if (u, v) == (0, 1)
-                else f"(S^2 - {a}S - {n - 1}I)[{u},{v}] = {sq - s.entry(u, v) * a!r}",
-            )
+            if (lo + u, v) == (0, 1):
+                # S^2[0,1]/S[0,1] = e_01 sum_k M_01(k) zeta^(k - k_01)
+                ratio = sign[0, 1] * np.roll(counts[0, 1, :q] - counts[0, 1, q:], -k[0, 1])
+                witness = f"S^2[0,1]/S[0,1] = {_value_repr(s.root_order, ratio)} is not rational"
+            else:  # m[u, v] = M_uv - a e_uv [k = k_uv], the entry of S^2 - aS - (n-1)I
+                value = _value_repr(s.root_order, m[u, v])
+                witness = f"(S^2 - {a}S - {n - 1}I)[{lo + u},{v}] = {value}"
+            raise VerificationError("not-two-eigenvalue", witness)
     root = sqrt_exact(a_int * a_int + 4 * (n - 1))
     if root is not None:
         theta: Fraction | QuadNum = Fraction(a_int + root, 2)
@@ -243,7 +225,7 @@ class LineSet:
     """n equiangular unit lines spanning dimension d, with |<x,y>|^2 = alpha_sq.
 
     The lines have Gram matrix G = I - S/lam for the Seidel matrix S and one
-    of its eigenvalues lam; ``gram`` builds G on demand.
+    of its eigenvalues lam.
     """
 
     n: int
@@ -252,15 +234,6 @@ class LineSet:
     field: str  # "real" or "complex"
     seidel: SeidelMatrix
     lam: Fraction | QuadNum
-
-    @property
-    def gram(self) -> ExactMatrix:
-        lam = self.lam
-        # QuadNum and CycNum do not mix: with a surd lam the entries are +-1
-        rational = isinstance(lam, QuadNum) and not lam.is_rational()
-        return self.seidel._exact(
-            lambda e: -((_rational_of(e) if rational else e) / lam), Fraction(1)
-        )
 
 
 def _line_sets(s: SeidelMatrix, spec: SeidelSpectrum) -> tuple[LineSet, LineSet]:
@@ -277,9 +250,7 @@ def _line_sets(s: SeidelMatrix, spec: SeidelSpectrum) -> tuple[LineSet, LineSet]
         )
     out = []
     for lam, d in ((spec.tau, spec.m_theta), (spec.theta, spec.m_tau)):
-        lam_sq = _rational_of(lam * lam)
-        assert lam_sq is not None and lam_sq > 0
-        out.append(LineSet(s.n, d, 1 / lam_sq, field, s, lam))
+        out.append(LineSet(s.n, d, 1 / _as_fraction(lam * lam), field, s, lam))
     return out[0], out[1]
 
 
@@ -320,9 +291,23 @@ def absolute_bound(d: int, field: str = "complex") -> int:
 
 
 def tight_frame_check(lines: LineSet) -> bool:
-    """True iff the line vectors form a tight frame: G^2 = (n/d) G."""
-    g = lines.gram
-    return (g * g - g * Fraction(lines.n, lines.d)).is_zero()
+    """True iff the line vectors form a tight frame: G^2 = (n/d) G.
+
+    With S^2 = aS + (n-1)I (``two_eigenvalue_data``) and G = I - S/lam,
+    G^2 = (1 + (n-1)/lam^2) I + (a/lam^2 - 2/lam) S.  S has zero diagonal
+    and unit entries, so I and S are linearly independent, and G^2 = (n/d) G
+    is two scalar identities: lam^2 + n - 1 = (n/d) lam^2 on I, and
+    a - 2 lam = -(n/d) lam on S.  A Seidel matrix that ``two_eigenvalue_data``
+    refuses has no such rational a, so G is no tight frame for rational lam
+    (it would give a = (2 - n/d) lam) nor for +-1 entries (a = S^2[0,1]/S[0,1]).
+    """
+    try:
+        spec = two_eigenvalue_data(lines.seidel)
+    except VerificationError:
+        return False
+    lam, ratio = lines.lam, Fraction(lines.n, lines.d)
+    a = spec.theta + spec.tau
+    return lam * lam + (lines.n - 1) == ratio * lam * lam and a - 2 * lam == -ratio * lam
 
 
 @dataclass(frozen=True)
@@ -386,7 +371,7 @@ def lines_to_cover(s: SeidelMatrix, r: int) -> tuple[ArcMatrix, CoverCertificate
         u, v = bad
         raise VerificationError(
             "entry-not-root-of-unity",
-            f"entry ({u},{v}) = {s.entry(u, v)!r} is not an order-{r} root of unity",
+            f"entry ({u},{v}) = {s._entry_repr(u, v)} is not an order-{r} root of unity",
         )
     return ArcMatrix(AbelianGroup((r,)), exps), cover_certificate(n, r, int(c))
 
@@ -404,7 +389,7 @@ def double_real(s: SeidelMatrix) -> tuple[np.ndarray, list[tuple[int, int]]]:
         u, v = bad
         raise VerificationError(
             "entry-not-root-of-unity",
-            f"doubling needs +-1 entries, got {s.entry(u, v)!r} at ({u},{v})",
+            f"doubling needs +-1 entries, got {s._entry_repr(u, v)} at ({u},{v})",
         )
     adj = regular_expand(ArcMatrix(AbelianGroup((2,)), exps))
     return adj, [(2 * u, 2 * u + 1) for u in range(s.n)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import subprocess
@@ -238,6 +239,29 @@ def test_cover_to_lines_which_and_gram(capsys, monkeypatch):
     assert code == 0
     assert "GRAM tau n=9 d=6 alpha_sq=1/16 field=complex" in out
     assert "GRAM theta" not in out
+
+
+@pytest.mark.parametrize(
+    "construct, char, digest",
+    [
+        (["thas-somma", "-p", "3", "-m", "2"], "1",
+         "50ba721bf0e19116ec601c1e09d599408b4c07aa06cdb1a9fe3afd6aa1636f48"),
+        (["thas-somma", "-p", "5", "-m", "2"], "2",
+         "6a1ee321e5be2d4efe700c5c95401685f02d910b0ac68b12efa32eebadf53549"),
+        (["dcff", "-t", "1", "-d", "3"], "5",
+         "06b9c2b5443fd47e252b1517d3afae19ba38e0ee674544bbabe2bc6b36a535fb"),
+    ],
+    ids=["ts32", "ts52", "dcff13"],
+)
+def test_full_gram_output_is_pinned(capsys, monkeypatch, construct, char, digest):
+    # sha256 of the stdout as the exact CycNum/ExactMatrix Gram display printed it
+    code, cover, _ = run(capsys, monkeypatch, ["construct", *construct])
+    assert code == 0
+    code, out, err = run(
+        capsys, monkeypatch, ["cover-to-lines", "--char", char, "--full-gram"], stdin_text=cover
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lines_round_trip_pipeline(capsys, monkeypatch):

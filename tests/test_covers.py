@@ -11,7 +11,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from count_routes import ROUTES, count_route
-from oracles import arc_from_adjacency
+from oracles import arc_from_adjacency, subgroup_closure
 
 from drackn import covers
 from drackn.constructions import dcff, thas_somma
@@ -28,7 +28,7 @@ from drackn.errors import (
     UnsupportedError,
     VerificationError,
 )
-from drackn.groups import AbelianGroup, regular_expand, subgroup_closure
+from drackn.groups import AbelianGroup, regular_expand
 
 
 def cover_933() -> ArcMatrix:

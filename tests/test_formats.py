@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import seidel_mat, seidel_of_values
 
 from drackn.constructions import (
     cover_to_gh,
@@ -100,12 +101,15 @@ def test_emit_seidel_rejects_non_root_entry():
     e = CycNum(3, (Fraction(5, 7), Fraction(8, 7)))
     assert e * e.conjugate() == 1
     with pytest.raises(ValueError):
-        SeidelMatrix([[0, e], [e.conjugate(), 0]], root_order=3)
+        seidel_of_values([[0, e], [e.conjugate(), 0]], root_order=3)
     # -zeta_3 is a Seidel entry, but SEIDEL v1 has no token for it
     z = -zeta(3)
-    s = SeidelMatrix([[0, z], [z.conjugate(), 0]], root_order=3)
-    with pytest.raises(FormatError):
+    s = seidel_of_values([[0, z], [z.conjugate(), 0]], root_order=3)
+    with pytest.raises(FormatError) as exc:
         emit_seidel(s)
+    assert str(exc.value) == (
+        f"entry (0,1) = {z!r} is not a power of zeta_3; not representable"
+    )
 
 
 def test_gh_round_trip():
@@ -204,8 +208,8 @@ def test_seidel_body_errors():
     with pytest.raises(FormatError):
         parse_seidel("SEIDEL v1\nn=2 r=3\n. 1\n1 .\n")  # not Hermitian
     s = parse_seidel("SEIDEL v1\nn=2 r=3\n. 1\n2 .\n")
-    assert s.entry(0, 1) == CycNum.zeta_pow(3, 1)
-    assert s.entry(1, 0) == CycNum.zeta_pow(3, 2)
+    assert seidel_mat(s).entry(0, 1) == CycNum.zeta_pow(3, 1)
+    assert seidel_mat(s).entry(1, 0) == CycNum.zeta_pow(3, 2)
 
 
 def test_form_parse_errors():

@@ -7,6 +7,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from oracles import subgroup_closure
 
 from drackn.constructions import thas_somma
 from drackn.covers import ArcMatrix
@@ -18,7 +19,6 @@ from drackn.groups import (
     char_apply,
     characters_of,
     regular_expand,
-    subgroup_closure,
 )
 
 Z3 = AbelianGroup((3,))

@@ -11,19 +11,17 @@ import numpy as np
 import pytest
 from count_routes import ROUTES, count_route
 from hypothesis import given, settings, strategies as st
+from oracles import exact_square_two_eigenvalue_data, gram, seidel_mat, seidel_of_values
 
-from drackn.arith import sqrt_exact
 from drackn.constructions import cover_to_gh, dcff, gh_to_cover, thas_somma
 from drackn.covers import ArcMatrix, _count_blocks, drackn_verify, normalize
 from drackn.cyclotomic import CycNum, zeta
-from drackn.errors import UnsupportedError, VerificationError
+from drackn.errors import FormatError, UnsupportedError, VerificationError
 from drackn.exact_matrix import ExactMatrix, mat_rank_exact
-from drackn.formats import emit_seidel, parse_seidel
+from drackn.formats import emit_gram, emit_seidel, parse_seidel
 from drackn.groups import AbelianGroup, char_apply, characters_of, regular_expand
 from drackn.lines import (
     SeidelMatrix,
-    SeidelSpectrum,
-    _rational_of,
     absolute_bound,
     cover_to_lines,
     double_real,
@@ -37,64 +35,6 @@ from drackn.lines import (
 from drackn.quadratic import QuadNum
 
 
-# The exact-square route that ``two_eigenvalue_data`` replaced, kept as the
-# oracle of the differential tests below.
-def _exact_square_two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
-    """Verify S^2 = aS + (n-1)I and return the eigenvalue data.
-
-    Raises ``VerificationError`` with condition ``not-two-eigenvalue`` when S
-    has more than two eigenvalues (witnessed by an entry of S^2 - aS -
-    (n-1)I, or by a multiplicity obstruction in the irrational case).
-    """
-    n = s.n
-    sq = s.mat * s.mat
-    denom = s.entry(0, 1)
-    a_val = sq.entry(0, 1) / denom
-    a = _rational_of(a_val)
-    if a is None:
-        raise VerificationError(
-            "not-two-eigenvalue", f"S^2[0,1]/S[0,1] = {a_val!r} is not rational"
-        )
-    rhs = (s.mat * a).plus_scalar_diag(Fraction(n - 1))
-    diffm = sq - rhs
-    if not diffm.is_zero():
-        u, v = next(
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if diffm.entry(u, v) != 0
-        )
-        raise VerificationError(
-            "not-two-eigenvalue",
-            f"(S^2 - {a}S - {n - 1}I)[{u},{v}] = {diffm.entry(u, v)!r}",
-        )
-    disc = a * a + 4 * (n - 1)
-    num, den = sqrt_exact(disc.numerator), sqrt_exact(disc.denominator)
-    if num is not None and den is not None:
-        root = Fraction(num, den)
-        theta: Fraction | QuadNum = (a + root) / 2
-        tau: Fraction | QuadNum = (a - root) / 2
-        mt = n * (-tau) / (theta - tau)
-        mtau = n * theta / (theta - tau)
-        if mt.denominator != 1 or mtau.denominator != 1 or mt < 1 or mtau < 1:
-            raise VerificationError(
-                "not-two-eigenvalue",
-                f"multiplicities {mt}, {mtau} are not positive integers",
-            )
-        return SeidelSpectrum(theta, tau, int(mt), int(mtau))
-    if a != 0:
-        raise VerificationError(
-            "not-two-eigenvalue",
-            f"irrational eigenvalues with trace {a}*m != 0 cannot balance",
-        )
-    if n % 2:
-        raise VerificationError(
-            "not-two-eigenvalue", f"eigenvalues +-sqrt({n - 1}) need even order, got {n}"
-        )
-    root_q = QuadNum.sqrt(Fraction(n - 1))
-    return SeidelSpectrum(root_q, -root_q, n // 2, n // 2)
-
-
 def _outcome(fn, s: SeidelMatrix):
     """repr of the spectrum, or the failure's condition and witness text."""
     try:
@@ -105,7 +45,7 @@ def _outcome(fn, s: SeidelMatrix):
 
 def _assert_same_as_exact_square(s: SeidelMatrix, block: int | None = None):
     """Both count routes, with ``block``-sized blocks when given."""
-    want = _outcome(_exact_square_two_eigenvalue_data, s)
+    want = _outcome(exact_square_two_eigenvalue_data, s)
     for route in ROUTES:
         with count_route(route, block):
             assert _outcome(two_eigenvalue_data, s) == want, route
@@ -122,7 +62,7 @@ def _seidel_from(p, n: int, upper) -> SeidelMatrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for (u, v), e in upper.items():
         rows[u][v], rows[v][u] = e, e.conjugate()
-    return SeidelMatrix(rows, p)
+    return seidel_of_values(rows, p)
 
 
 @lru_cache(maxsize=None)
@@ -158,39 +98,53 @@ def test_absolute_bound_values():
 
 
 def test_seidel_matrix_validation():
-    SeidelMatrix([[0, 1], [1, 0]])  # smallest legal example
+    seidel_of_values([[0, 1], [1, 0]])  # smallest legal example
     with pytest.raises(ValueError):
-        SeidelMatrix([[0]])  # too small
+        seidel_of_values([[0]])  # too small
     with pytest.raises(ValueError):
-        SeidelMatrix([[0, 1, 1], [1, 0, 1]])  # not square
+        seidel_of_values([[0, 1, 1], [1, 0, 1]])  # not square
     with pytest.raises(ValueError):
-        SeidelMatrix([[1, 1], [1, 0]])  # nonzero diagonal
+        seidel_of_values([[1, 1], [1, 0]])  # nonzero diagonal
     with pytest.raises(ValueError):
-        SeidelMatrix([[0, 2], [2, 0]])  # entry not unit-modulus
+        seidel_of_values([[0, 2], [2, 0]])  # entry not unit-modulus
     with pytest.raises(ValueError):
-        SeidelMatrix([[0, 1], [-1, 0]])  # not Hermitian
+        seidel_of_values([[0, 1], [-1, 0]])  # not Hermitian
     z = zeta(3)
     with pytest.raises(ValueError):
-        SeidelMatrix([[0, z], [z.conjugate(), 0]])  # needs root_order=3
+        seidel_of_values([[0, z], [z.conjugate(), 0]])  # needs root_order=3
     with pytest.raises(ValueError):
-        SeidelMatrix([[0, z], [z.conjugate(), 0]], root_order=2)
+        seidel_of_values([[0, z], [z.conjugate(), 0]], root_order=2)
     with pytest.raises(ValueError):
-        SeidelMatrix([[0, 1], [1, 0]], root_order=4)  # root_order must be prime
-    SeidelMatrix([[0, z], [z.conjugate(), 0]], root_order=3)
+        seidel_of_values([[0, 1], [1, 0]], root_order=4)  # root_order must be prime
+    seidel_of_values([[0, z], [z.conjugate(), 0]], root_order=3)
     # (-1)^h zeta_q^k is indexed h*q + k in Z/2 x Z/q
-    s = SeidelMatrix([[0, -z, 1], [-z.conjugate(), 0, -1], [1, -1, 0]], root_order=3)
+    s = seidel_of_values([[0, -z, 1], [-z.conjugate(), 0, -1], [1, -1, 0]], root_order=3)
     assert s.index.tolist() == [[0, 4, 0], [5, 0, 3], [0, 3, 0]]
-    assert SeidelMatrix([[0, -1], [-1, 0]]).index.tolist() == [[0, 2], [2, 0]]
+    assert seidel_of_values([[0, -1], [-1, 0]]).index.tolist() == [[0, 2], [2, 0]]
+
+
+def test_seidel_matrix_takes_only_an_index_array():
+    # a list of values is never read as indices: -1 would pass for the index 2
+    for entries in ([[0, 1], [1, 0]], ((0, 2), (2, 0)), np.zeros(4, dtype=np.int64)):
+        with pytest.raises(TypeError):
+            SeidelMatrix(entries)
+    assert SeidelMatrix(np.array([[0, 2], [2, 0]])) == seidel_of_values([[0, -1], [-1, 0]])
+    with pytest.raises(ValueError) as exc:
+        SeidelMatrix(np.array([[0, 5], [5, 0]]), 2)
+    assert str(exc.value) == "entry (0,1) = 5 is not +-zeta_2^k"
+    with pytest.raises(ValueError) as exc:
+        SeidelMatrix(np.zeros((2, 3), dtype=np.int64))
+    assert str(exc.value) == "Seidel matrix must be square of order >= 2, got (2, 3)"
 
 
 def test_seidel_negate_involution():
-    s = SeidelMatrix([[0, 1, -1], [1, 0, 1], [-1, 1, 0]])
+    s = seidel_of_values([[0, 1, -1], [1, 0, 1], [-1, 1, 0]])
     assert s.negate().negate() == s
-    assert s.negate().entry(0, 1) == -1
+    assert seidel_mat(s.negate()).entry(0, 1) == -1
 
 
 def test_two_eigenvalue_data_k2():
-    spec = two_eigenvalue_data(SeidelMatrix([[0, 1], [1, 0]]))
+    spec = two_eigenvalue_data(seidel_of_values([[0, 1], [1, 0]]))
     assert (spec.theta, spec.tau) == (1, -1)
     assert (spec.m_theta, spec.m_tau) == (1, 1)
 
@@ -211,7 +165,7 @@ def test_two_eigenvalue_data_rejects_generic_matrix():
         [1, 1, 1, 0],
     ]
     with pytest.raises(VerificationError) as exc:
-        two_eigenvalue_data(SeidelMatrix(rows))
+        two_eigenvalue_data(seidel_of_values(rows))
     assert exc.value.condition == "not-two-eigenvalue"
 
 
@@ -246,7 +200,8 @@ def test_two_eigenvalue_data_matches_exact_square_near_blocks(p, m, changes):
     s = _ladder_block(p, m)
     _assert_same_as_exact_square(s)
     _assert_same_as_exact_square(s.negate())
-    upper = {(u, v): s.entry(u, v) for u in range(s.n) for v in range(u + 1, s.n)}
+    mat = seidel_mat(s)
+    upper = {(u, v): mat.entry(u, v) for u in range(s.n) for v in range(u + 1, s.n)}
     edits = [
         (uv, e)
         for uv in upper
@@ -285,18 +240,38 @@ def test_cover_to_lines_tight_frames(make, want_tau, want_theta):
         assert (lines.n, lines.d, lines.alpha_sq, lines.field, lines.n == bound) == want
         # the product and elimination checks cover_to_lines no longer runs
         assert tight_frame_check(lines)
-        assert mat_rank_exact(lines.gram) == lines.d
+        assert mat_rank_exact(gram(lines)) == lines.d
         assert lines.alpha_sq == relative_bound(lines.n, lines.d)
 
 
 def test_line_bridge_runs_no_matrix_product(monkeypatch):
-    """A passing round trip reads index arrays only: no matrix product, no
-    character block, and no exact cyclotomic number is ever built."""
+    """The round trip, its refusals and witnesses, the Gram display and the
+    tight-frame check read index arrays and count tables only: no matrix
+    product, no character block, and no exact cyclotomic number is built."""
     covers = {p: thas_somma(p, 2) for p in (3, 5)}  # ts32, ts52
+    block = _ladder_block(3, 2).index.copy()
+    block[2, 5], block[5, 2] = 2, 1
+    changed = SeidelMatrix(block, 3)
+    irrational = SeidelMatrix(np.array([[0, 0, 0], [0, 0, 1], [0, 2, 0]]), 3)
+    minus = SeidelMatrix(np.full((5, 5), 2))  # S = I - J: a = -3, c = 2 for r = 3
+    refusals = [
+        (lambda: two_eigenvalue_data(irrational), VerificationError,
+         "not-two-eigenvalue: S^2[0,1]/S[0,1] = CycNum(3, ('-1', '-1')) is not rational"),
+        (lambda: two_eigenvalue_data(changed), VerificationError,
+         "not-two-eigenvalue: (S^2 - -2S - 8I)[0,2] = CycNum(3, ('1', '2'))"),
+        (lambda: lines_to_cover(minus, 3), VerificationError,
+         "entry-not-root-of-unity: entry (0,1) = Fraction(-1, 1) is not an order-3 root of unity"),
+        (lambda: emit_seidel(SeidelMatrix(np.array([[0, 4], [5, 0]]), 3)), FormatError,
+         "entry (0,1) = CycNum(3, ('0', '-1')) is not a power of zeta_3; not representable"),
+        (lambda: double_real(irrational), VerificationError,
+         "entry-not-root-of-unity: doubling needs +-1 entries, got CycNum(3, ('0', '1')) at (1,2)"),
+    ]
+    paley3 = seidel_to_linesets(SeidelMatrix(paley_conference(5).index // 2 * 3, 3))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("exact-object work on the line bridge")
 
+    monkeypatch.setattr(ExactMatrix, "__init__", forbidden)
     monkeypatch.setattr(ExactMatrix, "__mul__", forbidden)
     monkeypatch.setattr("drackn.groups.char_apply", forbidden)
     monkeypatch.setattr(CycNum, "__init__", forbidden)
@@ -309,6 +284,16 @@ def test_line_bridge_runs_no_matrix_product(monkeypatch):
         arc, cert = lines_to_cover(s, p)
         assert cert == cl.certificate
         assert arc == normalize(f)
+        for ls in (cl.lines_tau, cl.lines_theta):
+            assert emit_gram("tau", ls).count("\n") == ls.n + 1
+            assert tight_frame_check(ls)
+    for ls, entry in zip(paley3, ("1/5*sqrt(5)", "-1/5*sqrt(5)")):  # -1/lam, lam = -+sqrt(5)
+        assert emit_gram("lines", ls).splitlines()[1].split()[:2] == ["1", entry]
+        assert tight_frame_check(ls)
+    for run, error, text in refusals:
+        with pytest.raises(error) as exc:
+            run()
+        assert str(exc.value) == text
 
 
 @pytest.mark.parametrize(
@@ -319,7 +304,7 @@ def test_cover_to_lines_block_matches_char_apply(make):
     g = normalize(make())
     p = g.group.prime_exponent
     for chi in characters_of(g.group)[1:]:
-        want = SeidelMatrix(char_apply(g, chi).rows, p)
+        want = seidel_of_values(char_apply(g, chi).rows, p)
         assert cover_to_lines(g, char_index=g.group.index(chi.exponents)).seidel == want
 
 
@@ -456,7 +441,7 @@ def test_seidel_exponents():
     first entry that is no r-th root of unity."""
 
     def exps(e, p, r):
-        k, bad = SeidelMatrix([[0, e], [e.conjugate(), 0]], p).exponents(r)
+        k, bad = seidel_of_values([[0, e], [e.conjugate(), 0]], p).exponents(r)
         return None if bad is not None else int(k[0, 1])
 
     assert exps(Fraction(1), None, 3) == 0
@@ -469,20 +454,20 @@ def test_seidel_exponents():
     assert exps(-z, 3, 3) is None
     assert exps(CycNum.zeta_pow(3, 0), 3, 3) == 0
     assert exps(-CycNum.zeta_pow(3, 0), 3, 2) == 1
-    k, bad = SeidelMatrix([[0, 1, z], [1, 0, 1], [z * z, 1, 0]], 3).exponents(2)
+    k, bad = seidel_of_values([[0, 1, z], [1, 0, 1], [z * z, 1, 0]], 3).exponents(2)
     assert bad == (0, 2) and k[0, 0] == -1
 
 
 def test_double_real_small_cases():
     # one +1 entry: two disjoint edges
-    adj, fibres = double_real(SeidelMatrix([[0, 1], [1, 0]]))
+    adj, fibres = double_real(seidel_of_values([[0, 1], [1, 0]]))
     assert fibres == [(0, 1), (2, 3)]
     expect = np.zeros((4, 4), dtype=np.int64)
     for x, y in ((0, 2), (1, 3)):
         expect[x, y] = expect[y, x] = 1
     assert np.array_equal(adj, expect)
     # all +1 entries on 3 vertices: two disjoint triangles
-    adj3, _ = double_real(SeidelMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+    adj3, _ = double_real(seidel_of_values([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
     evens = adj3[np.ix_((0, 2, 4), (0, 2, 4))]
     odds = adj3[np.ix_((1, 3, 5), (1, 3, 5))]
     assert evens.sum() == odds.sum() == 6  # triangles
@@ -491,7 +476,7 @@ def test_double_real_small_cases():
 
 def test_double_real_needs_pm1_entries():
     z = zeta(3)
-    s = SeidelMatrix([[0, z], [z.conjugate(), 0]], root_order=3)
+    s = seidel_of_values([[0, z], [z.conjugate(), 0]], root_order=3)
     with pytest.raises(VerificationError) as exc:
         double_real(s)
     assert exc.value.condition == "entry-not-root-of-unity"
@@ -499,7 +484,7 @@ def test_double_real_needs_pm1_entries():
 
 def test_conference_search_and_doubling():
     s = paley_conference(5)
-    sq = s.mat * s.mat
+    sq = seidel_mat(s) * seidel_mat(s)
     assert (sq - sq.plus_scalar_diag(0)).is_zero()  # sanity on helper use
     assert all(
         sq.entry(u, v) == (5 if u == v else 0) for u in range(6) for v in range(6)
@@ -544,7 +529,7 @@ def test_paley_conference_of_order_14():
 
 
 def test_seidel_to_linesets_dimension_split():
-    s = SeidelMatrix([[0, 1], [1, 0]])
+    s = seidel_of_values([[0, 1], [1, 0]])
     lt, lth = seidel_to_linesets(s)
     assert lt.d + lth.d == s.n
     assert (lt.d, lth.d) == (1, 1)

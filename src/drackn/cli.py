@@ -16,45 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .constructions import cover_to_gh, dcff, gh_to_cover, thas_somma
-from .covers import drackn_verify, quotient
-from .errors import (
-    CoverStructureError,
-    DracknError,
-    FormatError,
-    GroupMismatchError,
-    UnsupportedError,
-    VerificationError,
-)
-from .feasibility import (
-    FLAG_TWO_GRAPH,
-    FamilyRow,
-    ParameterSet,
-    _fmt,
-    family_enumerate,
-    feasibility_battery,
-    rows_to_tsv,
-)
-from .formats import (
-    emit_cover,
-    emit_gh,
-    emit_gram,
-    emit_seidel,
-    parse_cover,
-    parse_form,
-    parse_gh,
-    parse_latin,
-    parse_seidel,
-    parse_skew,
-)
-from .lines import (
-    CoverLines,
-    LineSet,
-    absolute_bound,
-    cover_to_lines,
-    lines_to_cover,
-    relative_bound,
-)
+from . import constructions, covers, errors, feasibility, formats, lines
 
 _CASE_MAP = {"Ia": "I.a", "Ib": "I.b", "IIa": "II.a", "IIb": "II.b"}
 
@@ -65,13 +27,13 @@ def _read_input(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
+        raise errors.FormatError(f"cannot read {path}: {exc}") from None
 
 
-def _drackn_line(p: ParameterSet) -> str:
+def _drackn_line(p: feasibility.ParameterSet) -> str:
     return (
         f"DRACKN n={p.n} r={p.r} c={p.c} delta={p.delta} "
-        f"theta={_fmt(p.theta)} tau={_fmt(p.tau)}"
+        f"theta={feasibility._fmt(p.theta)} tau={feasibility._fmt(p.tau)}"
     )
 
 
@@ -80,32 +42,32 @@ def _drackn_line(p: ParameterSet) -> str:
 
 def _cmd_construct(args) -> int:
     if args.family == "thas-somma":
-        form = parse_form(_read_input(args.form)) if args.form else None
-        arc = thas_somma(args.p, args.m, args.s, form=form)
+        form = formats.parse_form(_read_input(args.form)) if args.form else None
+        arc = constructions.thas_somma(args.p, args.m, args.s, form=form)
     else:
-        skew = parse_skew(_read_input(args.skew)) if args.skew else None
-        latin = parse_latin(_read_input(args.latin)) if args.latin else None
-        arc = dcff(args.t, args.d, skew=skew, latin=latin)
-    sys.stdout.write(emit_cover(arc))
+        skew = formats.parse_skew(_read_input(args.skew)) if args.skew else None
+        latin = formats.parse_latin(_read_input(args.latin)) if args.latin else None
+        arc = constructions.dcff(args.t, args.d, skew=skew, latin=latin)
+    sys.stdout.write(formats.emit_cover(arc))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    cert = drackn_verify(parse_cover(_read_input(args.file)))
+    cert = covers.drackn_verify(formats.parse_cover(_read_input(args.file)))
     print(_drackn_line(cert.params))
     print(f"SPECTRUM {cert.spectrum_str()}")
     print("CHECKS " + " ".join(cert.checks_passed))
     return 0
 
 
-def _selected(which: str, cl: CoverLines) -> list[tuple[str, LineSet]]:
+def _selected(which: str, cl: lines.CoverLines) -> list[tuple[str, lines.LineSet]]:
     pairs = [("tau", cl.lines_tau), ("theta", cl.lines_theta)]
     return [(label, ls) for label, ls in pairs if which in (label, "both")]
 
 
-def _lineset_summary(label: str, ls: LineSet) -> str:
-    rel = relative_bound(ls.n, ls.d)
-    bound = absolute_bound(ls.d, ls.field)
+def _lineset_summary(label: str, ls: lines.LineSet) -> str:
+    rel = lines.relative_bound(ls.n, ls.d)
+    bound = lines.absolute_bound(ls.d, ls.field)
     # equiangular lines attain the relative bound iff they form a tight frame
     attained = "yes" if ls.alpha_sq == rel else "no"
     return (
@@ -119,31 +81,32 @@ def _lineset_summary(label: str, ls: LineSet) -> str:
 
 
 def _cmd_cover_to_lines(args) -> int:
-    cl = cover_to_lines(parse_cover(_read_input(args.file)), char_index=args.char)
-    sys.stdout.write(emit_seidel(cl.seidel))
+    cl = lines.cover_to_lines(formats.parse_cover(_read_input(args.file)), char_index=args.char)
+    sys.stdout.write(formats.emit_seidel(cl.seidel))
     for label, ls in _selected(args.which, cl):
         print(_lineset_summary(label, ls))
     if args.full_gram:
         for label, ls in _selected(args.which, cl):
-            sys.stdout.write(emit_gram(label, ls))
+            sys.stdout.write(formats.emit_gram(label, ls))
     return 0
 
 
 def _cmd_lines_to_cover(args) -> int:
-    arc, cert = lines_to_cover(parse_seidel(_read_input(args.file)), args.r)
-    sys.stdout.write(emit_cover(arc))
+    arc, cert = lines.lines_to_cover(formats.parse_seidel(_read_input(args.file)), args.r)
+    sys.stdout.write(formats.emit_cover(arc))
     print(_drackn_line(cert.params), file=sys.stderr)
     return 0
 
 
 def _cmd_cover_to_gh(args) -> int:
-    sys.stdout.write(emit_gh(cover_to_gh(parse_cover(_read_input(args.file)))))
+    h = constructions.cover_to_gh(formats.parse_cover(_read_input(args.file)))
+    sys.stdout.write(formats.emit_gh(h))
     return 0
 
 
 def _cmd_gh_to_cover(args) -> int:
-    arc, cert = gh_to_cover(parse_gh(_read_input(args.file)))
-    sys.stdout.write(emit_cover(arc))
+    arc, cert = constructions.gh_to_cover(formats.parse_gh(_read_input(args.file)))
+    sys.stdout.write(formats.emit_cover(arc))
     print(_drackn_line(cert.params), file=sys.stderr)
     return 0
 
@@ -157,18 +120,18 @@ def _parse_subgroup(text: str) -> list[tuple[int, ...]]:
         try:
             gens.append(tuple(int(x) for x in part.split(",")))
         except ValueError:
-            raise FormatError(f"malformed subgroup generator {part!r}") from None
+            raise errors.FormatError(f"malformed subgroup generator {part!r}") from None
     return gens
 
 
 def _cmd_quotient(args) -> int:
-    arc = parse_cover(_read_input(args.file))
-    sys.stdout.write(emit_cover(quotient(arc, _parse_subgroup(args.subgroup))))
+    arc = formats.parse_cover(_read_input(args.file))
+    sys.stdout.write(formats.emit_cover(covers.quotient(arc, _parse_subgroup(args.subgroup))))
     return 0
 
 
 def _cmd_feasible(args) -> int:
-    report = feasibility_battery(args.n, args.r, args.c)
+    report = feasibility.feasibility_battery(args.n, args.r, args.c)
     if report.passed:
         fields = report.params.format_fields()
         names = ("n", "r", "c", "delta", "theta", "tau", "m_theta", "m_tau")
@@ -179,7 +142,7 @@ def _cmd_feasible(args) -> int:
     return 1
 
 
-def _human_table(rows: tuple[FamilyRow, ...]) -> str:
+def _human_table(rows: tuple[feasibility.FamilyRow, ...]) -> str:
     if not rows:
         return "no feasible rows\n"
     header = ("case", "t", "n", "r", "c", "delta", "theta", "tau", "m_theta", "m_tau", "flags")
@@ -199,10 +162,10 @@ def _human_table(rows: tuple[FamilyRow, ...]) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    rows = family_enumerate(_CASE_MAP[args.case], args.t_max)
+    rows = feasibility.family_enumerate(_CASE_MAP[args.case], args.t_max)
     if not args.include_two_graph:
-        rows = tuple(row for row in rows if FLAG_TWO_GRAPH not in row.flags)
-    sys.stdout.write(rows_to_tsv(rows) if args.tsv else _human_table(rows))
+        rows = tuple(row for row in rows if feasibility.FLAG_TWO_GRAPH not in row.flags)
+    sys.stdout.write(feasibility.rows_to_tsv(rows) if args.tsv else _human_table(rows))
     return 0
 
 
@@ -317,16 +280,16 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (VerificationError, CoverStructureError) as exc:
+    except (errors.VerificationError, errors.CoverStructureError) as exc:
         print(f"FAIL {exc.condition} {exc.witness}".rstrip())
         return 1
-    except FormatError as exc:
+    except errors.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedError, GroupMismatchError, ValueError) as exc:
+    except (errors.UnsupportedError, errors.GroupMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DracknError as exc:
+    except errors.DracknError as exc:
         print(f"INTERNAL {exc}", file=sys.stderr)
         return 3
 

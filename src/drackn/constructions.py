@@ -31,6 +31,7 @@ from .arith import is_prime
 from .covers import (
     ArcMatrix,
     CoverCertificate,
+    _MAX_FIBRES,
     _count_blocks,
     check_deck_group,
     cover_certificate,
@@ -47,11 +48,6 @@ from .groups import AbelianGroup
 
 #: Largest field size for which the exhaustive skew-product checks run.
 _SKEW_CHECK_LIMIT = 1 << 10
-
-#: Most fibres a construction builds: its n x n tables and self-verify stay
-#: within memory and minutes (thas_somma(2, 10) and dcff(1, 9) have 1,024).
-#: The parsers refuse deck groups of larger order (``formats``).
-_MAX_FIBRES = 1 << 11
 
 
 def _check_fibres(p: int, e: int, what: str) -> None:

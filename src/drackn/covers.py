@@ -33,6 +33,11 @@ from .feasibility import ParameterSet, spectral_params, _fmt
 from .groups import AbelianGroup
 from .quadratic import QuadNum
 
+#: Most fibres a construction builds: its n x n tables and self-verify stay
+#: within memory and minutes (thas_somma(2, 10) and dcff(1, 9) have 1,024).
+#: The parsers refuse deck groups of larger order (``formats``).
+_MAX_FIBRES = 1 << 11
+
 
 def _index_of_rows(group: AbelianGroup, rows) -> np.ndarray:
     """Element indices of nested rows of exponent tuples, -1 where None."""

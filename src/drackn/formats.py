@@ -10,7 +10,7 @@ without breaking a downstream parser.  Cover, Seidel and GH rows are
 parsed straight into the index arrays of their matrix classes.
 
 A cover of K_n needs a deck group of order r <= n - 1, and the constructions
-build at most ``constructions._MAX_FIBRES`` = 2048 fibres.  The parsers use
+build at most ``covers._MAX_FIBRES`` = 2048 fibres.  The parsers use
 the same number as their size budget: a cover or GH ``group=`` of larger
 order, or a Seidel ``r=`` above it, is refused before any table of the group
 is built (those tables take O(r^2) memory).
@@ -55,13 +55,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 
-from . import gf, np
+from . import constructions, gf, lines, np
 from .arith import is_prime
-from .constructions import _MAX_FIBRES, AlternatingForm, GHMatrix, LatinSquare, SkewProduct
-from .covers import ArcMatrix
+from .covers import _MAX_FIBRES, ArcMatrix
 from .errors import FormatError
 from .groups import AbelianGroup
-from .lines import LineSet, SeidelMatrix, _root_index, _zeta_coeffs
 from .quadratic import QuadNum
 
 COVER_TAG = "DRACKN-COVER v1"
@@ -79,15 +77,15 @@ def _split_header(
     text: str, tag: str, keys: tuple[str, ...]
 ) -> tuple[dict[str, str], list[str]]:
     """Check the tag line, parse the key=value line, return (meta, body)."""
-    lines = text.splitlines()
-    if not lines:
+    text_lines = text.splitlines()
+    if not text_lines:
         raise FormatError(f"empty input, expected header {tag!r}")
-    if lines[0].strip() != tag:
-        raise FormatError(f"expected header {tag!r}, got {lines[0].strip()!r}")
-    if len(lines) < 2:
+    if text_lines[0].strip() != tag:
+        raise FormatError(f"expected header {tag!r}, got {text_lines[0].strip()!r}")
+    if len(text_lines) < 2:
         raise FormatError(f"missing parameter line after {tag!r}")
     meta: dict[str, str] = {}
-    for tok in lines[1].split():
+    for tok in text_lines[1].split():
         key, eq, value = tok.partition("=")
         if not eq or not key or not value:
             raise FormatError(f"malformed parameter token {tok!r}")
@@ -98,7 +96,7 @@ def _split_header(
         raise FormatError(
             f"expected parameters {', '.join(keys)}; got {', '.join(sorted(meta)) or 'none'}"
         )
-    return meta, lines[2:]
+    return meta, text_lines[2:]
 
 
 def _int_of(text: str, what: str) -> int:
@@ -262,7 +260,7 @@ def parse_cover(text: str) -> ArcMatrix:
 # -- Seidel format -------------------------------------------------------------
 
 
-def emit_seidel(s: SeidelMatrix) -> str:
+def emit_seidel(s: lines.SeidelMatrix) -> str:
     p = s.root_order
     exps, bad = s.exponents(p or 2)  # +-1 entries are powers of zeta_2
     if bad is not None:
@@ -281,7 +279,7 @@ def _generic_entry(tok: str, where: str) -> int:
     raise FormatError(f"{where}: generic entries must be 1 or -1, got {tok!r}")
 
 
-def parse_seidel(text: str) -> SeidelMatrix:
+def parse_seidel(text: str) -> lines.SeidelMatrix:
     meta, body = _split_header(text, SEIDEL_TAG, ("n", "r"))
     n = _int_of(meta["n"], "n")
     root_order: int | None
@@ -294,11 +292,11 @@ def parse_seidel(text: str) -> SeidelMatrix:
         _check_order(root_order, f"r={meta['r']}")
         if not is_prime(root_order):
             raise FormatError(f"r must be a prime or 'generic', got {meta['r']!r}")
-        lookup = {str(k): _root_index(k, root_order) for k in range(root_order)}
-        parse_entry = lambda tok, where: _root_index(_int_of(tok, where), root_order)
+        lookup = {str(k): lines._root_index(k, root_order) for k in range(root_order)}
+        parse_entry = lambda tok, where: lines._root_index(_int_of(tok, where), root_order)
     index = _index_rows(body, n, SEIDEL_TAG, lookup, parse_entry)
     try:
-        return SeidelMatrix(index, root_order)
+        return lines.SeidelMatrix(index, root_order)
     except ValueError as exc:
         raise FormatError(f"invalid Seidel matrix: {exc}") from None
 
@@ -306,14 +304,14 @@ def parse_seidel(text: str) -> SeidelMatrix:
 # -- generalized Hadamard format -----------------------------------------------
 
 
-def emit_gh(h: GHMatrix) -> str:
+def emit_gh(h: constructions.GHMatrix) -> str:
     names = [_emit_element(el) for el in h.group.elements()]
     out = [GH_TAG, f"n={h.n} group={_emit_group(h.group)}"]
     out.extend(" ".join(names[i] for i in row) for row in h.index.tolist())
     return "\n".join(out) + "\n"
 
 
-def parse_gh(text: str) -> GHMatrix:
+def parse_gh(text: str) -> constructions.GHMatrix:
     meta, body = _split_header(text, GH_TAG, ("n", "group"))
     n = _int_of(meta["n"], "n")
     group = _parse_group(meta["group"])
@@ -328,13 +326,13 @@ def parse_gh(text: str) -> GHMatrix:
                 for v, tok in enumerate(toks)
             ]
         index.append(row)
-    return GHMatrix(group, np.array(index, dtype=np.int64).reshape(n, n))
+    return constructions.GHMatrix(group, np.array(index, dtype=np.int64).reshape(n, n))
 
 
 # -- form pencil format ----------------------------------------------------------
 
 
-def emit_form(form: AlternatingForm) -> str:
+def emit_form(form: constructions.AlternatingForm) -> str:
     out = [FORM_TAG, f"p={form.p} m={form.m} s={form.s}"]
     for mat in form.mats:
         for row in mat:
@@ -342,7 +340,7 @@ def emit_form(form: AlternatingForm) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_form(text: str) -> AlternatingForm:
+def parse_form(text: str) -> constructions.AlternatingForm:
     meta, body = _split_header(text, FORM_TAG, ("p", "m", "s"))
     p = _int_of(meta["p"], "p")
     m = _int_of(meta["m"], "m")
@@ -359,7 +357,7 @@ def parse_form(text: str) -> AlternatingForm:
             mat.append(tuple(_int_of(tok, where) for tok in toks))
         mats.append(tuple(mat))
     try:
-        return AlternatingForm(p, m, s, tuple(mats))
+        return constructions.AlternatingForm(p, m, s, tuple(mats))
     except ValueError as exc:
         raise FormatError(f"invalid form pencil: {exc}") from None
 
@@ -367,12 +365,12 @@ def parse_form(text: str) -> AlternatingForm:
 # -- skew product format ---------------------------------------------------------
 
 
-def emit_skew(skew: SkewProduct) -> str:
+def emit_skew(skew: constructions.SkewProduct) -> str:
     out = [SKEW_TAG, f"t={skew.t} d={skew.d}"] + _emit_gf_rows(skew.table, skew.t * skew.d)
     return "\n".join(out) + "\n"
 
 
-def parse_skew(text: str) -> SkewProduct:
+def parse_skew(text: str) -> constructions.SkewProduct:
     """Read a skew-product table; coefficients are over the fixed modulus
     of GF(2^(td)) (``gf.MODULI``)."""
     meta, body = _split_header(text, SKEW_TAG, ("t", "d"))
@@ -382,7 +380,7 @@ def parse_skew(text: str) -> SkewProduct:
         raise FormatError(f"need t >= 1 and d >= 1, got t={t} d={d}")
     table = _gf_rows(body, t * d, t * d, SKEW_TAG)
     try:
-        return SkewProduct(t=t, d=d, table=table)
+        return constructions.SkewProduct(t=t, d=d, table=table)
     except ValueError as exc:
         raise FormatError(f"invalid skew product: {exc}") from None
 
@@ -390,12 +388,12 @@ def parse_skew(text: str) -> SkewProduct:
 # -- Latin square format ----------------------------------------------------------
 
 
-def emit_latin(latin: LatinSquare) -> str:
+def emit_latin(latin: constructions.LatinSquare) -> str:
     out = [LATIN_TAG, f"t={latin.t}"] + _emit_gf_rows(latin.table, latin.t)
     return "\n".join(out) + "\n"
 
 
-def parse_latin(text: str) -> LatinSquare:
+def parse_latin(text: str) -> constructions.LatinSquare:
     meta, body = _split_header(text, LATIN_TAG, ("t",))
     t = _int_of(meta["t"], "t")
     if t < 1:
@@ -403,7 +401,7 @@ def parse_latin(text: str) -> LatinSquare:
     _check_order(2 ** min(t, 12), f"the order of GF(2^{t})")  # min: no huge 2^t is built
     table = _gf_rows(body, t, 2**t, LATIN_TAG)
     try:
-        return LatinSquare(t=t, table=table)
+        return constructions.LatinSquare(t=t, table=table)
     except ValueError as exc:
         raise FormatError(f"invalid Latin square: {exc}") from None
 
@@ -411,7 +409,7 @@ def parse_latin(text: str) -> LatinSquare:
 # -- Gram display -----------------------------------------------------------------
 
 
-def emit_gram(label: str, ls: LineSet) -> str:
+def emit_gram(label: str, ls: lines.LineSet) -> str:
     q = ls.seidel.root_order or 2
     index = ls.seidel.index.copy()
     np.fill_diagonal(index, 2 * q)
@@ -419,7 +417,7 @@ def emit_gram(label: str, ls: LineSet) -> str:
     one_value = q == 2 or isinstance(scale, QuadNum)  # a surd lam has +-1 entries
     names = [""] * (2 * q) + ["1"]  # index 2q: the diagonal
     for i in np.unique(index).tolist()[:-1]:
-        coeffs = _zeta_coeffs(i, q)
+        coeffs = lines._zeta_coeffs(i, q)
         names[i] = str(coeffs[0] * scale) if one_value else ",".join(str(c * scale) for c in coeffs)
     out = [f"GRAM {label} n={ls.n} d={ls.d} alpha_sq={ls.alpha_sq} field={ls.field}"]
     out.extend(" ".join([names[i] for i in row]) for row in index.tolist())

@@ -17,11 +17,9 @@ from itertools import product
 from math import lcm
 from typing import TYPE_CHECKING
 
-from . import np
+from . import cyclotomic, exact_matrix, np
 from .arith import is_prime
-from .cyclotomic import CycNum
 from .errors import GroupMismatchError, UnsupportedError
-from .exact_matrix import ExactMatrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from .covers import ArcMatrix
@@ -152,14 +150,14 @@ class Character:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def value(self, el) -> CycNum:
+    def value(self, el) -> cyclotomic.CycNum:
         p = self.group.prime_exponent
         if p is None:
             raise UnsupportedError(
                 f"character values need a prime-exponent group, got exponent {self.group.exponent}"
             )
         k = sum(e * x for e, x in zip(self.exponents, el)) % p
-        return CycNum.zeta_pow(p, k)
+        return cyclotomic.CycNum.zeta_pow(p, k)
 
 
 def characters_of(group: AbelianGroup) -> tuple[Character, ...]:
@@ -167,7 +165,7 @@ def characters_of(group: AbelianGroup) -> tuple[Character, ...]:
     return tuple(Character(group, exps) for exps in group.elements())
 
 
-def char_apply(f: "ArcMatrix", chi: Character) -> ExactMatrix:
+def char_apply(f: "ArcMatrix", chi: Character) -> exact_matrix.ExactMatrix:
     """The n x n character block of an arc matrix: entries chi(f(u,v)).
 
     The diagonal is cyclotomic zero.  The result is Hermitian because
@@ -178,8 +176,10 @@ def char_apply(f: "ArcMatrix", chi: Character) -> ExactMatrix:
     p = chi.group.prime_exponent
     if p is None:
         raise UnsupportedError("char_apply needs a prime-exponent group")
-    values = [chi.value(g) for g in chi.group.elements()] + [CycNum.zero(p)]  # -1: diagonal
-    return ExactMatrix(tuple(tuple(values[i] for i in row) for row in f.index.tolist()))
+    zero = cyclotomic.CycNum.zero(p)
+    values = [chi.value(g) for g in chi.group.elements()] + [zero]  # -1: diagonal
+    rows = f.index.tolist()
+    return exact_matrix.ExactMatrix(tuple(tuple(values[i] for i in row) for row in rows))
 
 
 def regular_expand(f: "ArcMatrix") -> np.ndarray:

@@ -14,10 +14,18 @@ import pytest
 
 from drackn import constructions
 from drackn.cli import main
-from drackn.constructions import default_latin, default_skew, standard_symplectic
+from drackn.constructions import (
+    cover_to_gh,
+    dcff,
+    default_latin,
+    default_skew,
+    standard_symplectic,
+    thas_somma,
+)
 from drackn.errors import DracknError, RoutesDisagreeError
 from drackn.feasibility import family_enumerate, rows_to_tsv
-from drackn.formats import emit_form, emit_latin, emit_skew
+from drackn.formats import emit_cover, emit_form, emit_gh, emit_latin, emit_seidel, emit_skew
+from drackn.lines import cover_to_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -107,7 +115,7 @@ def test_internal_error_exit_3(capsys, monkeypatch, error):
     def broken(_):
         raise error
 
-    monkeypatch.setattr("drackn.cli.drackn_verify", broken)
+    monkeypatch.setattr("drackn.covers.drackn_verify", broken)
     code, out, err = run(capsys, monkeypatch, ["verify"], stdin_text=cover)
     assert code == 3
     assert out == ""
@@ -476,14 +484,18 @@ def test_global_seed_removed(capsys, monkeypatch):
     assert code == 2 and out == "" and "error:" in err
 
 
-def python_last_line(script: str) -> str:
-    """Run ``script`` in a fresh interpreter importing drackn from this
-    checkout; return the last line it prints."""
+def python_run(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args``, importing drackn from this checkout."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def python_last_line(script: str) -> str:
+    """Run ``script`` in a fresh interpreter; return the last line it prints."""
+    proc = python_run("-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.rstrip("\n").rsplit("\n", 1)[-1]
 
@@ -533,8 +545,96 @@ def test_table_commands_never_load_numpy(argv, code, loads_numpy):
             "try:\n    import drackn.cli\nexcept ModuleNotFoundError as e:\n    print(e.name)",
             "numpy",
         ),
+        (
+            "import sys, types, drackn\ndrackn._lazy_import('numpy')\n"
+            "print(type(sys.modules['numpy']) is types.ModuleType)",
+            "False",
+        ),
     ],
-    ids=["numpy-first", "numpy-after", "numpy-none", "numpy-not-found"],
+    ids=["numpy-first", "numpy-after", "numpy-none", "numpy-not-found", "numpy-pending"],
 )
 def test_lazy_numpy_binding(script, last):
     assert python_last_line(script) == last
+
+
+# -- module footprint: each command executes only the modules it uses -----------
+
+MODULES = sorted(p.stem for p in (ROOT / "src" / "drackn").glob("*.py") if p.stem != "__init__")
+TABLE_MODULES = {"cli", "errors", "feasibility", "quadratic", "arith"}
+EXACT_ORACLES = {"cyclotomic", "exact_matrix"}
+NOT_TABLES = set(MODULES) - TABLE_MODULES
+NOT_VERIFY = {"constructions", "lines"} | EXACT_ORACLES
+
+
+@pytest.fixture(scope="module")
+def payload_files(tmp_path_factory) -> dict[str, str]:
+    """Paths of a cover, a deck-group-(Z/2)^3 cover, a Seidel and a GH file."""
+    texts = {
+        "cover": emit_cover(thas_somma(3, 2)),
+        "cover8": emit_cover(dcff(1, 3)),
+        "seidel": emit_seidel(cover_to_lines(thas_somma(3, 2)).seidel),
+        "gh": emit_gh(cover_to_gh(thas_somma(3, 2))),
+    }
+    folder = tmp_path_factory.mktemp("payloads")
+    for name, text in texts.items():
+        (folder / name).write_text(text)
+    return {name: str(folder / name) for name in texts}
+
+
+@pytest.mark.parametrize(
+    "argv, code, never",
+    [
+        (["--help"], 0, NOT_TABLES),
+        (["feasible", "276", "4", "56"], 0, NOT_TABLES),
+        (["feasible", "46", "16", "2"], 1, NOT_TABLES),
+        (["enumerate", "--case", "IIb", "--t-max", "21", "--tsv"], 0, NOT_TABLES),
+        (["verify", "{cover}"], 0, NOT_VERIFY),
+        (["quotient", "{cover8}", "--subgroup", "1,0,0"], 0, NOT_VERIFY),
+        (["construct", "thas-somma", "-p", "3", "-m", "2"], 0, EXACT_ORACLES),
+        (["construct", "dcff", "-t", "1", "-d", "3"], 0, EXACT_ORACLES),
+        (["cover-to-lines", "{cover}", "--char", "1", "--full-gram"], 0, EXACT_ORACLES),
+        (["lines-to-cover", "{seidel}", "--r", "3"], 0, EXACT_ORACLES),
+        (["cover-to-gh", "{cover}"], 0, EXACT_ORACLES),
+        (["gh-to-cover", "{gh}"], 0, EXACT_ORACLES),
+    ],
+    ids=[
+        "help", "feasible-pass", "feasible-fail", "enumerate", "verify", "quotient",
+        "construct-ts", "construct-dcff", "cover-to-lines", "lines-to-cover",
+        "cover-to-gh", "gh-to-cover",
+    ],
+)
+def test_each_command_executes_only_its_modules(payload_files, argv, code, never):
+    # a registered module that never ran is still importlib's lazy subclass
+    argv = [arg.format(**payload_files) for arg in argv]
+    script = (
+        "import sys, types\n"
+        "from drackn.cli import main\n"
+        f"code = main({argv!r})\n"
+        "ran = [k for k, m in sys.modules.items() if k.startswith('drackn.')\n"
+        "       and type(m) is types.ModuleType]\n"
+        "print(code, ' '.join(sorted(k.removeprefix('drackn.') for k in ran)))\n"
+    )
+    got_code, *ran = python_last_line(script).split(" ")
+    assert int(got_code) == code
+    assert "cli" in ran and not set(ran) & never
+
+
+def test_import_registers_every_module_without_running_it():
+    # perfbench/run.py and perfbench/spans.py read sys.modules["drackn.<name>"]
+    # right after `import drackn.cli`, and monkeypatch paths resolve through
+    # the package attributes
+    script = (
+        "import sys, types, drackn, drackn.cli\n"
+        f"names = {MODULES!r}\n"
+        "bad = [n for n in names if sys.modules.get('drackn.' + n) is not getattr(drackn, n, 0)]\n"
+        "ran = [n for n in names if type(sys.modules['drackn.' + n]) is types.ModuleType]\n"
+        "print(bad, ran)\n"
+    )
+    assert python_last_line(script) == "[] ['cli']"
+
+
+def test_run_as_module_writes_nothing_to_stderr():
+    # runpy warns when the module it runs is already in sys.modules
+    proc = python_run("-m", "drackn.cli", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: drackn") and proc.stderr == ""

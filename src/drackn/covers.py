@@ -10,7 +10,8 @@ through the group's addition, negation and projection tables.
 ``drackn_verify`` proves the defining regularity conditions from one exact
 integer table, the group-ring counts
 N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}, built and checked in
-blocks of fibres.  ``_count_blocks`` builds it by integer gathers, or for
+blocks of fibres.  Fibre 0's counts are the column histograms of the gauged
+table; ``_count_blocks`` builds the later fibres' by integer gathers, or for
 small deck groups by float32 products of 0/1 matrices, which are exact
 because every sum is an integer below 2^24.
 """
@@ -196,12 +197,15 @@ def _count_plan(n: int, r: int) -> tuple[bool, int]:
     return one_hot, b
 
 
-def _count_blocks(idx: np.ndarray, add: np.ndarray):
-    """Yield (lo, N[lo:hi]) for blocks of consecutive fibres u, where
-    N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x} and N[u, u] = 0.
+def _count_blocks(idx: np.ndarray, add: np.ndarray, start: int = 0):
+    """Yield (lo, N[lo:hi]) for blocks of consecutive fibres u >= ``start``,
+    where N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x} and
+    N[u, u] = 0.
 
     ``idx`` holds the element index of f(u, v) (the diagonal is ignored) and
-    ``add`` is the group's addition table on element indices.  A sentinel
+    ``add`` is the group's addition table on element indices.  The first
+    block starts at fibre ``start``: the fibres before it are never counted,
+    which ``drackn_verify`` uses once fibre 0 has passed.  A sentinel
     index r, written on the diagonal of ``idx``, matches no element, which
     drops the terms w = u and w = v.  Each call takes one of two routes:
 
@@ -233,19 +237,19 @@ def _count_blocks(idx: np.ndarray, add: np.ndarray):
     one_hot, b = _count_plan(n, r)
     ind = np.array(idx, dtype=np.intp)
     np.fill_diagonal(ind, r)
-    blocks = (_one_hot_counts if one_hot else _gather_counts)(ind, add, b)
+    blocks = (_one_hot_counts if one_hot else _gather_counts)(ind, add, b, start)
     for lo, counts in blocks:
         counts[np.arange(len(counts)), np.arange(lo, lo + len(counts))] = 0
         yield lo, counts
 
 
-def _gather_counts(ind: np.ndarray, add: np.ndarray, b: int):
+def _gather_counts(ind: np.ndarray, add: np.ndarray, b: int, start: int):
     n, r = ind.shape[0], add.shape[0]
     pad = np.full((r + 1, r + 1), r, dtype=np.intp)
     pad[:r, :r] = add
     pad = pad.ravel()
     left, right = ind * (r + 1), np.ascontiguousarray(ind.T)  # [u, w] and [v, w]
-    for lo in range(0, n, b):
+    for lo in range(start, n, b):
         h = min(b, n - lo)
         keys = pad[left[lo:lo + h, None, :] + right]  # [u, v, w]: f(u, w) + f(w, v)
         keys += np.arange(0, h * n * (r + 1), r + 1).reshape(h, n, 1)
@@ -253,7 +257,7 @@ def _gather_counts(ind: np.ndarray, add: np.ndarray, b: int):
         yield lo, counts.reshape(h, n, r + 1)[:, :, :r]
 
 
-def _one_hot_counts(ind: np.ndarray, add: np.ndarray, b: int):
+def _one_hot_counts(ind: np.ndarray, add: np.ndarray, b: int, start: int):
     n, r = ind.shape[0], add.shape[0]
     # rows of the identity; the sentinel r reads the all-zero row r
     stack = np.eye(r + 1, r, dtype=np.float32).take(ind, axis=0).reshape(n, n * r)  # [u, (w, g)]
@@ -261,9 +265,20 @@ def _one_hot_counts(ind: np.ndarray, add: np.ndarray, b: int):
     sub[np.arange(r)[:, None], add] = np.arange(r)  # sub[g, x] = x - g
     cols = np.arange(0, n * r, r)[:, None] + sub[:, None, :]  # [g, v, x]: (v, x - g)
     right = stack.take(cols, axis=1).reshape(n * r, n * r)  # [(w, g), (v, x)]: f(w, v) = x - g
-    for lo in range(0, n, b):
+    for lo in range(start, n, b):
         h = min(b, n - lo)
         yield lo, (stack[lo:lo + h] @ right).reshape(h, n, r).astype(np.int64)
+
+
+def _fibre_zero_counts(idx: np.ndarray, r: int) -> np.ndarray:
+    """N[0] of a gauged table (f(0, w) = e for every w), without the kernel:
+    N_0v(x) = #{w not in {0, v} : f(w, v) = x}, the histogram of column v
+    over the rows w >= 1, whose diagonal entry -1 is masked; N_00 = 0."""
+    n = idx.shape[0]
+    keys = idx[1:] + np.arange(0, n * r, r)  # [w - 1, v]: v r + f(w, v)
+    counts = np.bincount(keys[idx[1:] >= 0], minlength=n * r).reshape(n, r)
+    counts[0] = 0
+    return counts
 
 
 def drackn_verify(f: ArcMatrix) -> CoverCertificate:
@@ -278,19 +293,33 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
     the graph is an (n, r, c) cover iff every non-adjacent cross-fibre pair
     has exactly c >= 1 common neighbours, i.e. N_uv(x) = c for x != f(u, v).
 
-    The table is built in blocks of fibres (``_count_blocks``) and each
-    block is checked as soon as it is built, so a rejection stops at its
-    first failing block.  The verdict is that of a scan over the expanded
-    graph: fibre by fibre, first the fibre's mates and then its pairs with
-    later fibres; c is the count of the first such pair.  Only fibre 0 can
-    miss a mate before some count fails: a fibre whose counts with later
-    fibres are all c >= 1 reaches its mates through the next fibre, and
-    once fibre 0 passes, N_u0(x) = N_0u(-x) = c for x != f(u, 0) lets
-    every later fibre reach its mates through fibre 0.  So the first fibre
-    with a count other than c >= 1 is the first failing one, and it fails
-    ``not-distance-regular`` unless it is fibre 0 and misses a mate: the
-    first such mate is ``not-connected`` when it lies outside the subgroup
-    generated by the arc values, else ``not-antipodal``.
+    The verdict is that of a scan over the expanded graph: fibre by fibre,
+    first the fibre's mates and then its pairs with later fibres; c is the
+    count of the first such pair.  Only fibre 0 can miss a mate before some
+    count fails: a fibre whose counts with later fibres are all c >= 1
+    reaches its mates through the next fibre, and once fibre 0 passes,
+    N_u0(x) = N_0u(-x) = c for x != f(u, 0) lets every later fibre reach
+    its mates through fibre 0.  So the first fibre with a count other than
+    c >= 1 is the first failing one, and it fails ``not-distance-regular``
+    unless it is fibre 0 and misses a mate: the first such mate is
+    ``not-connected`` when it lies outside the subgroup generated by the arc
+    values, else ``not-antipodal``.
+
+    Fibre 0 needs no count kernel (``_fibre_zero_counts``).  After the
+    gauge f(0, w) = e, so N_0v(x) = #{w not in {0, v} : f(w, v) = x} is the
+    histogram of column v, one bincount in O(n^2).  Fibre 0 is checked
+    from it, mates first: a missed mate makes fibre 0 fail, since a passing
+    fibre 0 reaches every mate x through fibre 1 (N_01(x) = c >= 1).  Only
+    if fibre 0 passes is the rest of the table built, in blocks of fibres
+    from fibre 1 on (``_count_blocks``), and each block is checked as soon
+    as it is built.  A block's pairs with earlier fibres need no mask: as
+    N_uv(x) = N_vu(-x), a count other than c at v < u fails fibre v first.
+    The counts are the same numbers and the blocks come in fibre order, so
+    the first failing fibre, its first failing pair and so the tag and
+    witness are those of the scan.  A typical non-cover fails
+    at fibre 0: every change of one arc pair of a cover does (n >= 3), as
+    one count of N_0u moves to c +- 1 when 0 is neither end of the arc, and
+    N_0w moves for every other w when it is.
 
     The character blocks follow without a matrix product (Fourier lemma):
     (B_chi^2)[u, v] = sum_x N_uv(x) chi(x) for u != v, and the diagonal is
@@ -308,40 +337,47 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
     check_deck_group(G)
     els = G.elements()
     idx = _gauged(f)
-    fibres, xs = np.arange(n), np.arange(r)
-    for lo, N in _count_blocks(idx, G.add_table()):
-        block = idx[lo:lo + len(N)]
-        if lo == 0:
-            c = int(N[0, 1, 1])  # pair (0, e), (1, els[1]); f(0, 1) = e after normalizing
-        # [u, v, x]: a later fibre v and x != f(u, v) whose count is not c >= 1
-        bad = (N != c) | (c < 1)
-        bad &= (fibres > fibres[lo:lo + len(N), None])[:, :, None] & (xs != block[:, :, None])
-        failed = bad.any(axis=(1, 2))
-        if not failed.any():
-            continue
-        k = int(np.argmax(failed))
-        u = lo + k
-        # mates x of fibre 0 with no N_0v(x) > 0 (f(0, v) = e after normalizing)
-        missed = np.flatnonzero(~N[0, :, 1:].any(axis=0)) + 1 if u == 0 else []
+    N0 = _fibre_zero_counts(idx, r)
+    c = int(N0[1, 1])  # pair (0, e), (1, els[1]); f(0, 1) = e after normalizing
+    bad = (N0[1:, 1:] != c) | (c < 1)  # [v - 1, x - 1]: f(0, v) = e for v >= 1
+    if bad.any():
+        # mates x of fibre 0 with no N_0v(x) > 0
+        missed = np.flatnonzero(~N0[:, 1:].any(axis=0)) + 1
         if len(missed):
             x = int(missed[0])
             # G is elementary abelian: x lies in the span of the arc values
             # iff adding it keeps their GF(p) rank
-            arcs = [list(els[i]) for i in np.unique(idx[idx >= 0])]
+            arcs = [list(els[i]) for i in np.flatnonzero(np.bincount(idx[idx >= 0]))]
             span = len(gfp_rref(arcs, G.prime_exponent)[0])
             if len(gfp_rref(arcs + [list(els[x])], G.prime_exponent)[0]) > span:
                 raise VerificationError("not-connected", f"no path joins 0 and {x}")
             raise VerificationError("not-antipodal", f"fibre mates 0,{x} are not at distance 3")
-        v, x = (int(i) for i in np.argwhere(bad[k])[0])
-        pair = f"{u * r},{v * r + x}"
-        count = int(N[k, v, x])
-        raise VerificationError(
-            "not-distance-regular",
-            f"cross-fibre pair {pair} has no common neighbour"
-            if count < 1
-            else f"pair {pair} has {count} common neighbours, pair (0, {r + 1}) has {c}",
-        )
+        v, x = (int(i) + 1 for i in np.argwhere(bad)[0])
+        raise _count_failure(0, v, x, int(N0[v, x]), c, r)
+    for lo, N in _count_blocks(idx, G.add_table(), start=1):
+        h = len(N)
+        bad = N != c  # c >= 1 now
+        # x = f(u, v) is free; the diagonal's -1 reads x = r - 1 of the pair
+        # (u, u), which is cleared whole
+        bad.reshape(-1)[np.arange(0, h * n * r, r) + idx[lo:lo + h].ravel() % r] = False
+        bad[np.arange(h), np.arange(lo, lo + h)] = False
+        failed = bad.any(axis=(1, 2))
+        if failed.any():
+            k = int(np.argmax(failed))
+            v, x = (int(i) for i in np.argwhere(bad[k])[0])
+            raise _count_failure(lo + k, v, x, int(N[k, v, x]), c, r)
     return cover_certificate(n, r, c)
+
+
+def _count_failure(u: int, v: int, x: int, count: int, c: int, r: int) -> VerificationError:
+    """The ``not-distance-regular`` failure of N_uv(x) = count != c."""
+    pair = f"{u * r},{v * r + x}"
+    return VerificationError(
+        "not-distance-regular",
+        f"cross-fibre pair {pair} has no common neighbour"
+        if count < 1
+        else f"pair {pair} has {count} common neighbours, pair (0, {r + 1}) has {c}",
+    )
 
 
 def check_deck_group(G: AbelianGroup) -> None:

@@ -416,7 +416,7 @@ def emit_gram(label: str, ls: lines.LineSet) -> str:
     scale = Fraction(-1) / ls.lam  # G[u, v] = -S[u, v]/lam
     one_value = q == 2 or isinstance(scale, QuadNum)  # a surd lam has +-1 entries
     names = [""] * (2 * q) + ["1"]  # index 2q: the diagonal
-    for i in np.unique(index).tolist()[:-1]:
+    for i in np.flatnonzero(np.bincount(index.ravel())).tolist()[:-1]:
         coeffs = lines._zeta_coeffs(i, q)
         names[i] = str(coeffs[0] * scale) if one_value else ",".join(str(c * scale) for c in coeffs)
     out = [f"GRAM {label} n={ls.n} d={ls.d} alpha_sq={ls.alpha_sq} field={ls.field}"]

@@ -1,16 +1,18 @@
 """Exact helpers that only the tests use: GF(p) rank, subgroup closure, the
-arc table of an expanded graph, and Seidel and Gram matrices as exact
+arc table of an expanded graph, one-arc changes and switches that keep
+fibre 0's counts, and Seidel and Gram matrices as exact
 ``CycNum``/``ExactMatrix`` values."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
 from drackn.arith import gfp_rref, is_prime, sqrt_exact
-from drackn.covers import ArcMatrix
+from drackn.covers import ArcMatrix, normalize
 from drackn.cyclotomic import CycNum
 from drackn.errors import CoverStructureError, VerificationError
 from drackn.exact_matrix import ExactMatrix
@@ -81,6 +83,51 @@ def arc_from_adjacency(adj, fibres, group: AbelianGroup) -> ArcMatrix:
     index = diff[..., 0]
     np.fill_diagonal(index, -1)
     return ArcMatrix(group, index)
+
+
+def one_arc_change(f: ArcMatrix, u: int, v: int) -> ArcMatrix:
+    """f with f(u, v) moved by the element of index 1, and f(v, u) with it."""
+    G = f.group
+    index = np.array(f.index)
+    index[u, v] = G.add_table()[index[u, v], 1]
+    index[v, u] = G.neg_table()[index[u, v]]
+    return ArcMatrix(G, index)
+
+
+def fibre_zero_switches(f: ArcMatrix, count: int, seed: int = 0) -> list[ArcMatrix]:
+    """Up to ``count`` tables that keep fibre 0's counts of the gauged f.
+
+    In the gauged table g take rows a, b and columns c, d, all non-zero and
+    distinct, with g(a, c) = g(b, d) = x != y = g(a, d) = g(b, c), and swap
+    x and y (the mates g(c, a), ... follow as inverses).  Columns c and d
+    keep their values, only in other rows, and so do columns a and b, so
+    every column histogram, which is fibre 0's count table N_0v(x) =
+    #{w not in {0, v} : g(w, v) = x}, stays the same.  One switch per row
+    pair (a, b), the pairs in a seeded order.
+    """
+    g = normalize(f)
+    idx, neg, n = g.index, g.group.neg_table(), g.n
+    pairs = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
+    random.Random(seed).shuffle(pairs)
+    out = []
+    for a, b in pairs:
+        hit = idx[a][:, None] == idx[b][None, :]  # [c, d]: g(a, c) = g(b, d)
+        hit &= hit.T & (idx[a][:, None] != idx[a][None, :])
+        hit[[0, a, b]] = hit[:, [0, a, b]] = False
+        cd = np.argwhere(np.triu(hit))
+        if len(cd) == 0:
+            continue
+        c, d = (int(i) for i in cd[0])
+        x, y = idx[a, c], idx[a, d]
+        t = np.array(idx)
+        t[a, c] = t[b, d] = y
+        t[a, d] = t[b, c] = x
+        t[c, a] = t[d, b] = neg[y]
+        t[d, a] = t[c, b] = neg[x]
+        out.append(ArcMatrix(g.group, t))
+        if len(out) == count:
+            break
+    return out
 
 
 def subgroup_closure(group: AbelianGroup, generators: Iterable) -> set[tuple[int, ...]]:

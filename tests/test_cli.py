@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from oracles import fibre_zero_switches, one_arc_change
 
 from drackn import constructions
 from drackn.cli import main
@@ -106,6 +107,25 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
     assert code == 1
     assert out.startswith("FAIL not-connected")
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "p, change, line",
+    [
+        (5, "one-arc", "pair 0,17 has 6 common neighbours, pair (0, 6) has 5"),
+        (5, "switch", "pair 5,55 has 3 common neighbours, pair (0, 6) has 5"),
+        (7, "one-arc", "pair 0,23 has 8 common neighbours, pair (0, 8) has 7"),
+        (7, "switch", "pair 7,15 has 8 common neighbours, pair (0, 8) has 7"),
+    ],
+    ids=["ts52-one-arc", "ts52-switch", "ts72-one-arc", "ts72-switch"],
+)
+def test_verify_failure_lines(capsys, monkeypatch, p, change, line):
+    # a one-arc change fails at fibre 0, on its column histograms; a switch
+    # that keeps those fails at a later fibre, in the count kernel
+    f = thas_somma(p, 2)
+    table = one_arc_change(f, 3, 7) if change == "one-arc" else fibre_zero_switches(f, 1)[0]
+    code, out, err = run(capsys, monkeypatch, ["verify"], stdin_text=emit_cover(table))
+    assert (code, out, err) == (1, f"FAIL not-distance-regular {line}\n", "")
 
 
 @pytest.mark.parametrize("error", [RoutesDisagreeError("two results differ"), DracknError("bug")])
@@ -568,9 +588,11 @@ NOT_VERIFY = {"constructions", "lines"} | EXACT_ORACLES
 
 @pytest.fixture(scope="module")
 def payload_files(tmp_path_factory) -> dict[str, str]:
-    """Paths of a cover, a deck-group-(Z/2)^3 cover, a Seidel and a GH file."""
+    """Paths of a cover, an all-identity table (its expanded graph is not
+    connected), a deck-group-(Z/2)^3 cover, a Seidel and a GH file."""
     texts = {
         "cover": emit_cover(thas_somma(3, 2)),
+        "disconnected": "DRACKN-COVER v1\nn=3 group=2\n. 0 0\n0 . 0\n0 0 .\n",
         "cover8": emit_cover(dcff(1, 3)),
         "seidel": emit_seidel(cover_to_lines(thas_somma(3, 2)).seidel),
         "gh": emit_gh(cover_to_gh(thas_somma(3, 2))),
@@ -589,6 +611,7 @@ def payload_files(tmp_path_factory) -> dict[str, str]:
         (["feasible", "46", "16", "2"], 1, NOT_TABLES),
         (["enumerate", "--case", "IIb", "--t-max", "21", "--tsv"], 0, NOT_TABLES),
         (["verify", "{cover}"], 0, NOT_VERIFY),
+        (["verify", "{disconnected}"], 1, NOT_VERIFY),
         (["quotient", "{cover8}", "--subgroup", "1,0,0"], 0, NOT_VERIFY),
         (["construct", "thas-somma", "-p", "3", "-m", "2"], 0, EXACT_ORACLES),
         (["construct", "dcff", "-t", "1", "-d", "3"], 0, EXACT_ORACLES),
@@ -598,13 +621,14 @@ def payload_files(tmp_path_factory) -> dict[str, str]:
         (["gh-to-cover", "{gh}"], 0, EXACT_ORACLES),
     ],
     ids=[
-        "help", "feasible-pass", "feasible-fail", "enumerate", "verify", "quotient",
+        "help", "feasible-pass", "feasible-fail", "enumerate", "verify", "verify-fail", "quotient",
         "construct-ts", "construct-dcff", "cover-to-lines", "lines-to-cover",
         "cover-to-gh", "gh-to-cover",
     ],
 )
 def test_each_command_executes_only_its_modules(payload_files, argv, code, never):
-    # a registered module that never ran is still importlib's lazy subclass
+    # a registered module that never ran is still importlib's lazy subclass;
+    # numpy.ma (np.unique imports it) costs about 18 ms, and no command needs it
     argv = [arg.format(**payload_files) for arg in argv]
     script = (
         "import sys, types\n"
@@ -612,10 +636,11 @@ def test_each_command_executes_only_its_modules(payload_files, argv, code, never
         f"code = main({argv!r})\n"
         "ran = [k for k, m in sys.modules.items() if k.startswith('drackn.')\n"
         "       and type(m) is types.ModuleType]\n"
-        "print(code, ' '.join(sorted(k.removeprefix('drackn.') for k in ran)))\n"
+        "print(code, 'numpy.ma' in sys.modules,\n"
+        "      ' '.join(sorted(k.removeprefix('drackn.') for k in ran)))\n"
     )
-    got_code, *ran = python_last_line(script).split(" ")
-    assert int(got_code) == code
+    got_code, masked, *ran = python_last_line(script).split(" ")
+    assert (int(got_code), masked) == (code, "False")
     assert "cli" in ran and not set(ran) & never
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import re
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -11,7 +13,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from count_routes import ROUTES, count_route
-from oracles import arc_from_adjacency, subgroup_closure
+from oracles import arc_from_adjacency, fibre_zero_switches, one_arc_change, subgroup_closure
 
 from drackn import covers
 from drackn.constructions import dcff, thas_somma
@@ -458,19 +460,21 @@ def test_count_blocks_match_per_fibre_table(block):
     tables = [*_random_tables(1000, seed=20261018), cover_933(), dcff(1, 3)]
     for route in ROUTES:
         rng = np.random.default_rng(5)
-        ragged = False
+        ragged = dict.fromkeys((0, 1), False)
         with count_route(route, block):
             for f in tables:
                 add = f.group.add_table()
                 idx = np.array(f.index)
                 np.fill_diagonal(idx, rng.integers(0, f.group.order, f.n))  # the diagonal is ignored
-                blocks = list(_count_blocks(idx, add))
-                los = [lo for lo, _ in blocks]
-                assert los == list(np.cumsum([0] + [len(N) for _, N in blocks[:-1]]))
-                ragged |= len(blocks[-1][1]) < len(blocks[0][1])
-                table = np.concatenate([N for _, N in blocks])
-                assert np.array_equal(table, _count_table(f.index, add)), route
-        assert ragged == (block == 150), route
+                want = _count_table(f.index, add)
+                for start in ragged:  # start 1: drackn_verify once fibre 0 has passed
+                    blocks = list(_count_blocks(idx, add, start))
+                    los = [lo for lo, _ in blocks]
+                    assert los == list(np.cumsum([start] + [len(N) for _, N in blocks[:-1]]))
+                    ragged[start] |= len(blocks[-1][1]) < len(blocks[0][1])
+                    table = np.concatenate([N for _, N in blocks])
+                    assert np.array_equal(table, want[start:]), (route, start)
+        assert ragged == dict.fromkeys((0, 1), block == 150), route
 
 
 def _verdict(check, f):
@@ -480,18 +484,60 @@ def _verdict(check, f):
         return None, (exc.condition, exc.witness)
 
 
+def _failing_fibre(verdict, r: int) -> int | None:
+    """None for an accept, else the fibre u of the witness's first vertex u r + g."""
+    if verdict[1] is None:
+        return None
+    first = re.search(r"(\d+),", verdict[1][1])
+    return int(first[1]) // r if first else 0  # not-connected: "no path joins 0 and x"
+
+
+@functools.cache
+def _switched_covers() -> tuple[ArcMatrix, ...]:
+    """Switches of ts32, ts52, dcff13 and ts26 that keep fibre 0's counts,
+    so they fail, if at all, at a later fibre."""
+    ladder = (cover_933(), thas_somma(5, 2), dcff(1, 3), thas_somma(2, 6))
+    return tuple(s for f in ladder for s in fibre_zero_switches(f, 6))
+
+
 @BLOCK_SIZES
 def test_verify_matches_per_fibre_scan(block):
     tables = [*_one_arc_changes(cover_933()), *_random_tables(1000, seed=20261018)]
-    tags = set()
-    for f in tables + [cover_933(), dcff(1, 3)]:
+    switched = _switched_covers()
+    tags, fibres = set(), []
+    for f in [*tables, *switched, cover_933(), dcff(1, 3)]:
         want = _verdict(_per_fibre_scan, f)
         for route in ROUTES:
             with count_route(route, block):
                 got = _verdict(lambda t: drackn_verify(t).params.c, f)
             assert got == want, (route, f.group, f.entries)
         tags.add(want[1][0] if want[1] else None)
+        fibres.append(_failing_fibre(want, f.group.order))
     assert tags == {"not-connected", "not-antipodal", "not-distance-regular", None}
+    later = fibres[len(tables):len(tables) + len(switched)]
+    assert 0 not in later and any(later)
+    # accepts, fibre-0 failures (column histograms) and later-fibre ones (kernel)
+    assert {None, 0} < set(fibres)
+
+
+def test_fibre_zero_rejects_without_the_count_kernel(monkeypatch):
+    """A one-arc change of a product-route cover fails at fibre 0, which its
+    column histograms decide: the count kernel never runs.  A switch that
+    keeps fibre 0's counts needs it."""
+    f = thas_somma(5, 2)
+    assert covers._count_plan(f.n, f.group.order)[0]
+    changed = one_arc_change(f, 3, 7)
+    want = _verdict(_per_fibre_scan, changed)
+
+    def refuse(*args):
+        raise AssertionError("count kernel entered")
+
+    monkeypatch.setattr(covers, "_one_hot_counts", refuse)
+    monkeypatch.setattr(covers, "_gather_counts", refuse)
+    witness = "pair 0,17 has 6 common neighbours, pair (0, 6) has 5"
+    assert _verdict(drackn_verify, changed) == want == (None, ("not-distance-regular", witness))
+    with pytest.raises(AssertionError, match="count kernel entered"):
+        drackn_verify(fibre_zero_switches(f, 1)[0])
 
 
 def test_count_plan_rule():
@@ -572,6 +618,31 @@ def test_verify_rejects_large_non_cover_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert exc.value.condition == "not-distance-regular"
+    assert peak < 8 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "build, one_hot",
+    [(lambda: thas_somma(2, 8), True), (lambda: dcff(2, 3), False)],
+    ids=["ts28-one-hot", "dcff23-gathers"],
+)
+def test_verify_rejects_large_switched_cover_in_the_first_kernel_block(build, one_hot):
+    """A switch of thas_somma(2, 8) (n = 256, r = 2, products) or dcff(2, 3)
+    (n = 256, r = 64, gathers) keeps fibre 0's counts, so the count kernel
+    runs; it fails at fibre 1, in the kernel's first block."""
+    f = build()
+    assert covers._count_plan(f.n, f.group.order)[0] == one_hot
+    switched = fibre_zero_switches(f, 1)[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(VerificationError) as exc:
+            drackn_verify(switched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    verdict = (None, (exc.value.condition, exc.value.witness))
+    assert verdict[1][0] == "not-distance-regular"
+    assert _failing_fibre(verdict, f.group.order) == 1
     assert peak < 8 << 20, peak
 
 

@@ -6,13 +6,15 @@ stdout; one-line reports accompanying a payload go to stderr so payloads stay
 pipeable.  Exit codes: 0 success, 1 verification or feasibility failure (with
 a machine-readable ``FAIL <condition> <witness>`` line on stdout), 2 malformed
 input or unsupported request (message on stderr), 3 internal consistency
-failure (an ``INTERNAL <message>`` line on stderr).  No command is
-randomized.
+failure (an ``INTERNAL <message>`` line on stderr), 141 (128 + SIGPIPE)
+when the reader closed stdout before the output was written.  No command
+is randomized.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -269,7 +271,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code when stdout's reader has gone, as a shell reports a command
+#: killed by SIGPIPE.
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # drop what is still buffered, so that the final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

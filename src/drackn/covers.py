@@ -168,7 +168,11 @@ class CoverCertificate:
     def __post_init__(self):
         n, r = self.params.n, self.params.r
         total = sum(m for _, m in self.spectrum)
-        trace = sum(ev * m for ev, m in self.spectrum)
+        # integral eigenvalues (every rational one of a cover) sum as ints
+        trace = sum(
+            (ev.numerator if isinstance(ev, Fraction) and ev.denominator == 1 else ev) * m
+            for ev, m in self.spectrum
+        )
         assert total == r * n, "spectrum multiplicities must sum to rn"
         assert trace == 0, "spectrum must have zero trace"
 

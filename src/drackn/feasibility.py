@@ -101,21 +101,23 @@ def spectral_params(n: int, r: int, c: int) -> ParameterSet:
     delta = n - r * c - 2
     disc = delta * delta + 4 * (n - 1)
     s = sqrt_exact(disc)
-    theta: Fraction | QuadNum
-    tau: Fraction | QuadNum
+    scale = n * (r - 1)
     if s is not None:
-        theta = Fraction(delta + s, 2)
-        tau = Fraction(delta - s, 2)
-    else:
-        half = Fraction(1, 2)
-        theta = QuadNum(Fraction(delta, 2), half, disc)
-        tau = QuadNum(Fraction(delta, 2), -half, disc)
+        # s^2 = delta^2 (mod 4), so s = delta (mod 2) and theta, tau are integers
+        theta_int, tau_int = (delta + s) // 2, (delta - s) // 2
+        assert theta_int * tau_int == -(n - 1)
+        return ParameterSet(
+            n, r, c, delta, Fraction(theta_int), Fraction(tau_int),
+            Fraction(-scale * tau_int, s), Fraction(scale * theta_int, s),
+        )
+    half = Fraction(1, 2)
+    theta = QuadNum(Fraction(delta, 2), half, disc)
+    tau = QuadNum(Fraction(delta, 2), -half, disc)
     diff = theta - tau
-    scale = Fraction(n * (r - 1))
     m_theta = scale * (-tau) / diff
     m_tau = scale * theta / diff
     assert theta + tau == delta and theta * tau == -(n - 1)
-    assert m_theta + m_tau == n * (r - 1)
+    assert m_theta + m_tau == scale
     return ParameterSet(n, r, c, delta, theta, tau, m_theta, m_tau)
 
 

@@ -271,7 +271,7 @@ def emit_seidel(s: lines.SeidelMatrix) -> str:
     names = ["1", "-1"] if p is None else [str(k) for k in range(p)]
     names.append(".")  # exponent -1: diagonal
     out = [SEIDEL_TAG, f"n={s.n} r={'generic' if p is None else p}"]
-    out.extend(" ".join(names[k] for k in row) for row in exps.tolist())
+    out.extend(" ".join(row) for row in np.array(names)[exps].tolist())
     return "\n".join(out) + "\n"
 
 

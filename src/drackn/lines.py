@@ -17,10 +17,13 @@ multiple of G, so the lines form a tight frame and attain the relative bound.
 
 S^2 = aS + (n-1)I is proven from an integer count table by one lemma: for
 prime p the only rational relation among 1, zeta_p, ..., zeta_p^(p-1) is
-the all-equal one.  ``drackn_verify`` proves it for the character blocks of
-a cover, which gives ``cover_to_lines``; conversely a two-eigenvalue Seidel
-matrix whose entries are r-th roots of unity folds back into an arc table
-over Z/r (``lines_to_cover``), and the same lemma makes it a cover with
+the all-equal one.  The table is built over the smallest of Z/2, Z/p and
+Z/2 x Z/p that holds every entry: Z/2 for +-1 matrices, Z/p when no entry
+has a sign (every character block of a cover).  ``drackn_verify`` proves
+the identity for the character blocks of a cover, which gives
+``cover_to_lines``; conversely a two-eigenvalue Seidel matrix whose entries
+are r-th roots of unity folds back into an arc table over Z/r
+(``lines_to_cover``), and the same lemma makes it a cover with
 c = (n - 2 - a)/r.
 Both directions only relabel indices: a character block's entry is
 <e_chi, f(u, v)> mod p, and a Seidel entry zeta_r^k is the arc value k.
@@ -33,7 +36,7 @@ from fractions import Fraction
 
 from . import np
 from .covers import ArcMatrix, CoverCertificate, _count_blocks, cover_certificate
-from .covers import _gauged, drackn_verify
+from .covers import _MAX_FIBRES, drackn_verify
 from .errors import UnsupportedError, VerificationError
 from .feasibility import _as_fraction
 from .groups import AbelianGroup, regular_expand
@@ -91,15 +94,18 @@ class SeidelMatrix:
         if root_order is not None and not is_prime(root_order):
             raise ValueError(f"root_order must be a prime or None, got {root_order}")
         q = root_order or 2
-        valid = [i for i in range(2 * q) if q > 2 or i % 2 == 0]  # zeta_2 = -1 is h = 1
-        index = np.where(np.isin(entries, valid), entries, -1).astype(np.int64)
-        np.fill_diagonal(index, 0)
-        bad = np.argwhere(index < 0)
-        if len(bad):
-            u, v = (int(i) for i in bad[0])
+        index = entries.astype(np.int64)
+        # an index h*q + k, exactly: a cast that changed a value refuses it
+        ok = (index == entries) & (index >= 0) & (index < 2 * q)
+        if q == 2:
+            ok &= (index & 1) == 0  # zeta_2 = -1 is h = 1
+        np.fill_diagonal(ok, True)
+        if not ok.all():
+            u, v = (int(i) for i in np.argwhere(~ok)[0])
             raise ValueError(f"entry ({u},{v}) = {entries[u, v].item()!r} is not +-zeta_{q}^k")
-        # conj((-1)^h zeta^k) = (-1)^h zeta^(-k)
-        bad = index.T != index - index % q + (-index) % q
+        np.fill_diagonal(index, 0)
+        # conj((-1)^h zeta^k) = (-1)^h zeta^(-k), the index of -(h, k) in Z/2 x Z/q
+        bad = index.T != AbelianGroup((2, q)).neg_table()[index]
         if bad.any():
             u, v = (int(i) for i in np.argwhere(bad)[0])
             raise ValueError(f"matrix is not Hermitian at ({u},{v})")
@@ -122,13 +128,13 @@ class SeidelMatrix:
         """k with S[u, v] = zeta_r^k (-1 on the diagonal), and the first
         (u, v) whose entry is no r-th root of unity, or None."""
         q = self.root_order or 2
-        h, k = np.divmod(self.index, q)
-        ok = ((k == 0) | (q == r)) & ((h == 0) | (r == 2))
-        np.fill_diagonal(ok, True)
-        exps = h + k
+        h, k = divmod(np.arange(2 * q), q)  # of each index value; the diagonal's 0 is ok
+        ok = (((k == 0) | (q == r)) & ((h == 0) | (r == 2)))[self.index]
+        exps = (h + k)[self.index]
         np.fill_diagonal(exps, -1)
-        bad = np.argwhere(~ok)
-        return exps, (tuple(int(i) for i in bad[0]) if len(bad) else None)
+        if ok.all():
+            return exps, None
+        return exps, tuple(int(i) for i in np.argwhere(~ok)[0])
 
     def negate(self) -> "SeidelMatrix":
         q = self.root_order or 2
@@ -156,18 +162,29 @@ class SeidelSpectrum:
     m_tau: int
 
 
+def _table_orders(h: np.ndarray, k: np.ndarray, q: int) -> tuple[int, int]:
+    """(H, K) of the smallest of Z/2, Z/q and Z/2 x Z/q, as Z/H x Z/K, that
+    holds every entry (-1)^h zeta_q^k."""
+    return (2, 1) if not k.any() else (1, q) if not h.any() else (2, q)
+
+
 def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     """Verify S^2 = aS + (n-1)I and return the eigenvalue data.
 
     No matrix product: write S[u, v] = e_uv zeta^k_uv (``S.index``) and let
-    M_uv(k) = N_uv(+, k) - N_uv(-, k) from the count table over Z/2 x Z/q
+    M_uv(k) = N_uv(+, k) - N_uv(-, k) from the count table
     (``covers._count_blocks``; the first block with a failing pair stops
-    the check), so S^2[u, v] = sum_k M_uv(k) zeta^k for
-    u != v; the diagonal is n - 1 since the entries are units.  For prime q
-    the only rational relation among 1, zeta, ..., zeta^(q-1) is the
-    all-equal one, so the identity holds with rational a iff
-    M_uv(k) - a e_uv [k = k_uv] is constant in k for every u != v, and a is
-    read off the pair (0, 1).  +-1 matrices are the case q = 2, k_uv = 0.
+    the check), so S^2[u, v] = sum_k M_uv(k) zeta^k for u != v; the
+    diagonal is n - 1 since the entries are units.  The table is built over
+    the smallest group that holds every entry: Z/2 when every k_uv is 0
+    (+-1 matrices, and every matrix with q = 2), Z/q when every e_uv is +1
+    (as in every character block of a cover), else Z/2 x Z/q.  A product
+    of entries stays in the group of its factors, so the missing factor
+    only adds zero counts: M_uv(k) = 0 for k != 0 over Z/2, and
+    N_uv(-, k) = 0 over Z/q.  For prime q the only rational relation among
+    1, zeta, ..., zeta^(q-1) is the all-equal one, so the identity holds
+    with rational a iff M_uv(k) - a e_uv [k = k_uv] is constant in k for
+    every u != v, and a is read off the pair (0, 1).
 
     Raises ``VerificationError`` with condition ``not-two-eigenvalue`` when S
     has more than two eigenvalues, witnessed by the first failing entry (its
@@ -175,25 +192,39 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     """
     n = s.n
     q = s.root_order or 2
-    sign, k = 1 - 2 * (s.index // q), s.index % q
-    for lo, counts in _count_blocks(s.index, AbelianGroup((2, q)).add_table()):
-        h = len(counts)
-        m = counts[:, :, :q] - counts[:, :, q:]
+    h, k = divmod(np.arange(2 * q), q)  # of each index value
+    h, k = h[s.index], k[s.index]  # S[u, v] = (-1)^h zeta^k
+    H, K = _table_orders(h, k, q)  # the table's group Z/H x Z/K holds entry h*K + k
+    add = AbelianGroup(tuple(d for d in (H, K) if d > 1)).add_table()
+    sign = 1 - 2 * h
+    for lo, counts in _count_blocks(h * K + k, add):
+        rows = len(counts)
+        by_sign = counts.reshape(rows, n, H, K)
+        # [u, v, k]: M_uv(k) for k < K; over Z/2 (K = 1), M_uv(k) = 0 for k != 0
+        if H == 2:
+            m = by_sign[:, :, 0] - by_sign[:, :, 1]
+        else:
+            m = np.ascontiguousarray(by_sign[:, :, 0])  # the flat write below must land in m
         if lo == 0:
-            a_int = int(sign[0, 1] * (m[0, 1, k[0, 1]] - m[0, 1, (k[0, 1] + 1) % q]))
+            m01, k01 = np.zeros(q, dtype=np.int64), k[0, 1]
+            m01[:K] = m[0, 1]
+            a_int = int(sign[0, 1] * (m01[k01] - m01[(k01 + 1) % q]))
             a = Fraction(a_int)
-        m[(*np.indices((h, n)), k[lo:lo + h])] -= a_int * sign[lo:lo + h]
-        bad = (m != m[:, :, :1]).any(axis=2)
-        bad[np.arange(h), np.arange(lo, lo + h)] = False
+        # m[u, v] - a e_uv [k = k_uv], the entry of S^2 - aS - (n-1)I off the diagonal
+        flat = np.arange(0, rows * n * K, K) + k[lo:lo + rows].ravel()
+        m.reshape(-1)[flat] -= a_int * sign[lo:lo + rows].ravel()
+        # constant in k; for K = 1 the zeros at k != 0 make that m = 0
+        bad = (m[:, :, 1:] != m[:, :, :1]).any(axis=2) if K > 1 else m[:, :, 0] != 0
+        bad[np.arange(rows), np.arange(lo, lo + rows)] = False
         if bad.any():
             # a fails on the pair (0, 1) itself exactly when S^2[0,1]/S[0,1] is irrational
             u, v = (int(i) for i in np.argwhere(bad)[0])
             if (lo + u, v) == (0, 1):
                 # S^2[0,1]/S[0,1] = e_01 sum_k M_01(k) zeta^(k - k_01)
-                ratio = sign[0, 1] * np.roll(counts[0, 1, :q] - counts[0, 1, q:], -k[0, 1])
+                ratio = sign[0, 1] * np.roll(m01, -k01)
                 witness = f"S^2[0,1]/S[0,1] = {_value_repr(s.root_order, ratio)} is not rational"
-            else:  # m[u, v] = M_uv - a e_uv [k = k_uv], the entry of S^2 - aS - (n-1)I
-                value = _value_repr(s.root_order, m[u, v])
+            else:
+                value = _value_repr(s.root_order, np.append(m[u, v], [0] * (q - K)))
                 witness = f"(S^2 - {a}S - {n - 1}I)[{lo + u},{v}] = {value}"
             raise VerificationError("not-two-eigenvalue", witness)
     root = sqrt_exact(a_int * a_int + 4 * (n - 1))
@@ -327,6 +358,11 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
     character block B, so B has the cover's theta and tau with
     multiplicities m_theta/(r-1) and m_tau/(r-1): its tau-lines span
     dimension m_theta/(r-1) and its theta-lines m_tau/(r-1).
+
+    B is the block of the gauged table f(u, v) + f(0, u) - f(0, v), which
+    ``drackn_verify`` builds.  chi is a homomorphism, so B needs no second
+    gauge of the table: its exponents are k(u, v) + k(0, u) - k(0, v) mod p
+    for the exponents k of chi(f(u, v)).
     """
     cert = drackn_verify(f)
     G = f.group
@@ -337,7 +373,9 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
         )
     # chi(x) = zeta_p^<e_chi, x> with e_chi = els[char_index] (``characters_of``)
     ks = np.array(els).reshape(len(els), G.rank) @ np.array(els[char_index])
-    s = SeidelMatrix(_root_index(ks, p)[_gauged(f)], root_order=p)
+    k = ks[f.index]  # the diagonal is ignored
+    k0 = np.append(0, k[0, 1:])  # k(0, u), with k(0, 0) = 0
+    s = SeidelMatrix(_root_index(k + k0[:, None] - k0, p), root_order=p)
     ps = cert.params
     spec = SeidelSpectrum(
         ps.theta, ps.tau, int(_as_fraction(ps.mbar_theta)), int(_as_fraction(ps.mbar_tau))
@@ -357,8 +395,12 @@ def lines_to_cover(s: SeidelMatrix, r: int) -> tuple[ArcMatrix, CoverCertificate
     the eigenvalue formula c = ((n - 2) + (2d - n)|tau|/d)/r, d = m_theta,
     since m_theta theta + m_tau tau = 0.  The failure conditions are
     ``not-two-eigenvalue``, ``parameters`` (c not a positive integer) and
-    ``entry-not-root-of-unity``, in that order.
+    ``entry-not-root-of-unity``, in that order.  An r above the size limit
+    of the SEIDEL format (``covers._MAX_FIBRES``) is refused before r is
+    tested for primality.
     """
+    if r > _MAX_FIBRES:  # before the trial division of is_prime
+        raise UnsupportedError(f"deck order r = {r} is above the size limit of {_MAX_FIBRES}")
     if not is_prime(r):
         raise UnsupportedError(f"deck order r must be prime, got {r}")
     spec = two_eigenvalue_data(s)

@@ -504,12 +504,16 @@ def test_global_seed_removed(capsys, monkeypatch):
     assert code == 2 and out == "" and "error:" in err
 
 
+def checkout_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports drackn from this checkout."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def python_run(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with ``args``, importing drackn from this checkout."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=checkout_env(), timeout=120
     )
 
 
@@ -656,6 +660,32 @@ def test_import_registers_every_module_without_running_it():
         "print(bad, ran)\n"
     )
     assert python_last_line(script) == "[] ['cli']"
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    """``cover-to-lines --full-gram | head -1``: the reader closes stdout
+    after one line of several MB; the writer drops the rest and exits 141,
+    with no traceback and no FAIL code."""
+    cover = tmp_path / "ts28"
+    cover.write_text(emit_cover(thas_somma(2, 8)))
+    argv = ["-m", "drackn.cli", "cover-to-lines", "--char", "1", "--full-gram", str(cover)]
+    with subprocess.Popen(
+        [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env()
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert first == b"SEIDEL v1\n"
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_lines_to_cover_refuses_r_above_size_limit(capsys, monkeypatch):
+    # 2^61 - 1 is prime: is_prime's trial division took more than 20 s
+    seidel = emit_seidel(cover_to_lines(thas_somma(3, 2)).seidel)
+    argv = ["lines-to-cover", "--r", str(2**61 - 1)]
+    code, out, err = run(capsys, monkeypatch, argv, stdin_text=seidel)
+    assert (code, out) == (2, "")
+    assert err == "error: deck order r = 2305843009213693951 is above the size limit of 2048\n"
 
 
 def test_run_as_module_writes_nothing_to_stderr():

@@ -20,8 +20,10 @@ from drackn.errors import FormatError, UnsupportedError, VerificationError
 from drackn.exact_matrix import ExactMatrix, mat_rank_exact
 from drackn.formats import emit_gram, emit_seidel, parse_seidel
 from drackn.groups import AbelianGroup, char_apply, characters_of, regular_expand
+from drackn import covers, lines
 from drackn.lines import (
     SeidelMatrix,
+    SeidelSpectrum,
     absolute_bound,
     cover_to_lines,
     double_real,
@@ -135,6 +137,23 @@ def test_seidel_matrix_takes_only_an_index_array():
     with pytest.raises(ValueError) as exc:
         SeidelMatrix(np.zeros((2, 3), dtype=np.int64))
     assert str(exc.value) == "Seidel matrix must be square of order >= 2, got (2, 3)"
+    # other dtypes: a value is an index when it equals one; the diagonal is ignored
+    for entries in (np.array([[7, 1], [2, 9]]), np.array([[0, 1], [2, 0]], dtype=object),
+                    np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([[True, True], [2, False]])):
+        assert SeidelMatrix(entries, 3).index.tolist() == [[0, 1], [2, 0]]
+    refusals = [
+        (np.array([[0, 1.5], [1.5, 0]]), 3, "entry (0,1) = 1.5 is not +-zeta_3^k"),
+        (np.array([[0, 2**64 - 1], [0, 0]], dtype=np.uint64), 3,
+         "entry (0,1) = 18446744073709551615 is not +-zeta_3^k"),
+        (np.array([[0, 0], [6, 0]]), 3, "entry (1,0) = 6 is not +-zeta_3^k"),
+        (np.array([[0, -1], [0, 0]]), 3, "entry (0,1) = -1 is not +-zeta_3^k"),
+        (np.array([[0, 1], [1, 0]]), None, "entry (0,1) = 1 is not +-zeta_2^k"),
+        (np.array([[0, 2], [0, 0]]), 2, "matrix is not Hermitian at (0,1)"),
+    ]
+    for entries, q, text in refusals:
+        with pytest.raises(ValueError) as exc:
+            SeidelMatrix(entries, q)
+        assert str(exc.value) == text
 
 
 def test_seidel_negate_involution():
@@ -169,28 +188,88 @@ def test_two_eigenvalue_data_rejects_generic_matrix():
     assert exc.value.condition == "not-two-eigenvalue"
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.data())
 def test_two_eigenvalue_data_matches_exact_square(data):
-    p = data.draw(st.sampled_from([None, 2, 3, 5, 7]))
+    """Each group of the count table: Z/q for sign-free entries, Z/2 for
+    +-1 entries (and every matrix with q = 2), Z/2 x Z/q for mixed ones;
+    blocks of one row, ragged blocks and the default."""
+    p = data.draw(st.sampled_from([None, 2, 3, 5, 7, 11]))
     n = data.draw(st.integers(2, 8))
-    ks = st.just(0) if p in (None, 2) else st.integers(0, p - 1)
+    kind = data.draw(st.sampled_from(["mixed", "sign-free", "signs-only"]))
+    hs = st.just(0) if kind == "sign-free" else st.integers(0, 1)
+    ks = st.just(0) if p in (None, 2) or kind == "signs-only" else st.integers(0, p - 1)
     upper = {
-        (u, v): _signed_root(p, data.draw(st.integers(0, 1)), data.draw(ks))
+        (u, v): _signed_root(p, data.draw(hs), data.draw(ks))
         for u in range(n)
         for v in range(u + 1, n)
     }
-    _assert_same_as_exact_square(_seidel_from(p, n, upper))
+    block = data.draw(st.sampled_from([1, 50, None]))
+    _assert_same_as_exact_square(_seidel_from(p, n, upper), block)
 
 
 def test_two_eigenvalue_data_matches_exact_square_on_small_pm1():
+    """Every +-1 matrix of order 3 to 5, stored with no root order, q = 2 or
+    the odd q = 3: each is counted over Z/2."""
     # count blocks of one row, ragged last blocks (50 keys or counts: n = 4, 5), the default
-    for block in (1, 50, None):
-        for n in (3, 4, 5):
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            for signs in product((0, 1), repeat=len(pairs)):
-                upper = {uv: _signed_root(None, h, 0) for uv, h in zip(pairs, signs)}
-                _assert_same_as_exact_square(_seidel_from(None, n, upper), block)
+    for p, block, n in product((None, 2, 3), (1, 50, None), (3, 4, 5)):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for signs in product((0, 1), repeat=len(pairs)):
+            upper = {uv: _signed_root(p, h, 0) for uv, h in zip(pairs, signs)}
+            _assert_same_as_exact_square(_seidel_from(p, n, upper), block)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 11])
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+def test_two_eigenvalue_data_of_j_minus_i(p, n):
+    """J - I (every entry 1: the table's group is Z/2, with no sign present)
+    has eigenvalues n - 1 and -1; I - J has 1 - n and 1."""
+    q = p or 2
+    plus = SeidelMatrix(np.zeros((n, n), dtype=np.int64), p)
+    minus = SeidelMatrix(np.full((n, n), q), p)
+    assert two_eigenvalue_data(plus) == SeidelSpectrum(Fraction(n - 1), Fraction(-1), 1, n - 1)
+    assert two_eigenvalue_data(minus) == SeidelSpectrum(Fraction(1), Fraction(1 - n), n - 1, 1)
+    for s in (plus, minus):
+        _assert_same_as_exact_square(s, 1)
+
+
+def _outcome_over_z2_x_zq(s: SeidelMatrix, monkeypatch):
+    """``_outcome`` of ``two_eigenvalue_data`` with the count table forced
+    over Z/2 x Z/q, whatever the entries."""
+    with monkeypatch.context() as mp:
+        mp.setattr(lines, "_table_orders", lambda h, k, q: (2, q))
+        return _outcome(two_eigenvalue_data, s)
+
+
+@pytest.mark.parametrize("p", [7, 11], ids=["ts72", "ts11_2"])
+def test_two_eigenvalue_data_matches_z2_x_zq_on_larger_blocks(p, monkeypatch):
+    """The blocks of thas_somma(7, 2) and (11, 2) are counted over Z/p, on
+    the products, where Z/2 x Z/p took the gathers.  The block, its
+    negation and entry changes that keep or lose the sign-free entries,
+    also at (0, 1), have the outcomes of the Z/2 x Z/p count on both
+    routes, in blocks of a few fibres; the block's spectrum is the
+    certificate's."""
+    cl = cover_to_lines(thas_somma(p, 2))
+    s = cl.seidel
+    # so does the block of thas_somma(3, 6), n = 729
+    for n, q in ((s.n, p), (729, 3)):
+        assert covers._count_plan(n, q)[0] and not covers._count_plan(n, 2 * q)[0]
+    cases = [s, s.negate()]
+    for (u, v), i in (((2, 5), (s.index[2, 5] + 1) % p), ((2, 5), s.index[2, 5] + p), ((0, 1), 1)):
+        index = s.index.copy()
+        index[u, v], index[v, u] = i, i - i % p + (-i) % p
+        cases.append(SeidelMatrix(index, p))
+    outcomes = []
+    for t in cases:
+        want = _outcome_over_z2_x_zq(t, monkeypatch)
+        for route in ROUTES:
+            with count_route(route, 4 * s.n * p):
+                assert _outcome(two_eigenvalue_data, t) == want, route
+        outcomes.append(want)
+    ps = cl.certificate.params
+    spec = SeidelSpectrum(ps.theta, ps.tau, int(ps.mbar_theta), int(ps.mbar_tau))
+    assert outcomes[0] == repr(spec)
+    assert [o[0] for o in outcomes[2:]] == ["not-two-eigenvalue"] * 3
 
 
 @pytest.mark.parametrize("p, m, changes", [(3, 2, None), (5, 2, 4)], ids=["ts32", "ts52"])
@@ -300,12 +379,20 @@ def test_line_bridge_runs_no_matrix_product(monkeypatch):
     "make", [lambda: thas_somma(3, 2), lambda: dcff(1, 3)], ids=["ts32", "dcff13"]
 )
 def test_cover_to_lines_block_matches_char_apply(make):
-    # the index relabelling <e_chi, f(u, v)> mod p against the exact block
-    g = normalize(make())
-    p = g.group.prime_exponent
-    for chi in characters_of(g.group)[1:]:
-        want = seidel_of_values(char_apply(g, chi).rows, p)
-        assert cover_to_lines(g, char_index=g.group.index(chi.exponents)).seidel == want
+    """The index relabelling <e_chi, f(u, v)> mod p, gauged in Z/p, against
+    the exact block of the gauged table, on the cover and on a switch
+    f(u, v) + g(u) - g(v) of it by random g, which is not normalized."""
+    f = make()
+    G, p = f.group, f.group.prime_exponent
+    g = np.random.default_rng(5).integers(0, G.order, f.n)
+    index = G.add_table()[G.add_table()[f.index, g[:, None]], G.neg_table()[g]]
+    np.fill_diagonal(index, -1)
+    switched = ArcMatrix(G, index)
+    assert not switched.is_normalized() and normalize(switched) == normalize(f)
+    for chi in characters_of(G)[1:]:
+        want = seidel_of_values(char_apply(normalize(f), chi).rows, p)
+        for table in (f, switched):
+            assert cover_to_lines(table, char_index=G.index(chi.exponents)).seidel == want
 
 
 def test_cover_to_lines_char_index_range():
@@ -434,6 +521,13 @@ def test_lines_to_cover_rejects_bad_parameters():
     assert exc.value.condition == "parameters"
     with pytest.raises(UnsupportedError):
         lines_to_cover(s, 4)
+
+
+def test_lines_to_cover_refuses_r_above_size_limit():
+    # the limit comes first: 2^61 - 1 is prime, and its trial division took more than 20 s
+    with pytest.raises(UnsupportedError) as exc:
+        lines_to_cover(paley_conference(5), 2**61 - 1)
+    assert str(exc.value) == "deck order r = 2305843009213693951 is above the size limit of 2048"
 
 
 def test_seidel_exponents():

@@ -66,8 +66,15 @@ def _check_shape(lengths: list[int]) -> None:
 
 
 def _check_arc_index(group: AbelianGroup, index: np.ndarray) -> None:
-    """Diagonal -1, every other entry an element index, f(v, u) = -f(u, v);
-    the first failing row (then entry) is the witness."""
+    """Diagonal -1, every other entry an element index, f(v, u) = -f(u, v).
+    Whole-array checks pass a valid table; a failing one is scanned, and its
+    first failing row (then entry) is the witness."""
+    n = index.shape[0] if index.ndim == 2 else 0
+    if n >= 2 and index.shape[1] == n and index.min() >= -1 and index.max() < group.order:
+        # neg[-1] is an element, so the diagonal never matches; a valid table matches elsewhere
+        mismatch = group.neg_table()[index] != index.T
+        if np.array_equal(index < 0, np.eye(n, dtype=bool)) and np.count_nonzero(mismatch) == n:
+            return
     _check_shape([len(row) for row in index])
     n = index.shape[0]
     bad_diag = index.diagonal() != -1

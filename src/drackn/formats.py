@@ -7,7 +7,10 @@ then matrix rows), and every parser reads exactly the declared number of rows
 after the two header lines and ignores trailing content.  That makes emitted
 payloads pipeable: a command may append report lines after the matrix block
 without breaking a downstream parser.  Cover, Seidel and GH rows are
-parsed straight into the index arrays of their matrix classes.
+parsed straight into the index arrays of their matrix classes.  Rows as the
+emitters write them (single spaces, one-digit coordinates) are read as one
+byte array; other spacing or tokens are read token by token, with the same
+result or the same error.
 
 A cover of K_n needs a deck group of order r <= n - 1, and the constructions
 build at most ``covers._MAX_FIBRES`` = 2048 fibres.  The parsers use
@@ -53,6 +56,7 @@ reads ``1/4,0``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import chain, repeat
 
 from . import constructions, gf, lines, np
@@ -158,11 +162,11 @@ def _element_lookup(group: AbelianGroup) -> dict[str, int]:
     return {_emit_element(el): i for i, el in enumerate(group.elements())}
 
 
-def _parse_element(tok: str, group: AbelianGroup, where: str) -> tuple[int, ...]:
+def _element_index(group: AbelianGroup, tok: str, where: str) -> int:
     if not group.orders:
         if tok != "0":
             raise FormatError(f"{where}: trivial-group entry must be 0, got {tok!r}")
-        return ()
+        return 0
     el = tuple(_int_of(x, f"{where}: coordinate") for x in tok.split(","))
     if len(el) != group.rank:
         raise FormatError(
@@ -173,7 +177,7 @@ def _parse_element(tok: str, group: AbelianGroup, where: str) -> tuple[int, ...]
         raise FormatError(
             f"{where}: element {tok!r} out of range for orders {group.orders}"
         )
-    return el
+    return group.index(el)
 
 
 def _gf_index(tok: str, k: int, where: str) -> int:
@@ -201,39 +205,84 @@ def _emit_gf_rows(table, k: int) -> list[str]:
     return [" ".join(",".join(map(str, gf.coeffs(e, k))) for e in row) for row in table]
 
 
-def _index_rows(body: list[str], n: int, tag: str, lookup: dict, parse_entry) -> np.ndarray:
-    """(n, n) index array of a matrix block with '.' exactly on the diagonal
-    (read as -1).  All tokens go through ``lookup`` in one pass.  If a row
-    has the wrong length, or a token is unknown or misplaced, the block is
-    read again row by row, and a row with any other token token by token,
-    where ``parse_entry(tok, where)`` reads an entry or raises the
-    ``FormatError`` that names it."""
+def _index_rows(
+    body: list[str], n: int, tag: str, group, parse_entry, lookup=None, diagonal=True
+) -> np.ndarray:
+    """(n, n) index array of a block of ``group`` elements (canonical tokens:
+    ``lookup`` if ``group`` is None), '.' exactly on the diagonal (read as -1)
+    if ``diagonal``.  Canonical rows are read as one byte array.  Otherwise
+    all tokens go through the lookup in one pass; if that fails, row by row,
+    and a row with any other token token by token, where ``parse_entry(tok,
+    where)`` reads an entry or raises the ``FormatError`` that names it."""
     rows = _take_rows(body, n, tag)
-    lookup, split = {**lookup, ".": -1}, [line.split() for line in rows]
+    if group is not None and max(group.orders, default=0) <= 10:
+        index = _fixed_rows(rows, n, group.orders or (1,), diagonal)
+        if index is not None:
+            return index
+    lookup = {**(lookup or _element_lookup(group)), ".": -1 if diagonal else -2}
+    split = [line.split() for line in rows]
     if all(len(toks) == n for toks in split):
         flat = map(lookup.get, chain.from_iterable(split), repeat(-2))
         index = np.fromiter(flat, dtype=np.int64, count=n * n).reshape(n, n)
-        if (index.diagonal() == -1).all() and (index < 0).sum() == n:
+        if np.array_equal(index < 0, np.eye(n, dtype=bool) & diagonal) and (index >= -1).all():
             return index
     out = []
     for u, line in enumerate(rows):
         toks = _split_row(line, n, f"row {u + 1}")
         row = [lookup.get(tok, -2) for tok in toks]
-        if row[u] != -1 or row.count(-1) != 1 or -2 in row:
-            row = [_entry(tok, u, v, parse_entry) for v, tok in enumerate(toks)]
+        if -2 in row or diagonal and (row[u] != -1 or row.count(-1) != 1):
+            row = [_entry(tok, u, v, parse_entry, diagonal) for v, tok in enumerate(toks)]
         out.append(row)
     return np.array(out, dtype=np.int64).reshape(n, n)
 
 
-def _entry(tok: str, u: int, v: int, parse_entry) -> int:
+def _fixed_rows(rows: list[str], n: int, orders: tuple, diagonal: bool) -> np.ndarray | None:
+    """The index array of canonical rows (one-digit coordinates joined by ',',
+    single spaces, '.' on the diagonal if ``diagonal``), or None.  With each
+    '.' widened to a token, they are one (n, n * w) byte array, w per token."""
+    k = len(orders)
+    w = 2 * k  # a token and the space after it
+    if n < 2 or set(map(len, rows)) != {n * w - 1 - (w - 2 if diagonal else 0)}:
+        return None
+    text = (" ".join(rows) + " ").replace(".", ",".join("." * k))  # '.' as wide as a token
+    if len(text) != n * n * w or not text.isascii():
+        return None
+    lo, span = _layout(orders, n)
+    cells = np.frombuffer(text.encode(), dtype=np.uint8).reshape(n, n * w) - lo
+    # a byte below its range wraps round; the diagonal's digit slots hold '.' (254)
+    marks = np.count_nonzero(cells.reshape(n * n, w)[:: n + 1, ::2] == 254)
+    if marks != diagonal * n * k or np.count_nonzero(cells < span) + marks != cells.size:
+        return None
+    index = np.zeros((n, n), dtype=np.int64)
+    for i, d in enumerate(orders):  # mixed radix over the digit slots
+        index = index * d + cells.reshape(n, n, w)[..., 2 * i]
+    if diagonal:
+        np.fill_diagonal(index, -1)
+    return index
+
+
+@lru_cache(maxsize=64)
+def _layout(orders: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per byte of a row: the lowest byte allowed ('0', ',' or ' '), and how many."""
+    lo = [48, 44] * (len(orders) - 1) + [48, 32]
+    span = [x for d in orders for x in (d, 1)]
+    return np.array(lo * n, dtype=np.uint8), np.array(span * n, dtype=np.uint8)
+
+
+def _entry(tok: str, u: int, v: int, parse_entry, diagonal: bool) -> int:
     where = f"row {u + 1}, column {v + 1}"
-    if u == v:
+    if diagonal and u == v:
         if tok != ".":
             raise FormatError(f"{where}: diagonal entry must be '.', got {tok!r}")
         return -1
-    if tok == ".":
+    if diagonal and tok == ".":
         raise FormatError(f"{where}: '.' is only allowed on the diagonal")
     return parse_entry(tok, where)
+
+
+def _emit_rows(names: list[str], index: np.ndarray) -> list[str]:
+    """Rows of space-joined ``names[i]``, one gather for the whole table."""
+    return [" ".join(row) for row in np.array(names)[index].tolist()]
 
 
 # -- cover format --------------------------------------------------------------
@@ -241,8 +290,7 @@ def _entry(tok: str, u: int, v: int, parse_entry) -> int:
 
 def emit_cover(f: ArcMatrix) -> str:
     names = [_emit_element(el) for el in f.group.elements()] + ["."]  # index -1: diagonal
-    out = [COVER_TAG, f"n={f.n} group={_emit_group(f.group)}"]
-    out.extend(" ".join(names[i] for i in row) for row in f.index.tolist())
+    out = [COVER_TAG, f"n={f.n} group={_emit_group(f.group)}"] + _emit_rows(names, f.index)
     return "\n".join(out) + "\n"
 
 
@@ -250,10 +298,7 @@ def parse_cover(text: str) -> ArcMatrix:
     meta, body = _split_header(text, COVER_TAG, ("n", "group"))
     n = _int_of(meta["n"], "n")
     group = _parse_group(meta["group"])
-    index = _index_rows(
-        body, n, COVER_TAG, _element_lookup(group),
-        lambda tok, where: group.index(_parse_element(tok, group, where)),
-    )
+    index = _index_rows(body, n, COVER_TAG, group, partial(_element_index, group))
     return ArcMatrix(group, index)
 
 
@@ -270,8 +315,7 @@ def emit_seidel(s: lines.SeidelMatrix) -> str:
         )
     names = ["1", "-1"] if p is None else [str(k) for k in range(p)]
     names.append(".")  # exponent -1: diagonal
-    out = [SEIDEL_TAG, f"n={s.n} r={'generic' if p is None else p}"]
-    out.extend(" ".join(row) for row in np.array(names)[exps].tolist())
+    out = [SEIDEL_TAG, f"n={s.n} r={'generic' if p is None else p}"] + _emit_rows(names, exps)
     return "\n".join(out) + "\n"
 
 
@@ -283,20 +327,20 @@ def parse_seidel(text: str) -> lines.SeidelMatrix:
     meta, body = _split_header(text, SEIDEL_TAG, ("n", "r"))
     n = _int_of(meta["n"], "n")
     root_order: int | None
-    if meta["r"] == "generic":
+    if meta["r"] == "generic":  # the exponent k of (-1)^k
         root_order = None
-        lookup = {"1": 0, "+1": 0, "-1": 2}
-        parse_entry = _generic_entry
+        exps = _index_rows(body, n, SEIDEL_TAG, None, _generic_entry, {"1": 0, "+1": 0, "-1": 1})
     else:
         root_order = _int_of(meta["r"], "r")
         _check_order(root_order, f"r={meta['r']}")
         if not is_prime(root_order):
             raise FormatError(f"r must be a prime or 'generic', got {meta['r']!r}")
-        lookup = {str(k): lines._root_index(k, root_order) for k in range(root_order)}
-        parse_entry = lambda tok, where: lines._root_index(_int_of(tok, where), root_order)
-    index = _index_rows(body, n, SEIDEL_TAG, lookup, parse_entry)
-    try:
-        return lines.SeidelMatrix(index, root_order)
+        exps = _index_rows(
+            body, n, SEIDEL_TAG, AbelianGroup((root_order,)),
+            lambda tok, where: _int_of(tok, where) % root_order,
+        )
+    try:  # the diagonal's -1 maps to some index, which SeidelMatrix ignores
+        return lines.SeidelMatrix(lines._root_index(exps, root_order or 2), root_order)
     except ValueError as exc:
         raise FormatError(f"invalid Seidel matrix: {exc}") from None
 
@@ -306,8 +350,7 @@ def parse_seidel(text: str) -> lines.SeidelMatrix:
 
 def emit_gh(h: constructions.GHMatrix) -> str:
     names = [_emit_element(el) for el in h.group.elements()]
-    out = [GH_TAG, f"n={h.n} group={_emit_group(h.group)}"]
-    out.extend(" ".join(names[i] for i in row) for row in h.index.tolist())
+    out = [GH_TAG, f"n={h.n} group={_emit_group(h.group)}"] + _emit_rows(names, h.index)
     return "\n".join(out) + "\n"
 
 
@@ -315,18 +358,8 @@ def parse_gh(text: str) -> constructions.GHMatrix:
     meta, body = _split_header(text, GH_TAG, ("n", "group"))
     n = _int_of(meta["n"], "n")
     group = _parse_group(meta["group"])
-    lookup = _element_lookup(group)
-    index = []
-    for u, line in enumerate(_take_rows(body, n, GH_TAG)):
-        toks = _split_row(line, n, f"row {u + 1}")
-        row = [lookup.get(tok, -1) for tok in toks]
-        if -1 in row:  # a non-canonical token: read the row token by token
-            row = [
-                group.index(_parse_element(tok, group, f"row {u + 1}, column {v + 1}"))
-                for v, tok in enumerate(toks)
-            ]
-        index.append(row)
-    return constructions.GHMatrix(group, np.array(index, dtype=np.int64).reshape(n, n))
+    index = _index_rows(body, n, GH_TAG, group, partial(_element_index, group), diagonal=False)
+    return constructions.GHMatrix(group, index)
 
 
 # -- form pencil format ----------------------------------------------------------
@@ -420,5 +453,5 @@ def emit_gram(label: str, ls: lines.LineSet) -> str:
         coeffs = lines._zeta_coeffs(i, q)
         names[i] = str(coeffs[0] * scale) if one_value else ",".join(str(c * scale) for c in coeffs)
     out = [f"GRAM {label} n={ls.n} d={ls.d} alpha_sq={ls.alpha_sq} field={ls.field}"]
-    out.extend(" ".join([names[i] for i in row]) for row in index.tolist())
+    out += _emit_rows(names, index)
     return "\n".join(out) + "\n"

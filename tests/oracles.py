@@ -1,23 +1,28 @@
 """Exact helpers that only the tests use: GF(p) rank, subgroup closure, the
 arc table of an expanded graph, one-arc changes and switches that keep
-fibre 0's counts, and Seidel and Gram matrices as exact
-``CycNum``/``ExactMatrix`` values."""
+fibre 0's counts, Seidel and Gram matrices as exact
+``CycNum``/``ExactMatrix`` values, and the token-by-token readers and
+writers of the cover, SEIDEL and GH text formats with the row-by-row arc
+table check."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
 
 from drackn.arith import gfp_rref, is_prime, sqrt_exact
-from drackn.covers import ArcMatrix, normalize
+from drackn import formats
+from drackn.constructions import GHMatrix
+from drackn.covers import ArcMatrix, _check_shape, normalize
 from drackn.cyclotomic import CycNum
-from drackn.errors import CoverStructureError, VerificationError
+from drackn.errors import CoverStructureError, FormatError, VerificationError
 from drackn.exact_matrix import ExactMatrix
 from drackn.groups import AbelianGroup
-from drackn.lines import LineSet, SeidelMatrix, SeidelSpectrum
+from drackn.lines import LineSet, SeidelMatrix, SeidelSpectrum, _root_index
 from drackn.quadratic import QuadNum
 
 
@@ -269,3 +274,129 @@ def exact_square_two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
         )
     root_q = QuadNum.sqrt(Fraction(n - 1))
     return SeidelSpectrum(root_q, -root_q, n // 2, n // 2)
+
+
+# -- the text formats, token by token ------------------------------------------
+
+
+def check_arc_index(group: AbelianGroup, index: np.ndarray) -> None:
+    """``covers._check_arc_index`` row by row: the witness of every refusal."""
+    _check_shape([len(row) for row in index])
+    n = index.shape[0]
+    bad_diag = index.diagonal() != -1
+    bad_entry = ~np.eye(n, dtype=bool) & ((index < 0) | (index >= group.order))
+    bad_row = bad_diag | bad_entry.any(axis=1)
+    if bad_row.any():
+        u = int(np.argmax(bad_row))
+        if bad_diag[u]:
+            raise CoverStructureError("diagonal", f"entry ({u},{u}) must be None")
+        v = int(np.argmax(bad_entry[u]))
+        e = None if index[u, v] < 0 else int(index[u, v])
+        raise CoverStructureError("entry-outside-group", f"f({u},{v}) = {e!r} is not in {group}")
+    bad_pair = np.triu(group.neg_table()[index] != index.T, 1)
+    if bad_pair.any():
+        u, v = (int(i) for i in np.argwhere(bad_pair)[0])
+        raise CoverStructureError("inverse-pair", f"f({v},{u}) != -f({u},{v}) at ({u},{v})")
+
+
+def _take_rows(body: list[str], count: int, tag: str) -> list[str]:
+    if count < 0:
+        raise FormatError(f"{tag}: row count must be >= 0, got {count}")
+    if len(body) < count:
+        raise FormatError(f"{tag}: expected {count} matrix rows, found {len(body)}")
+    rows = body[:count]
+    for i, row in enumerate(rows):
+        if not row.strip():
+            raise FormatError(f"{tag}: matrix row {i + 1} is blank")
+    return rows
+
+
+def _index_rows(body: list[str], n: int, tag: str, lookup: dict, parse_entry) -> np.ndarray:
+    """The block through ``lookup`` in one pass; if that fails, row by row,
+    and a row with any other token token by token."""
+    rows = _take_rows(body, n, tag)
+    lookup, split = {**lookup, ".": -1}, [line.split() for line in rows]
+    if all(len(toks) == n for toks in split):
+        flat = map(lookup.get, chain.from_iterable(split), repeat(-2))
+        index = np.fromiter(flat, dtype=np.int64, count=n * n).reshape(n, n)
+        if (index.diagonal() == -1).all() and (index < 0).sum() == n:
+            return index
+    out = []
+    for u, line in enumerate(rows):
+        toks = formats._split_row(line, n, f"row {u + 1}")
+        row = [lookup.get(tok, -2) for tok in toks]
+        if row[u] != -1 or row.count(-1) != 1 or -2 in row:
+            row = [_entry(tok, u, v, parse_entry) for v, tok in enumerate(toks)]
+        out.append(row)
+    return np.array(out, dtype=np.int64).reshape(n, n)
+
+
+def _entry(tok: str, u: int, v: int, parse_entry) -> int:
+    where = f"row {u + 1}, column {v + 1}"
+    if u == v:
+        if tok != ".":
+            raise FormatError(f"{where}: diagonal entry must be '.', got {tok!r}")
+        return -1
+    if tok == ".":
+        raise FormatError(f"{where}: '.' is only allowed on the diagonal")
+    return parse_entry(tok, where)
+
+
+def parse_cover_by_tokens(text: str) -> ArcMatrix:
+    meta, body = formats._split_header(text, formats.COVER_TAG, ("n", "group"))
+    n = formats._int_of(meta["n"], "n")
+    group = formats._parse_group(meta["group"])
+    index = _index_rows(
+        body, n, formats.COVER_TAG, formats._element_lookup(group),
+        lambda tok, where: formats._element_index(group, tok, where),
+    )
+    check_arc_index(group, index)
+    return ArcMatrix(group, index)
+
+
+def parse_seidel_by_tokens(text: str) -> SeidelMatrix:
+    meta, body = formats._split_header(text, formats.SEIDEL_TAG, ("n", "r"))
+    n = formats._int_of(meta["n"], "n")
+    root_order: int | None
+    if meta["r"] == "generic":
+        root_order = None
+        lookup = {"1": 0, "+1": 0, "-1": 2}
+        parse_entry = formats._generic_entry
+    else:
+        root_order = formats._int_of(meta["r"], "r")
+        formats._check_order(root_order, f"r={meta['r']}")
+        if not is_prime(root_order):
+            raise FormatError(f"r must be a prime or 'generic', got {meta['r']!r}")
+        lookup = {str(k): _root_index(k, root_order) for k in range(root_order)}
+        parse_entry = lambda tok, where: _root_index(formats._int_of(tok, where), root_order)
+    index = _index_rows(body, n, formats.SEIDEL_TAG, lookup, parse_entry)
+    try:
+        return SeidelMatrix(index, root_order)
+    except ValueError as exc:
+        raise FormatError(f"invalid Seidel matrix: {exc}") from None
+
+
+def parse_gh_by_tokens(text: str) -> GHMatrix:
+    meta, body = formats._split_header(text, formats.GH_TAG, ("n", "group"))
+    n = formats._int_of(meta["n"], "n")
+    group = formats._parse_group(meta["group"])
+    lookup = formats._element_lookup(group)
+    index = []
+    for u, line in enumerate(_take_rows(body, n, formats.GH_TAG)):
+        toks = formats._split_row(line, n, f"row {u + 1}")
+        row = [lookup.get(tok, -1) for tok in toks]
+        if -1 in row:  # a non-canonical token: read the row token by token
+            row = [
+                formats._element_index(group, tok, f"row {u + 1}, column {v + 1}")
+                for v, tok in enumerate(toks)
+            ]
+        index.append(row)
+    return GHMatrix(group, np.array(index, dtype=np.int64).reshape(n, n))
+
+
+def emit_by_tokens(tag: str, table) -> str:
+    """A cover (``ArcMatrix``) or GH table written one token at a time."""
+    names = [formats._emit_element(el) for el in table.group.elements()] + ["."]
+    out = [tag, f"n={table.n} group={formats._emit_group(table.group)}"]
+    out.extend(" ".join(names[i] for i in row) for row in table.index.tolist())
+    return "\n".join(out) + "\n"

@@ -13,7 +13,13 @@ import networkx as nx
 import numpy as np
 import pytest
 from count_routes import ROUTES, count_route
-from oracles import arc_from_adjacency, fibre_zero_switches, one_arc_change, subgroup_closure
+from oracles import (
+    arc_from_adjacency,
+    check_arc_index,
+    fibre_zero_switches,
+    one_arc_change,
+    subgroup_closure,
+)
 
 from drackn import covers
 from drackn.constructions import dcff, thas_somma
@@ -709,3 +715,34 @@ def test_arc_matrix_tags_and_witnesses(rows, condition, witness):
         with pytest.raises(CoverStructureError) as exc:
             ArcMatrix(Z3, entries)
         assert (exc.value.condition, exc.value.witness) == (condition, witness)
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (2, 2), ()], ids=str)
+def test_arc_check_matches_the_row_by_row_check(orders):
+    # valid tables with 0-2 changes: an entry set to a value in [-r - 3, r + 2],
+    # a symmetric pair set to -1, or that and two diagonal entries set to 0;
+    # the same verdict and witness as the row scan
+    G, rng = AbelianGroup(orders), random.Random(f"arc check {orders}")
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        index = np.full((n, n), -1)
+        for u in range(n):
+            for v in range(u + 1, n):
+                index[u, v] = rng.randrange(G.order)
+                index[v, u] = G.neg_table()[index[u, v]]
+        for _ in range(rng.randint(0, 2)):
+            u, v, change = rng.randrange(n), rng.randrange(n), rng.random()
+            if change < 0.3:
+                index[u, v] = index[v, u] = -1
+            if change < 0.15:
+                index[u, u] = index[v, v] = 0
+            if change >= 0.3:
+                index[u, v] = rng.randint(-G.order - 3, G.order + 2)
+        outcomes = []
+        for check in (lambda: ArcMatrix(G, index), lambda: check_arc_index(G, index)):
+            try:
+                check()
+                outcomes.append(None)
+            except CoverStructureError as exc:
+                outcomes.append((exc.condition, exc.witness))
+        assert outcomes[0] == outcomes[1], index.tolist()

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import seidel_mat, seidel_of_values
+from oracles import (
+    emit_by_tokens,
+    parse_cover_by_tokens,
+    parse_gh_by_tokens,
+    parse_seidel_by_tokens,
+    seidel_mat,
+    seidel_of_values,
+)
 
+from drackn import formats
 from drackn.constructions import (
+    GHMatrix,
     cover_to_gh,
     dcff,
     default_latin,
@@ -22,6 +33,8 @@ from drackn.cyclotomic import CycNum, zeta
 from drackn.errors import FormatError
 from drackn.groups import AbelianGroup
 from drackn.formats import (
+    COVER_TAG,
+    GH_TAG,
     emit_cover,
     emit_form,
     emit_gh,
@@ -355,3 +368,104 @@ def test_rows_of_compensating_lengths_are_malformed(parse, text):
     with pytest.raises(FormatError) as exc:
         parse(text)
     assert str(exc.value) == "row 1: expected 3 entries, got 4"
+
+
+# -- the fixed-layout read against the token-by-token reader -------------------
+
+GROUPS = [(2,), (3,), (11,), (2, 2, 2), (3, 3), ()]
+ROOTS = [2, 3, 5, 7, 11, None]
+MUTATION_ALPHABET = "0123456789,.-+ \n\t\r\x1fx\xa0\u0663"  # NBSP, Arabic-Indic 3
+
+
+def _random_cover(G: AbelianGroup, n: int, rng: random.Random) -> ArcMatrix:
+    index = np.full((n, n), -1)
+    for u in range(n):
+        for v in range(u + 1, n):
+            index[u, v] = rng.randrange(G.order)
+            index[v, u] = G.neg_table()[index[u, v]]
+    return ArcMatrix(G, index)
+
+
+def _random_seidel(p: int | None, n: int, rng: random.Random) -> SeidelMatrix:
+    q = p or 2
+    index = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(u + 1, n):
+            k = rng.randrange(q)
+            index[u, v], index[v, u] = (2 * k, 2 * k) if q == 2 else (k, -k % q)
+    return SeidelMatrix(index, p)
+
+
+def _random_gh(G: AbelianGroup, n: int, rng: random.Random) -> GHMatrix:
+    return GHMatrix(G, np.array([[rng.randrange(G.order) for _ in range(n)] for _ in range(n)]))
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i, c = rng.randrange(len(text) + 1), rng.choice(MUTATION_ALPHABET)
+        text = rng.choice((text[:i] + c + text[i:], text[:i] + c + text[i + 1:],
+                           text[:i] + text[i + 1:]))
+    return text
+
+
+def _outcome(parse, text: str):
+    try:
+        out = parse(text)
+    except Exception as exc:  # the type and text of every refusal are compared
+        return type(exc), str(exc)
+    return type(out), getattr(out, "group", None), getattr(out, "root_order", None), \
+        out.index.tolist()
+
+
+@pytest.mark.parametrize("orders", GROUPS, ids=str)
+def test_emit_cover_and_gh_match_the_token_writer(orders):
+    G, rng = AbelianGroup(orders), random.Random(f"emit {orders}")
+    for n in range(2, 12):
+        f, h = _random_cover(G, n, rng), _random_gh(G, n, rng)
+        assert emit_cover(f) == emit_by_tokens(COVER_TAG, f)
+        assert emit_gh(h) == emit_by_tokens(GH_TAG, h)
+
+
+@pytest.mark.parametrize(
+    "kind, param",
+    [("cover", g) for g in GROUPS] + [("seidel", r) for r in ROOTS] + [("gh", g) for g in GROUPS],
+    ids=str,
+)
+def test_parsers_match_the_token_reader(kind, param):
+    # seeded canonical texts and 1-3 character mutations of them: the same
+    # array, or the same exception type and text, as the token-by-token reader
+    rng = random.Random(f"{kind} {param}")
+    parse, reference, make, emit = {
+        "cover": (parse_cover, parse_cover_by_tokens, _random_cover, emit_cover),
+        "seidel": (parse_seidel, parse_seidel_by_tokens, _random_seidel, emit_seidel),
+        "gh": (parse_gh, parse_gh_by_tokens, _random_gh, emit_gh),
+    }[kind]
+    arg = param if kind == "seidel" else AbelianGroup(param)
+    for _ in range(120):
+        text = emit(make(arg, rng.randint(2, 9), rng))
+        for t in [text] + [_mutate(text, rng) for _ in range(10)]:
+            assert _outcome(parse, t) == _outcome(reference, t), repr(t)
+
+
+LADDER = {
+    "ts32": lambda: thas_somma(3, 2),
+    "dcff13": lambda: dcff(1, 3),
+    "ts52": lambda: thas_somma(5, 2),
+    "ts26": lambda: thas_somma(2, 6),
+    "ts72": lambda: thas_somma(7, 2),
+}
+
+
+@pytest.mark.parametrize("rung", LADDER)
+def test_canonical_ladder_text_is_read_as_one_array(rung):
+    f = LADDER[rung]()
+    cover, seidel = emit_cover(f), emit_seidel(cover_to_lines(f, 1).seidel)
+    with mock.patch.object(formats, "_element_lookup", side_effect=AssertionError("token path")):
+        assert parse_cover(cover) == f
+        assert emit_seidel(parse_seidel(seidel)) == seidel
+
+
+def test_two_digit_tokens_are_read_in_one_dict_pass():
+    f = thas_somma(11, 2)
+    with mock.patch.object(formats, "_split_row", side_effect=AssertionError("row loop")):
+        assert parse_cover(emit_cover(f)) == f

@@ -1,5 +1,6 @@
-"""Seeded fuzz of the command line: small mutations of valid SKEW, LATIN and
-cover inputs end in exit code 0, 1 or 2 with a report, never a traceback."""
+"""Seeded fuzz of the command line: small mutations of valid SKEW, LATIN,
+cover, SEIDEL and GH inputs end in exit code 0, 1 or 2 with a report, never
+a traceback."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drackn.cli import main
-from drackn.constructions import default_latin, default_skew, thas_somma
-from drackn.formats import emit_cover, emit_latin, emit_skew
+from drackn.constructions import cover_to_gh, default_latin, default_skew, thas_somma
+from drackn.formats import emit_cover, emit_gh, emit_latin, emit_seidel, emit_skew
+from drackn.lines import cover_to_lines
 
 CASES = {
     "skew": (["construct", "dcff", "-t", "1", "-d", "3", "--skew", "-"],
@@ -20,8 +22,11 @@ CASES = {
     "latin": (["construct", "dcff", "-t", "2", "-d", "1", "--latin", "-"],
               emit_latin(default_latin(2))),
     "cover": (["verify"], emit_cover(thas_somma(3, 2))),
+    "seidel": (["lines-to-cover", "--r", "3"],
+               emit_seidel(cover_to_lines(thas_somma(3, 2), 1).seidel)),
+    "gh": (["gh-to-cover"], emit_gh(cover_to_gh(thas_somma(3, 2)))),
 }
-ALPHABET = "0123456789,.=- \nx"
+ALPHABET = "0123456789,.=- \nx\t\r\u0663"  # U+0663: an Arabic-Indic 3, which int() reads
 
 
 @st.composite
@@ -38,7 +43,7 @@ def mutated(draw):
     return argv, text
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(mutated())
 def test_mutated_inputs_exit_cleanly(case):
     argv, text = case

@@ -11,9 +11,10 @@ Exact-arithmetic tools for three connected families of objects:
 
 Everything is computed over Z, Q, quadratic extensions and prime-order
 cyclotomic fields, so every verification is a proof, not an approximation.
-Floating point appears in one place only: the count table of small deck
-groups is a float32 matrix product of 0/1 matrices, whose every sum is an
-integer below 2^24 and so exact.
+Floating point appears in one place only: the count table of deck groups
+of order up to 32 is a character transform over a prime field GF(q), whose
+float64 matrix products of integer residues keep every sum below 2^51
+(asserted), so each is exact and its floor residue mod q is the count.
 
 Modules load on first use.  numpy is bound lazily as ``drackn.np``, and
 every submodule but ``cli`` is registered lazily, in ``sys.modules`` and as

@@ -384,7 +384,7 @@ def _row_pair_defect(group: AbelianGroup, f: np.ndarray) -> str | None:
         return f"order {n} is not a multiple of the group order {r}"
     lam = n // r
     fibres, xs = np.arange(n), np.arange(r)
-    for lo, N in _count_blocks(f, group.add_table()):
+    for lo, N in _count_blocks(f, group):
         block = f[lo:lo + len(N)]
         bad = (N != lam) & (xs != block[:, :, None])
         bad = bad.any(axis=2) & (fibres > fibres[lo:lo + len(N), None])

@@ -12,17 +12,19 @@ integer table, the group-ring counts
 N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}, built and checked in
 blocks of fibres.  Fibre 0's counts are the column histograms of the gauged
 table; ``_count_blocks`` builds the later fibres' by integer gathers, or for
-small deck groups by float32 products of 0/1 matrices, which are exact
-because every sum is an integer below 2^24.
+deck groups of order up to 32 by a character transform over a prime field
+GF(q): float64 products of character values, integer residues whose every
+sum stays below 2^51 and so is exact; the counts are the sums' residues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import np
-from .arith import gfp_rref
+from .arith import factorize, gfp_rref, is_prime
 from .errors import (
     CoverStructureError,
     GroupMismatchError,
@@ -190,65 +192,116 @@ class CoverCertificate:
 # Gather route: keys per count block; b fibres make b*n*n keys, about 256 KB
 # of int64 temporaries; when one fibre has more, blocks hold one fibre each.
 _BLOCK = 1 << 15
-# One-hot route: counts N[u, v, x] per block (b*n*r, about 6 MB of float32
-# and int64 temporaries), and its limits: r^2, the ratio of its flops to the
-# gathers, and r^2 n^2, the float32 entries of its right factor (64 MB).
-_GEMM_BLOCK = 1 << 19
-_GEMM_R2 = 128
-_GEMM_STACK = 1 << 24
+# Character route: counts N[u, v, x] per block (b*n*r, about 4 MB for each of
+# the float64 character sums, their transform and the int64 counts), and its
+# limits: r, above which the gathers win, and r n^2, the float64 entries of
+# the character stack (64 MB).
+_CHAR_BLOCK = 1 << 19
+_CHAR_R = 32
+_CHAR_STACK = 1 << 23
+# Sums below 2^51 are exact in float64, with room for the floor residue.
+_EXACT = 1 << 51
+
+
+@lru_cache(maxsize=None)
+def _field_prime(e: int, n: int) -> int:
+    """The least prime q = 1 (mod e) with q > n - 2."""
+    q = e * max(0, (n - 3) // e) + 1
+    while q <= n - 2 or not is_prime(q):
+        q += e
+    return q
 
 
 def _count_plan(n: int, r: int) -> tuple[bool, int]:
-    """(one-hot route?, fibres per block) of ``_count_blocks`` for n fibres
-    and a deck group of order r; see there for the rule."""
-    one_hot = r * r <= _GEMM_R2 and r * r * n * n <= _GEMM_STACK
-    assert not one_hot or n <= 1 << 24, "float32 counts are exact only up to 2^24"
-    b = max(1, _GEMM_BLOCK // (n * r) if one_hot else _BLOCK // (n * n))
+    """(character route?, fibres per block) of ``_count_blocks`` for n fibres
+    and a deck group of order r; see there for the rule.  The exponent e of
+    the group divides r, so ``_field_prime(r, n)`` bounds its prime q."""
+    characters = (
+        r <= _CHAR_R
+        and r * n * n <= _CHAR_STACK
+        and r * n * (_field_prime(r, n) - 1) ** 3 < _EXACT
+    )
+    b = max(1, _CHAR_BLOCK // (n * r) if characters else _BLOCK // (n * n))
     assert b * n * (r + 1) <= np.iinfo(np.intp).max, "count keys overflow"
-    return one_hot, b
+    return characters, b
 
 
-def _count_blocks(idx: np.ndarray, add: np.ndarray, start: int = 0):
+@lru_cache(maxsize=64)
+def _transform(orders: tuple[int, ...], n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(q, chi, inv): the characters of Z/d_1 x ... x Z/d_k over GF(q), for
+    n fibres.  q is ``_field_prime(e, n)`` with e = lcm(d_i), and omega has
+    order e mod q; chi[a, x] = chi_a(x) = omega^(sum_i a_i x_i e / d_i),
+    with a zero column r for the sentinel, and inv[a, x] = r^-1 chi_a(-x),
+    the transpose of the inverse transform.  Entries are residues in
+    [0, q - 1], as read-only float64 arrays."""
+    G = AbelianGroup(orders)
+    r, e = G.order, G.exponent
+    q = _field_prime(e, n)
+    assert r * n * (q - 1) ** 3 < _EXACT, "character sums must stay below 2^51"
+    candidates = (pow(g, (q - 1) // e, q) for g in range(1, q))
+    omega = next(w for w in candidates if all(pow(w, e // p, q) != 1 for p in factorize(e)))
+    powers = np.array([pow(omega, j, q) for j in range(e)], dtype=np.int64)
+    els = np.array(G.elements(), dtype=np.int64).reshape(r, G.rank)
+    exps = (els * (e // np.array(orders, dtype=np.int64))) @ els.T % e  # [a, x]
+    chi = np.zeros((r, r + 1))
+    chi[:, :r] = powers[exps]
+    inv = (pow(r, -1, q) * powers[-exps % e] % q).astype(np.float64)
+    chi.flags.writeable = inv.flags.writeable = False
+    return q, chi, inv
+
+
+def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0):
     """Yield (lo, N[lo:hi]) for blocks of consecutive fibres u >= ``start``,
     where N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x} and
-    N[u, u] = 0.
+    N[u, u] = 0.  Each block is a C-contiguous int64 array.
 
-    ``idx`` holds the element index of f(u, v) (the diagonal is ignored) and
-    ``add`` is the group's addition table on element indices.  The first
-    block starts at fibre ``start``: the fibres before it are never counted,
-    which ``drackn_verify`` uses once fibre 0 has passed.  A sentinel
-    index r, written on the diagonal of ``idx``, matches no element, which
-    drops the terms w = u and w = v.  Each call takes one of two routes:
+    ``idx`` holds the element index of f(u, v) in ``group`` (the diagonal
+    is ignored).  The first block starts at fibre ``start``: the fibres
+    before it are never counted, which ``drackn_verify`` uses once fibre 0
+    has passed.  A sentinel index r, written on the diagonal of ``idx``,
+    matches no element, which drops the terms w = u and w = v.  Each call
+    takes one of two routes:
 
     * gathers: the addition table is padded so that r absorbs every sum,
       and each block is one gather, one offset add and one bincount
       (n^3 gathers in all, whatever r is);
-    * one-hot products: with E_g the 0/1 matrix of f = g (zero diagonal),
-      N[u, (v, x)] = sum_{w, g} E_g[u, w] E_{x-g}[w, v], so each block is
-      one float32 matrix product of the rows [u, (w, g)] of the one-hot
-      stack by a right factor [(w, g), (v, x)] built once, by one gather
-      of the stack through sub[g, g + h] = h (2 r^2 n^3 flops in all).
-      Every term is 0 or 1, so every partial sum, in whatever order BLAS
-      adds, is an integer in [0, n - 2]; float32 holds each integer up to
-      2^24 exactly, so the counts are exact (asserted: n <= 2^24).
+    * characters, an exact transform over a prime field (``_transform``):
+      q is the least prime = 1 (mod e), e the exponent, above n - 2, and
+      the r characters chi_a(x) = omega^(a.x) of the group take values in
+      GF(q).  With B_a[u, w] = chi_a(f(u, w)) and 0 for the sentinel,
+      (B_a B_a)[u, v] = sum_x N_uv(x) chi_a(x) mod q, and the trivial
+      character's sum is n - 2, so each block is r - 1 float64 products
+      B_a[rows] @ B_a (2 (r - 1) n^3 flops in all), one product by the
+      inverse transform r^-1 chi_a(-x) (r is a unit mod q, as q > e), and
+      one residue pass.  Every term is a nonnegative integer and every sum
+      is below r n (q - 1)^3 < 2^51 (asserted), so BLAS adds exactly in
+      whatever order; floor((y + 1/2) * fl(1/q)) is then the exact
+      quotient, since (y + 1/2)/q lies at least 1/(2q) from an integer and
+      the two roundings move it by at most (2^-52 + 2^-106)(y + 1/2)/q,
+      which is below 1/(2q) for y + 1/2 < 2^51.  A count lies in
+      [0, n - 2] and q > n - 2, so the residue y mod q is the count.
 
-    The cost rule (``_count_plan``) takes the products when r^2 <= 128 and
-    the right factor has r^2 n^2 <= 2^24 entries (64 MB).  Measured on a
-    2-vCPU Xeon with OpenBLAS 0.3.31 (2 threads), random tables, products
-    against gathers: 0.17 vs 1.8 ms at (n, r) = (64, 2), 0.15 vs 14 s at
-    (1024, 2), 0.09 vs 3.2 s at (729, 3) and 6 vs 11 ms at (121, 11);
-    23 vs 29 ms at (169, 13) is nearly even, and at r = 16 the products
-    lose (2.5 vs 1.4 ms at n = 64, 17 vs 11 ms at n = 128).  At r = 64 the
-    right factor alone would take 1 GB for n = 256.  Blocks hold about
-    ``_GEMM_BLOCK`` counts on the product route (256 rows at n r = 2048;
-    16-row blocks took twice as long) and ``_BLOCK`` keys on the gather
-    route, so a rejection stops at its first failing block on either.
+    The cost rule (``_count_plan``) takes the characters when r <= 32, the
+    stack of the B_a fits r n^2 <= 2^23 float64 entries (64 MB) and the bound
+    holds for the least prime = 1 (mod r) above n - 2, which bounds q.
+    Measured on a 2-vCPU Xeon with OpenBLAS 0.3.31 (2 threads), random
+    tables, characters against gathers: 0.042 vs 1.1 ms at (n, r) =
+    (64, 2), 0.073 vs 0.67 ms at (49, 7), 3.4 vs 15 ms at (169, 13), 0.76
+    vs 0.97 ms at (64, 32) and 27 vs 89 ms at (256, 32); at r = 64 the
+    characters lose at small n (2.6 vs 1.1 ms at n = 64, 11 vs 6.7 ms at
+    n = 128); the README lists more.  Blocks hold about ``_CHAR_BLOCK``
+    counts on the character route (256 rows at n r = 2048) and ``_BLOCK``
+    keys on the gather route, so a rejection stops at its first failing
+    block on either.
     """
-    n, r = idx.shape[0], add.shape[0]
-    one_hot, b = _count_plan(n, r)
+    n, r = idx.shape[0], group.order
+    characters, b = _count_plan(n, r)
     ind = np.array(idx, dtype=np.intp)
     np.fill_diagonal(ind, r)
-    blocks = (_one_hot_counts if one_hot else _gather_counts)(ind, add, b, start)
+    if characters:
+        blocks = _character_counts(ind, group.orders, b, start)
+    else:
+        blocks = _gather_counts(ind, group.add_table(), b, start)
     for lo, counts in blocks:
         counts[np.arange(len(counts)), np.arange(lo, lo + len(counts))] = 0
         yield lo, counts
@@ -265,20 +318,22 @@ def _gather_counts(ind: np.ndarray, add: np.ndarray, b: int, start: int):
         keys = pad[left[lo:lo + h, None, :] + right]  # [u, v, w]: f(u, w) + f(w, v)
         keys += np.arange(0, h * n * (r + 1), r + 1).reshape(h, n, 1)
         counts = np.bincount(keys.ravel(), minlength=h * n * (r + 1))
-        yield lo, counts.reshape(h, n, r + 1)[:, :, :r]
+        yield lo, np.ascontiguousarray(counts.reshape(h, n, r + 1)[:, :, :r])
 
 
-def _one_hot_counts(ind: np.ndarray, add: np.ndarray, b: int, start: int):
-    n, r = ind.shape[0], add.shape[0]
-    # rows of the identity; the sentinel r reads the all-zero row r
-    stack = np.eye(r + 1, r, dtype=np.float32).take(ind, axis=0).reshape(n, n * r)  # [u, (w, g)]
-    sub = np.empty((r, r), dtype=np.intp)
-    sub[np.arange(r)[:, None], add] = np.arange(r)  # sub[g, x] = x - g
-    cols = np.arange(0, n * r, r)[:, None] + sub[:, None, :]  # [g, v, x]: (v, x - g)
-    right = stack.take(cols, axis=1).reshape(n * r, n * r)  # [(w, g), (v, x)]: f(w, v) = x - g
+def _character_counts(ind: np.ndarray, orders: tuple[int, ...], b: int, start: int):
+    n = ind.shape[0]
+    q, chi, inv = _transform(orders, n)
+    r = len(chi)
+    stack = chi[1:].take(ind, axis=1)  # [a - 1, u, w]: chi_a(f(u, w)), 0 on the diagonal
     for lo in range(start, n, b):
         h = min(b, n - lo)
-        yield lo, (stack[lo:lo + h] @ right).reshape(h, n, r).astype(np.int64)
+        sums = np.empty((r, h, n))  # [a, u, v]: sum_x N_uv(x) chi_a(x) mod q
+        sums[0] = n - 2  # the trivial character counts every w off the diagonal
+        np.matmul(stack[:, lo:lo + h], stack, out=sums[1:])
+        y = sums.reshape(r, h * n).T @ inv  # [(u, v), x]: N_uv(x) mod q
+        y -= q * np.floor((y + 0.5) * (1 / q))
+        yield lo, y.astype(np.int64).reshape(h, n, r)
 
 
 def _fibre_zero_counts(idx: np.ndarray, r: int) -> np.ndarray:
@@ -365,7 +420,7 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
             raise VerificationError("not-antipodal", f"fibre mates 0,{x} are not at distance 3")
         v, x = (int(i) + 1 for i in np.argwhere(bad)[0])
         raise _count_failure(0, v, x, int(N0[v, x]), c, r)
-    for lo, N in _count_blocks(idx, G.add_table(), start=1):
+    for lo, N in _count_blocks(idx, G, start=1):
         h = len(N)
         bad = N != c  # c >= 1 now
         # x = f(u, v) is free; the diagonal's -1 reads x = r - 1 of the pair

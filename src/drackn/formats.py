@@ -7,10 +7,11 @@ then matrix rows), and every parser reads exactly the declared number of rows
 after the two header lines and ignores trailing content.  That makes emitted
 payloads pipeable: a command may append report lines after the matrix block
 without breaking a downstream parser.  Cover, Seidel and GH rows are
-parsed straight into the index arrays of their matrix classes.  Rows as the
-emitters write them (single spaces, one-digit coordinates) are read as one
-byte array; other spacing or tokens are read token by token, with the same
-result or the same error.
+parsed straight into the index arrays of their matrix classes.  Only the
+two header lines are split off; rows as the emitters write them (single
+spaces, one-digit coordinates, line feeds) are sliced from the text and
+read as one byte array, and other spacing, line ends or tokens are split
+into lines and read token by token, with the same result or the same error.
 
 A cover of K_n needs a deck group of order r <= n - 1, and the constructions
 build at most ``covers._MAX_FIBRES`` = 2048 fibres.  The parsers use
@@ -55,6 +56,7 @@ reads ``1/4,0``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
@@ -77,19 +79,24 @@ LATIN_TAG = "LATIN v1"
 # -- shared plumbing -----------------------------------------------------------
 
 
-def _split_header(
-    text: str, tag: str, keys: tuple[str, ...]
-) -> tuple[dict[str, str], list[str]]:
-    """Check the tag line, parse the key=value line, return (meta, body)."""
-    text_lines = text.splitlines()
-    if not text_lines:
+# The line boundaries of ``str.splitlines``: "\r\n" is one, and so is each of these.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_HEAD = re.compile(f"([^{_BREAKS}]*)(\r\n|[{_BREAKS}]|\\Z)([^{_BREAKS}]*)(\r\n|[{_BREAKS}]|\\Z)")
+
+
+def _split_header(text: str, tag: str, keys: tuple[str, ...]) -> tuple[dict[str, str], str]:
+    """Check the tag line, parse the key=value line, return (meta, body):
+    body is the text after the parameter line, whose ``splitlines`` are the
+    text's from the third on.  Only the two header lines are split here."""
+    head = _HEAD.match(text)
+    if not text:
         raise FormatError(f"empty input, expected header {tag!r}")
-    if text_lines[0].strip() != tag:
-        raise FormatError(f"expected header {tag!r}, got {text_lines[0].strip()!r}")
-    if len(text_lines) < 2:
+    if head[1].strip() != tag:
+        raise FormatError(f"expected header {tag!r}, got {head[1].strip()!r}")
+    if head.end(2) == len(text):
         raise FormatError(f"missing parameter line after {tag!r}")
     meta: dict[str, str] = {}
-    for tok in text_lines[1].split():
+    for tok in head[3].split():
         key, eq, value = tok.partition("=")
         if not eq or not key or not value:
             raise FormatError(f"malformed parameter token {tok!r}")
@@ -100,7 +107,7 @@ def _split_header(
         raise FormatError(
             f"expected parameters {', '.join(keys)}; got {', '.join(sorted(meta)) or 'none'}"
         )
-    return meta, text_lines[2:]
+    return meta, text[head.end():]
 
 
 def _int_of(text: str, what: str) -> int:
@@ -110,9 +117,10 @@ def _int_of(text: str, what: str) -> int:
         raise FormatError(f"{what} must be an integer, got {text!r}") from None
 
 
-def _take_rows(body: list[str], count: int, tag: str) -> list[str]:
+def _take_rows(body: str, count: int, tag: str) -> list[str]:
     if count < 0:
         raise FormatError(f"{tag}: row count must be >= 0, got {count}")
+    body = body.splitlines()
     if len(body) < count:
         raise FormatError(f"{tag}: expected {count} matrix rows, found {len(body)}")
     rows = body[:count]
@@ -190,7 +198,7 @@ def _gf_index(tok: str, k: int, where: str) -> int:
     return int("".join(map(str, bits)), 2)
 
 
-def _gf_rows(body: list[str], k: int, count: int, tag: str) -> tuple[tuple[int, ...], ...]:
+def _gf_rows(body: str, k: int, count: int, tag: str) -> tuple[tuple[int, ...], ...]:
     """A count x count block of GF(2^k) elements, as ``gf`` indices."""
     return tuple(
         tuple(
@@ -206,19 +214,20 @@ def _emit_gf_rows(table, k: int) -> list[str]:
 
 
 def _index_rows(
-    body: list[str], n: int, tag: str, group, parse_entry, lookup=None, diagonal=True
+    body: str, n: int, tag: str, group, parse_entry, lookup=None, diagonal=True
 ) -> np.ndarray:
     """(n, n) index array of a block of ``group`` elements (canonical tokens:
     ``lookup`` if ``group`` is None), '.' exactly on the diagonal (read as -1)
-    if ``diagonal``.  Canonical rows are read as one byte array.  Otherwise
-    all tokens go through the lookup in one pass; if that fails, row by row,
-    and a row with any other token token by token, where ``parse_entry(tok,
-    where)`` reads an entry or raises the ``FormatError`` that names it."""
-    rows = _take_rows(body, n, tag)
+    if ``diagonal``.  Canonical rows are read as one byte array, sliced from
+    the body.  Otherwise the body is split into rows and all tokens go
+    through the lookup in one pass; if that fails, row by row, and a row
+    with any other token token by token, where ``parse_entry(tok, where)``
+    reads an entry or raises the ``FormatError`` that names it."""
     if group is not None and max(group.orders, default=0) <= 10:
-        index = _fixed_rows(rows, n, group.orders or (1,), diagonal)
+        index = _fixed_rows(body, n, group.orders or (1,), diagonal)
         if index is not None:
             return index
+    rows = _take_rows(body, n, tag)
     lookup = {**(lookup or _element_lookup(group)), ".": -1 if diagonal else -2}
     split = [line.split() for line in rows]
     if all(len(toks) == n for toks in split):
@@ -236,15 +245,20 @@ def _index_rows(
     return np.array(out, dtype=np.int64).reshape(n, n)
 
 
-def _fixed_rows(rows: list[str], n: int, orders: tuple, diagonal: bool) -> np.ndarray | None:
-    """The index array of canonical rows (one-digit coordinates joined by ',',
-    single spaces, '.' on the diagonal if ``diagonal``), or None.  With each
-    '.' widened to a token, they are one (n, n * w) byte array, w per token."""
+def _fixed_rows(body: str, n: int, orders: tuple, diagonal: bool) -> np.ndarray | None:
+    """The index array of the first n rows of ``body`` if they are canonical
+    (one-digit coordinates joined by ',', single spaces, '.' on the diagonal
+    if ``diagonal``, each row ended by a line feed or the text's end), or None.
+    With each '.' widened to a token, they are one (n, n * w) byte array, w
+    per token and its separator."""
     k = len(orders)
-    w = 2 * k  # a token and the space after it
-    if n < 2 or set(map(len, rows)) != {n * w - 1 - (w - 2 if diagonal else 0)}:
+    w = 2 * k
+    end = n * (n * w - (w - 2 if diagonal else 0)) - 1  # n rows and the n - 1 breaks between
+    if n < 2 or body[end:end + 1] not in ("\n", ""):
         return None
-    text = (" ".join(rows) + " ").replace(".", ",".join("." * k))  # '.' as wide as a token
+    text = body[:end] + "\n"
+    if k > 1 and diagonal:
+        text = text.replace(".", ",".join("." * k))  # '.' as wide as a token
     if len(text) != n * n * w or not text.isascii():
         return None
     lo, span = _layout(orders, n)
@@ -263,10 +277,12 @@ def _fixed_rows(rows: list[str], n: int, orders: tuple, diagonal: bool) -> np.nd
 
 @lru_cache(maxsize=64)
 def _layout(orders: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per byte of a row: the lowest byte allowed ('0', ',' or ' '), and how many."""
-    lo = [48, 44] * (len(orders) - 1) + [48, 32]
+    """Per byte of a row: the lowest byte allowed ('0', ',', ' ' or the
+    row's closing line feed), and how many."""
+    lo = ([48, 44] * (len(orders) - 1) + [48, 32]) * n
+    lo[-1] = 10
     span = [x for d in orders for x in (d, 1)]
-    return np.array(lo * n, dtype=np.uint8), np.array(span * n, dtype=np.uint8)
+    return np.array(lo, dtype=np.uint8), np.array(span * n, dtype=np.uint8)
 
 
 def _entry(tok: str, u: int, v: int, parse_entry, diagonal: bool) -> int:

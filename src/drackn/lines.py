@@ -195,9 +195,9 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     h, k = divmod(np.arange(2 * q), q)  # of each index value
     h, k = h[s.index], k[s.index]  # S[u, v] = (-1)^h zeta^k
     H, K = _table_orders(h, k, q)  # the table's group Z/H x Z/K holds entry h*K + k
-    add = AbelianGroup(tuple(d for d in (H, K) if d > 1)).add_table()
+    group = AbelianGroup(tuple(d for d in (H, K) if d > 1))
     sign = 1 - 2 * h
-    for lo, counts in _count_blocks(h * K + k, add):
+    for lo, counts in _count_blocks(h * K + k, group):
         rows = len(counts)
         by_sign = counts.reshape(rows, n, H, K)
         # [u, v, k]: M_uv(k) for k < K; over Z/2 (K = 1), M_uv(k) = 0 for k != 0

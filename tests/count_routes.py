@@ -9,18 +9,18 @@ import pytest
 
 from drackn import covers
 
-ROUTES = ("gather", "one-hot")
+ROUTES = ("gather", "characters")
 
 
 @contextmanager
 def count_route(route: str, block: int | None = None):
     """Every count table built inside takes ``route``; with ``block``, its
-    blocks hold that many keys (gathers) or counts (one-hot products)."""
+    blocks hold that many keys (gathers) or counts (characters)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(covers, "_GEMM_R2", math.inf if route == "one-hot" else -1)
-        mp.setattr(covers, "_GEMM_STACK", math.inf)
+        mp.setattr(covers, "_CHAR_R", math.inf if route == "characters" else -1)
+        mp.setattr(covers, "_CHAR_STACK", math.inf)
         if block is not None:
             mp.setattr(covers, "_BLOCK", block)
-            mp.setattr(covers, "_GEMM_BLOCK", block)
-        assert covers._count_plan(2, 64)[0] == (route == "one-hot")
+            mp.setattr(covers, "_CHAR_BLOCK", block)
+        assert covers._count_plan(2, 64)[0] == (route == "characters")
         yield

@@ -299,6 +299,33 @@ def check_arc_index(group: AbelianGroup, index: np.ndarray) -> None:
         raise CoverStructureError("inverse-pair", f"f({v},{u}) != -f({u},{v}) at ({u},{v})")
 
 
+def split_header_by_lines(
+    text: str, tag: str, keys: tuple[str, ...]
+) -> tuple[dict[str, str], list[str]]:
+    """The tag line, the key=value line and the rows after them, from one
+    ``splitlines`` of the whole text."""
+    text_lines = text.splitlines()
+    if not text_lines:
+        raise FormatError(f"empty input, expected header {tag!r}")
+    if text_lines[0].strip() != tag:
+        raise FormatError(f"expected header {tag!r}, got {text_lines[0].strip()!r}")
+    if len(text_lines) < 2:
+        raise FormatError(f"missing parameter line after {tag!r}")
+    meta: dict[str, str] = {}
+    for tok in text_lines[1].split():
+        key, eq, value = tok.partition("=")
+        if not eq or not key or not value:
+            raise FormatError(f"malformed parameter token {tok!r}")
+        if key in meta:
+            raise FormatError(f"duplicate parameter {key!r}")
+        meta[key] = value
+    if set(meta) != set(keys):
+        raise FormatError(
+            f"expected parameters {', '.join(keys)}; got {', '.join(sorted(meta)) or 'none'}"
+        )
+    return meta, text_lines[2:]
+
+
 def _take_rows(body: list[str], count: int, tag: str) -> list[str]:
     if count < 0:
         raise FormatError(f"{tag}: row count must be >= 0, got {count}")
@@ -343,7 +370,7 @@ def _entry(tok: str, u: int, v: int, parse_entry) -> int:
 
 
 def parse_cover_by_tokens(text: str) -> ArcMatrix:
-    meta, body = formats._split_header(text, formats.COVER_TAG, ("n", "group"))
+    meta, body = split_header_by_lines(text, formats.COVER_TAG, ("n", "group"))
     n = formats._int_of(meta["n"], "n")
     group = formats._parse_group(meta["group"])
     index = _index_rows(
@@ -355,7 +382,7 @@ def parse_cover_by_tokens(text: str) -> ArcMatrix:
 
 
 def parse_seidel_by_tokens(text: str) -> SeidelMatrix:
-    meta, body = formats._split_header(text, formats.SEIDEL_TAG, ("n", "r"))
+    meta, body = split_header_by_lines(text, formats.SEIDEL_TAG, ("n", "r"))
     n = formats._int_of(meta["n"], "n")
     root_order: int | None
     if meta["r"] == "generic":
@@ -377,7 +404,7 @@ def parse_seidel_by_tokens(text: str) -> SeidelMatrix:
 
 
 def parse_gh_by_tokens(text: str) -> GHMatrix:
-    meta, body = formats._split_header(text, formats.GH_TAG, ("n", "group"))
+    meta, body = split_header_by_lines(text, formats.GH_TAG, ("n", "group"))
     n = formats._int_of(meta["n"], "n")
     group = formats._parse_group(meta["group"])
     lookup = formats._element_lookup(group)

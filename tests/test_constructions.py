@@ -538,7 +538,7 @@ def test_gh_defect_matches_pairwise_loop(rows):
     for h in _self_adjoint_tables():
         want = _pairwise_gh_defect(h)
         for route in ROUTES:
-            # a block of k rows holds k n n gather keys or k n r one-hot counts
+            # a block of k rows holds k n n gather keys or k n r character counts
             width = h.n if route == "gather" else h.group.order
             with count_route(route, None if rows is None else rows * h.n * width):
                 assert _row_pairs_witness(h) == want, (route, h.group, h.entries)

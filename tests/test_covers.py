@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
 import re
 import tracemalloc
@@ -22,6 +23,7 @@ from oracles import (
 )
 
 from drackn import covers
+from drackn.arith import is_prime
 from drackn.constructions import dcff, thas_somma
 from drackn.covers import (
     ArcMatrix,
@@ -457,30 +459,53 @@ def _per_fibre_scan(f: ArcMatrix) -> int:
 
 
 # 1: one fibre per block; 150: ragged last blocks (gathers for n = 6, 7,
-# products for n r in 38..75); None: default.  Each test runs both routes.
+# characters for n r in 38..75); None: default.  Each test runs both routes.
 BLOCK_SIZES = pytest.mark.parametrize("block", [1, 150, None], ids=["1", "150", "default"])
+
+# Every group shape the count table is built over: deck groups of verify
+# and the constructions, and the Z/2 x Z/q of ``two_eigenvalue_data``.
+COUNT_GROUPS = ((2,), (3,), (7,), (11,), (2, 2, 2), (3, 3), (2, 3), (2, 5))
+
+
+@functools.cache
+def _count_inputs() -> tuple[tuple[AbelianGroup, np.ndarray], ...]:
+    """(group, index) pairs: random arc tables, random index arrays over
+    ``COUNT_GROUPS`` (not antisymmetric, as the tables of ``gh_to_cover``
+    and ``two_eigenvalue_data`` need not be), one-arc changes of ts32, and
+    switches that keep fibre 0's counts, with the ladder covers."""
+    rng = np.random.default_rng(11)
+    tables = [*_random_tables(1000, seed=20261018), *_one_arc_changes(cover_933())]
+    tables += [*_switched_covers(), cover_933(), dcff(1, 3)]
+    pairs = [(f.group, f.index) for f in tables]
+    for orders in COUNT_GROUPS:
+        G = AbelianGroup(orders)
+        pairs += [(G, rng.integers(0, G.order, (n, n))) for n in (2, 3, 7, 12)]
+    return tuple(pairs)
 
 
 @BLOCK_SIZES
 def test_count_blocks_match_per_fibre_table(block):
-    tables = [*_random_tables(1000, seed=20261018), cover_933(), dcff(1, 3)]
+    inputs = _count_inputs()
+    assert {G.orders for G, _ in inputs} >= set(COUNT_GROUPS)
     for route in ROUTES:
         rng = np.random.default_rng(5)
         ragged = dict.fromkeys((0, 1), False)
         with count_route(route, block):
-            for f in tables:
-                add = f.group.add_table()
-                idx = np.array(f.index)
-                np.fill_diagonal(idx, rng.integers(0, f.group.order, f.n))  # the diagonal is ignored
-                want = _count_table(f.index, add)
+            for G, index in inputs:
+                add = G.add_table()
+                idx = np.array(index)
+                np.fill_diagonal(idx, rng.integers(0, G.order, len(idx)))  # the diagonal is ignored
+                want = _count_table(index, add)
                 for start in ragged:  # start 1: drackn_verify once fibre 0 has passed
-                    blocks = list(_count_blocks(idx, add, start))
+                    blocks = list(_count_blocks(idx, G, start))
                     los = [lo for lo, _ in blocks]
                     assert los == list(np.cumsum([start] + [len(N) for _, N in blocks[:-1]]))
+                    # callers write through flat views of the block and of N != c
+                    assert all(N.dtype == np.int64 and N.flags.c_contiguous for _, N in blocks)
                     ragged[start] |= len(blocks[-1][1]) < len(blocks[0][1])
                     table = np.concatenate([N for _, N in blocks])
-                    assert np.array_equal(table, want[start:]), (route, start)
-        assert ragged == dict.fromkeys((0, 1), block == 150), route
+                    assert np.array_equal(table, want[start:]), (route, start, G)
+        assert all(ragged.values()) or block != 150, route  # 150 makes ragged blocks
 
 
 def _verdict(check, f):
@@ -527,7 +552,7 @@ def test_verify_matches_per_fibre_scan(block):
 
 
 def test_fibre_zero_rejects_without_the_count_kernel(monkeypatch):
-    """A one-arc change of a product-route cover fails at fibre 0, which its
+    """A one-arc change of a character-route cover fails at fibre 0, which its
     column histograms decide: the count kernel never runs.  A switch that
     keeps fibre 0's counts needs it."""
     f = thas_somma(5, 2)
@@ -538,7 +563,7 @@ def test_fibre_zero_rejects_without_the_count_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("count kernel entered")
 
-    monkeypatch.setattr(covers, "_one_hot_counts", refuse)
+    monkeypatch.setattr(covers, "_character_counts", refuse)
     monkeypatch.setattr(covers, "_gather_counts", refuse)
     witness = "pair 0,17 has 6 common neighbours, pair (0, 6) has 5"
     assert _verdict(drackn_verify, changed) == want == (None, ("not-distance-regular", witness))
@@ -550,46 +575,88 @@ def test_count_plan_rule():
     """The route and block size of ``_count_blocks`` as a pure function of
     (n, r): no table is built."""
     plan = covers._count_plan
-    # the ladder and the large thas_somma covers take the one-hot products
+    # the ladder, every dcff(1, d) quotient of order <= 32 and the large
+    # thas_somma covers take the characters
     assert plan(64, 2) == (True, 4096)  # ts26: the whole table is one block
     assert plan(49, 7) == (True, 1528)  # ts72
     assert plan(16, 8) == (True, 4096)  # dcff(1, 3)
     assert plan(729, 3) == (True, 239)  # thas_somma(3, 6)
-    assert plan(1024, 2) == (True, 256)  # thas_somma(2, 10): 256-row products
-    assert plan(121, 11) == (True, 393)  # r^2 = 121 <= 128
-    assert plan(2048, 2) == (True, 128)  # the r^2 n^2 <= 2^24 stack bound, attained
-    # r^2 above 128, or a right factor above 2^24 entries: gathers
-    assert plan(169, 13) == (False, 1)
-    assert plan(64, 16) == (False, 8)
+    assert plan(1024, 2) == (True, 256)  # thas_somma(2, 10): 256-row blocks
+    assert plan(121, 11) == (True, 393)
+    assert plan(169, 13) == (True, 238)
+    assert plan(64, 16) == (True, 512)
+    assert plan(64, 32) == (True, 256)  # dcff(1, 5): r = 32, the crossover
+    assert plan(1025, 4) == (True, 127)
+    assert plan(2048, 2) == (True, 128)  # the r n^2 <= 2^23 stack bound, attained
+    assert plan(512, 32) == (True, 32)  # attained at the crossover
+    # r above 32, or a stack above 2^23 float64 entries: gathers
+    assert plan(64, 33) == (False, 8)
     assert plan(256, 64) == (False, 1)  # dcff(2, 3)
     assert plan(1024, 512) == (False, 1)  # dcff(1, 9)
     assert plan(2049, 2) == (False, 1)
-    assert plan(1025, 4) == (False, 1)
-    with count_route("one-hot"):  # lift the stack bound: only exactness refuses
-        assert plan(1 << 24, 2) == (True, 1)
-        with pytest.raises(AssertionError, match="2\\^24"):
-            plan((1 << 24) + 1, 2)
+    assert plan(513, 32) == (False, 1)
+
+
+def test_count_plan_refuses_characters_past_the_exactness_bound(monkeypatch):
+    """With the stack bound lifted, r n (q - 1)^3 < 2^51 alone refuses: for
+    r = 2, q is the least odd prime above n - 2, and 5792 (q = 5791) is the
+    last n it admits (q = 5801 for n = 5793).  Nothing is built."""
+    monkeypatch.setattr(covers, "_CHAR_STACK", math.inf)
+    assert covers._field_prime(2, 5792) == 5791 and covers._field_prime(2, 5793) == 5801
+    assert covers._count_plan(5792, 2)[0]
+    assert covers._count_plan(5793, 2) == (False, 1)
+    assert covers._count_plan(5234, 3)[0] and not covers._count_plan(5235, 3)[0]
+    with pytest.raises(AssertionError, match="2\\^51"):
+        covers._transform((2,), 5793)
+
+
+@pytest.mark.parametrize("orders", COUNT_GROUPS, ids=lambda o: "x".join(map(str, o)))
+def test_character_transform_over_gf_q(orders):
+    """For each group the callers count over and a range of n: q is the
+    least prime = 1 (mod e) above n - 2, chi is a table of the r distinct
+    characters into the e-th roots of unity of GF(q), with a zero sentinel
+    column, and inv is the transpose of its inverse mod q.  No count table
+    is built."""
+    G = AbelianGroup(orders)
+    r, e = G.order, G.exponent
+    add = G.add_table()
+    for n in (2, 5, 9, 49, 121, 1024):
+        q, chi, inv = covers._transform(orders, n)
+        assert q > n - 2 and q % e == 1 and is_prime(q)
+        assert not any(is_prime(p) for p in range(q - e, n - 2, -e))  # the least such prime
+        assert r * n * (q - 1) ** 3 < 1 << 51
+        assert not chi.flags.writeable and not inv.flags.writeable
+        assert chi.shape == (r, r + 1) and not chi[:, r].any()
+        W = chi[:, :r].astype(np.int64)
+        assert np.array_equal(W, chi[:, :r]) and np.array_equal(inv, inv.astype(np.int64))
+        # the values are exactly the e-th roots of unity: omega has order e
+        roots = {int(w) for w in W.ravel()}
+        assert len(roots) == e and all(pow(w, e, q) == 1 for w in roots)
+        # each row is a homomorphism G -> GF(q)^x, and the rows are distinct
+        assert (W[:, 0] == 1).all() and len({row.tobytes() for row in W}) == r
+        assert np.array_equal(W[:, add] % q, W[:, :, None] * W[:, None, :] % q)
+        assert np.array_equal(W @ inv.T.astype(np.int64) % q, np.eye(r, dtype=np.int64))
 
 
 def test_count_routes_give_one_certificate():
     """thas_somma(2, 8), n = 256: the same table and certificate both ways."""
     f = thas_somma(2, 8)
-    idx, add = normalize(f).index, f.group.add_table()
+    idx = normalize(f).index
     tables, certs = [], []
     for route in ROUTES:
         with count_route(route):
-            tables.append(np.concatenate([N for _, N in _count_blocks(idx, add)]))
+            tables.append(np.concatenate([N for _, N in _count_blocks(idx, f.group)]))
             certs.append(drackn_verify(f))
     assert np.array_equal(*tables)
     assert certs[0] == certs[1]
     assert (certs[0].params.n, certs[0].params.r, certs[0].params.c) == (256, 2, 128)
 
 
-@pytest.mark.parametrize("orders", [(2,), (2,) * 4], ids=["r2-one-hot", "r16-gathers"])
+@pytest.mark.parametrize("orders", [(2,), (3,) * 4], ids=["r2-characters", "r81-gathers"])
 def test_verify_rejects_large_non_cover_in_bounded_memory_on_either_route(orders):
     """Random n = 256 tables under the default rule: r = 2 takes the
-    products (a 1 MB right factor), r = 16 the gathers; both stop in the
-    first block."""
+    characters (a 1 MB stack), r = 81 the gathers; both stop in the first
+    block."""
     G = AbelianGroup(orders)
     upper = np.triu(np.random.default_rng(2).integers(0, G.order, (256, 256)), 1)
     index = upper + G.neg_table()[upper.T]
@@ -628,16 +695,16 @@ def test_verify_rejects_large_non_cover_in_bounded_memory():
 
 
 @pytest.mark.parametrize(
-    "build, one_hot",
+    "build, characters",
     [(lambda: thas_somma(2, 8), True), (lambda: dcff(2, 3), False)],
-    ids=["ts28-one-hot", "dcff23-gathers"],
+    ids=["ts28-characters", "dcff23-gathers"],
 )
-def test_verify_rejects_large_switched_cover_in_the_first_kernel_block(build, one_hot):
-    """A switch of thas_somma(2, 8) (n = 256, r = 2, products) or dcff(2, 3)
+def test_verify_rejects_large_switched_cover_in_the_first_kernel_block(build, characters):
+    """A switch of thas_somma(2, 8) (n = 256, r = 2, characters) or dcff(2, 3)
     (n = 256, r = 64, gathers) keeps fibre 0's counts, so the count kernel
     runs; it fails at fibre 1, in the kernel's first block."""
     f = build()
-    assert covers._count_plan(f.n, f.group.order)[0] == one_hot
+    assert covers._count_plan(f.n, f.group.order)[0] == characters
     switched = fibre_zero_switches(f, 1)[0]
     tracemalloc.start()
     try:

@@ -16,6 +16,7 @@ from oracles import (
     parse_seidel_by_tokens,
     seidel_mat,
     seidel_of_values,
+    split_header_by_lines,
 )
 
 from drackn import formats
@@ -469,3 +470,31 @@ def test_two_digit_tokens_are_read_in_one_dict_pass():
     f = thas_somma(11, 2)
     with mock.patch.object(formats, "_split_row", side_effect=AssertionError("row loop")):
         assert parse_cover(emit_cover(f)) == f
+
+
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _header_outcome(split, text: str):
+    try:
+        meta, body = split(text, COVER_TAG, ("n", "group"))
+    except FormatError as exc:
+        return str(exc)
+    return meta, body if isinstance(body, list) else body.splitlines()
+
+
+def test_header_split_matches_splitlines():
+    """``_split_header`` splits only the two header lines; its body splits
+    into the text's lines from the third on, and its errors are those of
+    splitting the whole text, for every line boundary ``splitlines`` knows
+    ("\\r\\n" too) at any place, also in the header and next to its ends."""
+    rng = random.Random(7)
+    lines = [COVER_TAG, "n=3 group=2", ". 0 1", "0 . 1", "1 1 ."]
+    for _ in range(3000):
+        text = "\n".join(lines[: rng.randint(0, 5)]) + rng.choice(("", "\n"))
+        for _ in range(rng.randint(0, 3)):
+            i, c = rng.randrange(len(text) + 1), rng.choice([*LINE_BREAKS, "\r\n", " ", "x"])
+            text = rng.choice((text[:i] + c + text[i:], text[:i] + c + text[i + 1:]))
+        want = _header_outcome(split_header_by_lines, text)
+        assert _header_outcome(formats._split_header, text) == want, repr(text)
+        assert _outcome(parse_cover, text) == _outcome(parse_cover_by_tokens, text), repr(text)

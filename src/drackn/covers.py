@@ -285,10 +285,10 @@ def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0):
     stack of the B_a fits r n^2 <= 2^23 float64 entries (64 MB) and the bound
     holds for the least prime = 1 (mod r) above n - 2, which bounds q.
     Measured on a 2-vCPU Xeon with OpenBLAS 0.3.31 (2 threads), random
-    tables, characters against gathers: 0.042 vs 1.1 ms at (n, r) =
-    (64, 2), 0.073 vs 0.67 ms at (49, 7), 3.4 vs 15 ms at (169, 13), 0.76
-    vs 0.97 ms at (64, 32) and 27 vs 89 ms at (256, 32); at r = 64 the
-    characters lose at small n (2.6 vs 1.1 ms at n = 64, 11 vs 6.7 ms at
+    tables, characters against gathers: 0.044 vs 1.1 ms at (n, r) =
+    (64, 2), 0.073 vs 0.67 ms at (49, 7), 3.2 vs 15 ms at (169, 13), 0.71
+    vs 0.97 ms at (64, 32) and 25 vs 89 ms at (256, 32); at r = 64 the
+    characters lose at small n (1.8 vs 1.1 ms at n = 64, 11 vs 6.7 ms at
     n = 128); the README lists more.  Blocks hold about ``_CHAR_BLOCK``
     counts on the character route (256 rows at n r = 2048) and ``_BLOCK``
     keys on the gather route, so a rejection stops at its first failing
@@ -332,8 +332,17 @@ def _character_counts(ind: np.ndarray, orders: tuple[int, ...], b: int, start: i
         sums[0] = n - 2  # the trivial character counts every w off the diagonal
         np.matmul(stack[:, lo:lo + h], stack, out=sums[1:])
         y = sums.reshape(r, h * n).T @ inv  # [(u, v), x]: N_uv(x) mod q
-        y -= q * np.floor((y + 0.5) * (1 / q))
-        yield lo, y.astype(np.int64).reshape(h, n, r)
+        # y - q floor((y + 1/2)/q), computed in the buffer of sums and cast into
+        # that of y: fresh temporaries of this size made glibc return and refault
+        # heap pages on every call, which tripled the time at ts72
+        res = np.add(y, 0.5, out=sums.reshape(h * n, r))
+        res *= 1 / q
+        np.floor(res, out=res)
+        res *= -q
+        res += y
+        counts = y.view(np.int64)
+        np.copyto(counts, res, casting="unsafe")
+        yield lo, counts.reshape(h, n, r)
 
 
 def _fibre_zero_counts(idx: np.ndarray, r: int) -> np.ndarray:

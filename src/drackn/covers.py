@@ -475,10 +475,9 @@ def cover_certificate(n: int, r: int, c: int) -> CoverCertificate:
     params = spectral_params(n, r, c)
     mults = []
     for name, m in (("m_theta", params.m_theta), ("m_tau", params.m_tau)):
-        q = m.rational_value() if isinstance(m, QuadNum) and m.is_rational() else m
-        if isinstance(q, QuadNum) or q.denominator != 1 or q.numerator % (r - 1):
+        if not isinstance(m, Fraction) or m.denominator != 1 or m.numerator % (r - 1):
             raise RoutesDisagreeError(f"verified cover has inadmissible {name} = {m}")
-        mults.append(q.numerator)
+        mults.append(m.numerator)
     mt, mtau = mults
     spectrum = ((Fraction(n - 1), 1), (params.theta, mt), (Fraction(-1), n - 1), (params.tau, mtau))
     return CoverCertificate(params=params, spectrum=spectrum, checks_passed=_CHECKS)

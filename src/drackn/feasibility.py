@@ -34,10 +34,10 @@ CASE_IDS = ("I.a", "I.b", "II.a", "II.b")
 class ParameterSet:
     """Derived spectral data for a parameter triple (n, r, c).
 
-    theta/tau (and the multiplicities) are Fractions when the discriminant
-    delta^2 + 4(n-1) is a perfect square, and exact quadratic surds otherwise.
-    Integrality of the multiplicities is a feasibility condition, not an
-    invariant.
+    Each of theta, tau and the multiplicities is a Fraction when it is
+    rational and a QuadNum surd otherwise; theta and tau are rational exactly
+    when delta^2 + 4(n-1) is a perfect square.  Integrality of the
+    multiplicities is a feasibility condition, not an invariant.
     """
 
     n: int
@@ -81,17 +81,34 @@ def _fmt(x) -> str:
 
 
 def _is_positive_integer(x) -> bool:
-    if isinstance(x, QuadNum):
-        if not x.is_rational():
-            return False
-        x = x.rational_value()
     return isinstance(x, Fraction) and x.denominator == 1 and x >= 1
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, QuadNum):
-        return x.rational_value()
-    return x
+def quadratic_spectrum(delta: int, n: int, scale: int) -> tuple[Fraction | QuadNum, ...]:
+    """theta > tau, the roots of x^2 - delta*x - (n-1), and their
+    multiplicities scale*(-tau)/(theta - tau) and scale*theta/(theta - tau),
+    which sum to scale and give trace 0: the spectrum of a cover of K_n
+    (scale n(r - 1)), of its character blocks and of every two-eigenvalue
+    Seidel matrix (scale n), by Godsil and Hensel.
+    """
+    disc = delta * delta + 4 * (n - 1)
+    s = sqrt_exact(disc)
+    if s is not None:
+        # s^2 = delta^2 (mod 4), so s = delta (mod 2) and theta, tau are integers
+        theta_int, tau_int = (delta + s) // 2, (delta - s) // 2
+        assert theta_int * tau_int == -(n - 1)
+        return (
+            Fraction(theta_int), Fraction(tau_int),
+            Fraction(-scale * tau_int, s), Fraction(scale * theta_int, s),
+        )
+    theta = QuadNum(Fraction(delta, 2), Fraction(1, 2), disc)
+    tau = theta.algebraic_conjugate()
+    diff = theta - tau
+    m_theta = scale * (-tau) / diff
+    m_tau = scale * theta / diff
+    assert theta + tau == delta and theta * tau == -(n - 1)
+    assert m_theta + m_tau == scale
+    return theta, tau, m_theta, m_tau
 
 
 def spectral_params(n: int, r: int, c: int) -> ParameterSet:
@@ -99,26 +116,7 @@ def spectral_params(n: int, r: int, c: int) -> ParameterSet:
     if n < 2 or r < 2 or c < 1:
         raise ValueError(f"need n >= 2, r >= 2, c >= 1, got ({n}, {r}, {c})")
     delta = n - r * c - 2
-    disc = delta * delta + 4 * (n - 1)
-    s = sqrt_exact(disc)
-    scale = n * (r - 1)
-    if s is not None:
-        # s^2 = delta^2 (mod 4), so s = delta (mod 2) and theta, tau are integers
-        theta_int, tau_int = (delta + s) // 2, (delta - s) // 2
-        assert theta_int * tau_int == -(n - 1)
-        return ParameterSet(
-            n, r, c, delta, Fraction(theta_int), Fraction(tau_int),
-            Fraction(-scale * tau_int, s), Fraction(scale * theta_int, s),
-        )
-    half = Fraction(1, 2)
-    theta = QuadNum(Fraction(delta, 2), half, disc)
-    tau = QuadNum(Fraction(delta, 2), -half, disc)
-    diff = theta - tau
-    m_theta = scale * (-tau) / diff
-    m_tau = scale * theta / diff
-    assert theta + tau == delta and theta * tau == -(n - 1)
-    assert m_theta + m_tau == scale
-    return ParameterSet(n, r, c, delta, theta, tau, m_theta, m_tau)
+    return ParameterSet(n, r, c, delta, *quadratic_spectrum(delta, n, n * (r - 1)))
 
 
 # -- the condition battery ---------------------------------------------------
@@ -218,9 +216,8 @@ def feasibility_battery(n: int, r: int, c: int) -> FeasibilityReport:
 
     # (h) absolute bound on the derived line systems
     guard = theta != 1 and tau != -1 and theta**3 != n - 1
-    ms_rational = not isinstance(ps.m_theta, QuadNum) or ps.m_theta.is_rational()
-    if guard and ms_rational:
-        mt, mtau = _as_fraction(ps.m_theta), _as_fraction(ps.m_tau)
+    if guard and isinstance(ps.m_theta, Fraction):
+        mt, mtau = ps.m_theta, ps.m_tau
         bound_t = mt * (mt + 1) / 2
         bound_tau = mtau * (mtau + 1) / 2
         if r > 2:
@@ -285,11 +282,7 @@ class TauBounds:
     parity: str
 
     def _tau_data(self, tau) -> tuple[Fraction, bool]:
-        if isinstance(tau, QuadNum):
-            sq = (tau * tau).rational_value()
-            return sq, tau.sign() < 0
-        t = Fraction(tau)
-        return t * t, t < 0
+        return Fraction(tau * tau), tau < 0
 
     def _lower_terms(self, tau_sq: Fraction) -> tuple[Fraction, int]:
         if self.parity == "odd":
@@ -408,26 +401,17 @@ def family_params(case_id: str, t) -> FamilyParams:
             theta, tau = (t2 - 2) * tv, -tv
             mb_theta, mb_tau = t2 - 1, (t2 - 2) * (t2 - 1)
     n_i, rc_i, delta_i = _family_int(n), _family_int(rc), _family_int(delta)
-    theta, tau = _family_simplify(theta), _family_simplify(tau)
-    mbt, mbtau = _as_fraction(_family_simplify(mb_theta)), _as_fraction(_family_simplify(mb_tau))
     # internal consistency of the closed forms
     assert delta_i == n_i - rc_i - 2
     assert theta + tau == delta_i and theta * tau == -(n_i - 1)
-    assert mbt + mbtau == n_i and theta * mbt + tau * mbtau == 0
-    return FamilyParams(case_id, t, n_i, rc_i, delta_i, theta, tau, mbt, mbtau)
+    assert mb_theta + mb_tau == n_i and theta * mb_theta + tau * mb_tau == 0
+    return FamilyParams(case_id, t, n_i, rc_i, delta_i, theta, tau, mb_theta, mb_tau)
 
 
 def _family_int(x) -> int:
-    q = _as_fraction(x)
-    if q.denominator != 1:
-        raise DracknError(f"family closed form produced non-integer {q}")
-    return int(q)
-
-
-def _family_simplify(x):
-    if isinstance(x, QuadNum) and x.is_rational():
-        return x.rational_value()
-    return x
+    if not isinstance(x, Fraction) or x.denominator != 1:
+        raise DracknError(f"family closed form produced non-integer {x}")
+    return int(x)
 
 
 # -- enumeration of feasible family rows -------------------------------------

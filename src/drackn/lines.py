@@ -38,9 +38,9 @@ from . import np
 from .covers import ArcMatrix, CoverCertificate, _count_blocks, cover_certificate
 from .covers import _MAX_FIBRES, drackn_verify
 from .errors import UnsupportedError, VerificationError
-from .feasibility import _as_fraction
+from .feasibility import _is_positive_integer, quadratic_spectrum
 from .groups import AbelianGroup, regular_expand
-from .arith import is_prime, sqrt_exact
+from .arith import is_prime
 from .quadratic import QuadNum
 
 
@@ -186,6 +186,9 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     with rational a iff M_uv(k) - a e_uv [k = k_uv] is constant in k for
     every u != v, and a is read off the pair (0, 1).
 
+    The spectrum is ``feasibility.quadratic_spectrum(a, n, n)``, as for a
+    character block of a cover.
+
     Raises ``VerificationError`` with condition ``not-two-eigenvalue`` when S
     has more than two eigenvalues, witnessed by the first failing entry (its
     vector M_uv read as an exact number) or by a multiplicity obstruction.
@@ -208,11 +211,10 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
         if lo == 0:
             m01, k01 = np.zeros(q, dtype=np.int64), k[0, 1]
             m01[:K] = m[0, 1]
-            a_int = int(sign[0, 1] * (m01[k01] - m01[(k01 + 1) % q]))
-            a = Fraction(a_int)
+            a = int(sign[0, 1] * (m01[k01] - m01[(k01 + 1) % q]))
         # m[u, v] - a e_uv [k = k_uv], the entry of S^2 - aS - (n-1)I off the diagonal
         flat = np.arange(0, rows * n * K, K) + k[lo:lo + rows].ravel()
-        m.reshape(-1)[flat] -= a_int * sign[lo:lo + rows].ravel()
+        m.reshape(-1)[flat] -= a * sign[lo:lo + rows].ravel()
         # constant in k; for K = 1 the zeros at k != 0 make that m = 0
         bad = (m[:, :, 1:] != m[:, :, :1]).any(axis=2) if K > 1 else m[:, :, 0] != 0
         bad[np.arange(rows), np.arange(lo, lo + rows)] = False
@@ -227,28 +229,18 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
                 value = _value_repr(s.root_order, np.append(m[u, v], [0] * (q - K)))
                 witness = f"(S^2 - {a}S - {n - 1}I)[{lo + u},{v}] = {value}"
             raise VerificationError("not-two-eigenvalue", witness)
-    root = sqrt_exact(a_int * a_int + 4 * (n - 1))
-    if root is not None:
-        theta: Fraction | QuadNum = Fraction(a_int + root, 2)
-        tau: Fraction | QuadNum = Fraction(a_int - root, 2)
-        mt, mtau = Fraction(n * (root - a_int), 2 * root), Fraction(n * (root + a_int), 2 * root)
-        if mt.denominator != 1 or mtau.denominator != 1 or mt < 1 or mtau < 1:
-            raise VerificationError(
-                "not-two-eigenvalue",
-                f"multiplicities {mt}, {mtau} are not positive integers",
-            )
-        return SeidelSpectrum(theta, tau, int(mt), int(mtau))
-    if a != 0:
-        raise VerificationError(
-            "not-two-eigenvalue",
-            f"irrational eigenvalues with trace {a}*m != 0 cannot balance",
-        )
-    if n % 2:
-        raise VerificationError(
-            "not-two-eigenvalue", f"eigenvalues +-sqrt({n - 1}) need even order, got {n}"
-        )
-    root_q = QuadNum.sqrt(Fraction(n - 1))
-    return SeidelSpectrum(root_q, -root_q, n // 2, n // 2)
+    theta, tau, mt, mtau = quadratic_spectrum(a, n, n)
+    if not (_is_positive_integer(mt) and _is_positive_integer(mtau)):
+        # irrational eigenvalues have irrational multiplicities unless a = 0,
+        # and then n/2 each
+        if isinstance(theta, Fraction):
+            witness = f"multiplicities {mt}, {mtau} are not positive integers"
+        elif a != 0:
+            witness = f"irrational eigenvalues with trace {a}*m != 0 cannot balance"
+        else:
+            witness = f"eigenvalues +-sqrt({n - 1}) need even order, got {n}"
+        raise VerificationError("not-two-eigenvalue", witness)
+    return SeidelSpectrum(theta, tau, int(mt), int(mtau))
 
 
 @dataclass(frozen=True)
@@ -275,14 +267,14 @@ def _line_sets(s: SeidelMatrix, spec: SeidelSpectrum) -> tuple[LineSet, LineSet]
     """
     field = "real" if s.root_order in (None, 2) else "complex"
     q = s.root_order or 2
-    if isinstance(spec.theta, QuadNum) and not spec.theta.is_rational() and (s.index % q).any():
+    if isinstance(spec.theta, QuadNum) and (s.index % q).any():
         raise UnsupportedError(
             "irrational eigenvalue with non-rational Seidel entries is not supported"
         )
-    out = []
-    for lam, d in ((spec.tau, spec.m_theta), (spec.theta, spec.m_tau)):
-        out.append(LineSet(s.n, d, 1 / _as_fraction(lam * lam), field, s, lam))
-    return out[0], out[1]
+    return tuple(
+        LineSet(s.n, d, 1 / (lam * lam), field, s, lam)
+        for lam, d in ((spec.tau, spec.m_theta), (spec.theta, spec.m_tau))
+    )
 
 
 def seidel_to_linesets(s: SeidelMatrix) -> tuple[LineSet, LineSet]:
@@ -377,9 +369,7 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
     k0 = np.append(0, k[0, 1:])  # k(0, u), with k(0, 0) = 0
     s = SeidelMatrix(_root_index(k + k0[:, None] - k0, p), root_order=p)
     ps = cert.params
-    spec = SeidelSpectrum(
-        ps.theta, ps.tau, int(_as_fraction(ps.mbar_theta)), int(_as_fraction(ps.mbar_tau))
-    )
+    spec = SeidelSpectrum(ps.theta, ps.tau, int(ps.mbar_theta), int(ps.mbar_tau))
     return CoverLines(cert, s, *_line_sets(s, spec))
 
 
@@ -405,7 +395,7 @@ def lines_to_cover(s: SeidelMatrix, r: int) -> tuple[ArcMatrix, CoverCertificate
         raise UnsupportedError(f"deck order r must be prime, got {r}")
     spec = two_eigenvalue_data(s)
     n = s.n
-    c = (n - 2 - _as_fraction(spec.theta + spec.tau)) / r
+    c = (n - 2 - (spec.theta + spec.tau)) / r
     if c.denominator != 1 or c < 1:
         raise VerificationError("parameters", f"derived c = {c} is not a positive integer")
     exps, bad = s.exponents(r)

@@ -4,18 +4,36 @@ These show up as the eigenvalues theta = -tau = sqrt(n-1) of covers with
 delta = 0 and as the sqrt(5)-parametrised sporadic feasible row.  The radicand
 is normalised to be squarefree (and to 0 when the value is rational), so
 equality of values is equality of the (a, b, m) triples.
+
+One form per value: arithmetic (+ - * / **) and ``QuadNum.sqrt`` return a
+``Fraction`` whenever the result is rational, so a value is a ``QuadNum``
+only when it is irrational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import squarefree_split
+from .arith import sqrt_exact, squarefree_split
 from .errors import GroupMismatchError
 
 
+def _surd(a: Fraction, b: Fraction, m: int) -> "Fraction | QuadNum":
+    """a + b*sqrt(m) for an already squarefree m: the Fraction a when b = 0."""
+    if not b:
+        return a
+    x = object.__new__(QuadNum)
+    x.a, x.b, x.m = a, b, m
+    return x
+
+
 class QuadNum:
-    """The real number a + b*sqrt(m), with a, b rational and m squarefree."""
+    """The real number a + b*sqrt(m), with a, b rational and m squarefree.
+
+    Arithmetic and ``sqrt`` return a ``Fraction`` for each rational result,
+    so every QuadNum they return is irrational; only the constructor takes
+    b = 0.
+    """
 
     __slots__ = ("a", "b", "m")
 
@@ -40,41 +58,25 @@ class QuadNum:
         self.m = m
 
     @classmethod
-    def sqrt(cls, n: Fraction | int) -> "QuadNum":
+    def sqrt(cls, n: Fraction | int) -> "Fraction | QuadNum":
         """Exact sqrt(n) for a non-negative rational n."""
         q = Fraction(n)
         if q < 0:
             raise ValueError("sqrt of a negative rational")
-        if q == 0:
-            return cls(0)
         # sqrt(p/q) = sqrt(p*q) / q
-        return cls(0, Fraction(1, q.denominator), q.numerator * q.denominator)
+        pq = q.numerator * q.denominator
+        root = sqrt_exact(pq)
+        if root is not None:
+            return Fraction(root, q.denominator)
+        return cls(0, Fraction(1, q.denominator), pq)
 
     # -- queries ---------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def rational_value(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
     def sign(self) -> int:
-        a, b, m = self.a, self.b, self.m
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # signs differ: compare a^2 with b^2 m
-        lhs, rhs = a * a, b * b * m
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
+        # the larger of |a| and |b| sqrt(m) decides; they differ unless both
+        # are 0, since a squarefree m > 1 is no rational square
+        x = self.a if self.a * self.a > self.b * self.b * self.m else self.b
+        return (x > 0) - (x < 0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -94,13 +96,12 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self._join_radicand(o)
-        return QuadNum(self.a + o.a, self.b + o.b, m)
+        return _surd(self.a + o.a, self.b + o.b, self._join_radicand(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.m)
+        return _surd(-self.a, -self.b, self.m)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -116,21 +117,15 @@ class QuadNum:
         if o is None:
             return NotImplemented
         m = self._join_radicand(o)
-        return QuadNum(
-            self.a * o.a + self.b * o.b * m,
-            self.a * o.b + self.b * o.a,
-            m,
-        )
+        return _surd(self.a * o.a + self.b * o.b * m, self.a * o.b + self.b * o.a, m)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QuadNum":
+    def inverse(self) -> "Fraction | QuadNum":
         denom = self.a * self.a - self.b * self.b * self.m
-        if denom == 0:
-            if self.a == 0 and self.b == 0:
-                raise ZeroDivisionError("inverse of zero")
-            raise ZeroDivisionError("degenerate surd")  # cannot happen: m squarefree > 1
-        return QuadNum(self.a / denom, -self.b / denom, self.m)
+        if denom == 0:  # only for 0: m is squarefree > 1 when b != 0
+            raise ZeroDivisionError("inverse of zero")
+        return _surd(self.a / denom, -self.b / denom, self.m)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -147,8 +142,7 @@ class QuadNum:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = QuadNum(1)
-        base = self
+        out, base = Fraction(1), self
         while k:
             if k & 1:
                 out = out * base
@@ -160,9 +154,9 @@ class QuadNum:
         """Complex conjugation: these are real numbers, so the identity."""
         return self
 
-    def algebraic_conjugate(self) -> "QuadNum":
+    def algebraic_conjugate(self) -> "Fraction | QuadNum":
         """The field conjugate a - b*sqrt(m)."""
-        return QuadNum(self.a, -self.b, self.m)
+        return _surd(self.a, -self.b, self.m)
 
     # -- comparisons / hashing / display ---------------------------------
 
@@ -181,7 +175,8 @@ class QuadNum:
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
-        return (self - o).sign()
+        d = self - o
+        return d.sign() if isinstance(d, QuadNum) else (d > 0) - (d < 0)
 
     def __lt__(self, other):
         return self._cmp(other) < 0

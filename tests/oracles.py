@@ -153,12 +153,13 @@ def subgroup_closure(group: AbelianGroup, generators: Iterable) -> set[tuple[int
 
 
 def rational_of(x) -> Fraction | None:
-    """Exact rational value of x, or None when x is irrational."""
+    """Exact rational value of x, or None when x is irrational.  A rational
+    value the library returns is a ``Fraction``, never a ``QuadNum``."""
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (QuadNum, CycNum)):
+    if isinstance(x, CycNum):
         return x.rational_value() if x.is_rational() else None
     return None
 
@@ -216,7 +217,7 @@ def gram(ls: LineSet) -> ExactMatrix:
     """The Gram matrix G = I - S/lam of a line set, as an exact matrix."""
     lam = ls.lam
     # QuadNum and CycNum do not mix: with a surd lam the entries are +-1
-    rational = isinstance(lam, QuadNum) and not lam.is_rational()
+    rational = isinstance(lam, QuadNum)
     return _exact(ls.seidel, lambda e: -((rational_of(e) if rational else e) / lam), Fraction(1))
 
 

@@ -224,6 +224,24 @@ def test_enumerate_human_table(capsys, monkeypatch):
     assert len(lines) == 2
 
 
+def test_parameter_commands_output_is_pinned(capsys, monkeypatch):
+    # every (n, r, c) with n <= 30, r <= 6, c <= 8 (1,046 of the 1,160 with
+    # surd eigenvalues), then each family's table in both layouts, hashed as
+    # one sha256 of "argv / exit code / stdout stderr"
+    argvs = [
+        ["feasible", str(n), str(r), str(c)]
+        for n in range(2, 31) for r in range(2, 7) for c in range(1, 9)
+    ]
+    for case in ("Ia", "Ib", "IIa", "IIb"):
+        base = ["enumerate", "--case", case, "--t-max", "12"]
+        argvs += [base + ["--tsv", "--include-two-graph"], base]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run(capsys, monkeypatch, argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == "21a2eafa8cf233158ad250959f53479666f175eb85c7d43b9f09f847d2f9f0a4"
+
+
 def test_jobs_is_not_an_option(capsys, monkeypatch):
     argv = ["enumerate", "--case", "Ib", "--t-max", "4"]
     code, out, err = run(capsys, monkeypatch, ["--jobs", "2"] + argv)

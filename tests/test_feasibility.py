@@ -21,6 +21,7 @@ from drackn.feasibility import (
     spectral_params,
     tau_bounds,
 )
+from drackn.lines import paley_conference, two_eigenvalue_data
 from drackn.quadratic import QuadNum
 
 
@@ -46,6 +47,14 @@ def test_spectral_params_surd():
     assert not ps.eigenvalues_integral
     assert ps.m_theta == 3 and ps.m_tau == 3
     assert ps.format_fields() == ("6", "2", "2", "0", "sqrt(5)", "-sqrt(5)", "3", "3")
+    # the Seidel route derives the same surd spectrum: a Paley conference
+    # matrix of order q + 1 is a block of a (q + 1, 2, (q - 1)/2) cover
+    for q in (5, 13, 17, 29):
+        ps = spectral_params(q + 1, 2, (q - 1) // 2)
+        spec = two_eigenvalue_data(paley_conference(q))
+        assert isinstance(spec.theta, QuadNum) and isinstance(spec.tau, QuadNum)
+        assert (spec.theta, spec.tau) == (ps.theta, ps.tau) == (QuadNum.sqrt(q), -QuadNum.sqrt(q))
+        assert (spec.m_theta, spec.m_tau) == (ps.mbar_theta, ps.mbar_tau) == ((q + 1) // 2,) * 2
 
 
 def test_spectral_params_rejects_bad_triples():

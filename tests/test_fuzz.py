@@ -1,6 +1,6 @@
 """Seeded fuzz of the command line: small mutations of valid SKEW, LATIN,
-cover, SEIDEL and GH inputs end in exit code 0, 1 or 2 with a report, never
-a traceback."""
+FORM, cover, SEIDEL and GH inputs end in exit code 0, 1 or 2 with a report,
+never a traceback."""
 
 from __future__ import annotations
 
@@ -12,8 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drackn.cli import main
-from drackn.constructions import cover_to_gh, default_latin, default_skew, thas_somma
-from drackn.formats import emit_cover, emit_gh, emit_latin, emit_seidel, emit_skew
+from drackn.constructions import (
+    cover_to_gh,
+    default_latin,
+    default_skew,
+    standard_symplectic,
+    thas_somma,
+)
+from drackn.formats import emit_cover, emit_form, emit_gh, emit_latin, emit_seidel, emit_skew
 from drackn.lines import cover_to_lines
 
 CASES = {
@@ -21,6 +27,8 @@ CASES = {
              emit_skew(default_skew(1, 3))),
     "latin": (["construct", "dcff", "-t", "2", "-d", "1", "--latin", "-"],
               emit_latin(default_latin(2))),
+    "form": (["construct", "thas-somma", "-p", "3", "-m", "2", "--form", "-"],
+             emit_form(standard_symplectic(3, 2))),
     "cover": (["verify"], emit_cover(thas_somma(3, 2))),
     "seidel": (["lines-to-cover", "--r", "3"],
                emit_seidel(cover_to_lines(thas_somma(3, 2), 1).seidel)),

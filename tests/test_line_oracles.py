@@ -20,7 +20,6 @@ from oracles import exact_square_two_eigenvalue_data, gram, seidel_mat
 from drackn.constructions import dcff, thas_somma
 from drackn.cyclotomic import CycNum
 from drackn.errors import DracknError, UnsupportedError, VerificationError
-from drackn.feasibility import _as_fraction
 from drackn.formats import emit_gram, emit_seidel
 from drackn.lines import (
     SeidelMatrix,
@@ -50,7 +49,7 @@ def _lines_to_cover_text(s: SeidelMatrix, r: int, spec) -> str | None:
     spectrum or refusal text) and the exact entries."""
     if isinstance(spec, str):
         return spec
-    c = (s.n - 2 - _as_fraction(spec.theta + spec.tau)) / r
+    c = (s.n - 2 - (spec.theta + spec.tau)) / r
     if c.denominator != 1 or c < 1:
         return f"parameters: derived c = {c} is not a positive integer"
     _, bad = s.exponents(r)

@@ -38,11 +38,51 @@ def test_radicand_normalization():
     assert QuadNum.sqrt(18) == 3 * QuadNum.sqrt(2)
 
 
-def test_norm_product_is_rational():
+def _parts(x) -> tuple[Fraction, Fraction]:
+    return (x, Fraction(0)) if isinstance(x, Fraction) else (x.a, x.b)
+
+
+def _times(u, v, m):
+    (a1, b1), (a2, b2) = u, v
+    return a1 * a2 + b1 * b2 * m, a1 * b2 + b1 * a2
+
+
+def test_rational_results_are_fractions():
+    """A result is a Fraction exactly when its sqrt(m) part is 0, and a
+    QuadNum otherwise: one form per value."""
+
+    def check(got, a, b, m):
+        assert isinstance(got, Fraction) == (b == 0), (got, a, b)
+        assert got == (a if b == 0 else QuadNum(a, b, m))
+
+    rng = random.Random(30)
+
+    def rand(m):
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.7 else 0
+        return QuadNum(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), b, m)
+
+    for m in (2, 5, 21):
+        for _ in range(40):
+            x, y = rand(m), rand(m)
+            for u, v in ((x, y), (x, x), (x, x.algebraic_conjugate()), (y.algebraic_conjugate(), x)):
+                (a1, b1), (a2, b2) = _parts(u), _parts(v)
+                check(u + v, a1 + a2, b1 + b2, m)
+                check(u - v, a1 - a2, b1 - b2, m)
+                check(u * v, *_times((a1, b1), (a2, b2), m), m)
+                norm = a2 * a2 - b2 * b2 * m
+                if norm:
+                    a, b = _times((a1, b1), (a2, -b2), m)
+                    check(u / v, a / norm, b / norm, m)
+                k = rng.randint(0, 4)
+                power = (Fraction(1), Fraction(0))
+                for _ in range(k):
+                    power = _times(power, (a1, b1), m)
+                check(u**k, *power, m)
     x = QuadNum(Fraction(3, 2), Fraction(-1, 4), 21)
-    prod = x * x.algebraic_conjugate()
-    assert prod.is_rational()
-    assert prod.rational_value() == Fraction(9, 4) - Fraction(1, 16) * 21
+    check(x * x.algebraic_conjugate(), Fraction(9, 4) - Fraction(1, 16) * 21, 0, 21)
+    for n, root in ((0, 0), (4, 2), (Fraction(9, 4), Fraction(3, 2))):
+        check(QuadNum.sqrt(n), root, 0, 0)
+    check(QuadNum.sqrt(Fraction(1, 2)), 0, Fraction(1, 2), 2)
 
 
 def test_field_identities_random():
@@ -84,9 +124,6 @@ def test_sign():
     assert (-QuadNum.sqrt(3)).sign() == -1
     assert (QuadNum.sqrt(2) - Fraction(3, 2)).sign() == -1
     assert QuadNum(0, 0, 0).sign() == 0
-    # 2 - sqrt(2) - (sqrt(2) - 1) + (2 sqrt(2) - 3) = 0 exactly
-    r2 = QuadNum.sqrt(2)
-    assert ((2 - r2) - (r2 - 1) + (2 * r2 - 3)).sign() == 0
 
 
 def test_rational_interop():
@@ -102,14 +139,6 @@ def test_conjugate_vs_algebraic_conjugate():
     # real numbers: complex conjugation is the identity
     assert x.conjugate() == x
     assert x.algebraic_conjugate() == QuadNum(1, -2, 5)
-
-
-def test_is_rational_and_value():
-    assert QuadNum(Fraction(7, 3), 0, 5).is_rational()
-    assert QuadNum(Fraction(7, 3), 0, 5).rational_value() == Fraction(7, 3)
-    assert not QuadNum(0, 1, 5).is_rational()
-    with pytest.raises(ValueError):
-        QuadNum(0, 1, 5).rational_value()
 
 
 def test_str_forms():

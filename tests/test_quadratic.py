@@ -78,11 +78,16 @@ def test_rational_results_are_fractions():
                 for _ in range(k):
                     power = _times(power, (a1, b1), m)
                 check(u**k, *power, m)
-    x = QuadNum(Fraction(3, 2), Fraction(-1, 4), 21)
-    check(x * x.algebraic_conjugate(), Fraction(9, 4) - Fraction(1, 16) * 21, 0, 21)
     for n, root in ((0, 0), (4, 2), (Fraction(9, 4), Fraction(3, 2))):
         check(QuadNum.sqrt(n), root, 0, 0)
     check(QuadNum.sqrt(Fraction(1, 2)), 0, Fraction(1, 2), 2)
+
+
+def test_norm_product_is_rational():
+    x = QuadNum(Fraction(3, 2), Fraction(-1, 4), 21)
+    prod = x * x.algebraic_conjugate()
+    assert isinstance(prod, Fraction)
+    assert prod == Fraction(9, 4) - Fraction(1, 16) * 21
 
 
 def test_field_identities_random():
@@ -124,6 +129,10 @@ def test_sign():
     assert (-QuadNum.sqrt(3)).sign() == -1
     assert (QuadNum.sqrt(2) - Fraction(3, 2)).sign() == -1
     assert QuadNum(0, 0, 0).sign() == 0
+    # 2 - sqrt(2) - (sqrt(2) - 1) + (2 sqrt(2) - 3) = 0 exactly, as a Fraction
+    r2 = QuadNum.sqrt(2)
+    zero = (2 - r2) - (r2 - 1) + (2 * r2 - 3)
+    assert isinstance(zero, Fraction) and zero == 0
 
 
 def test_rational_interop():
@@ -139,6 +148,17 @@ def test_conjugate_vs_algebraic_conjugate():
     # real numbers: complex conjugation is the identity
     assert x.conjugate() == x
     assert x.algebraic_conjugate() == QuadNum(1, -2, 5)
+
+
+def test_is_rational_and_value():
+    # a rational value is a Fraction, an irrational one a QuadNum
+    assert QuadNum(Fraction(7, 3), 0, 5) == Fraction(7, 3)
+    assert QuadNum(0, 1, 5) + 0 == QuadNum.sqrt(5)
+    assert isinstance(QuadNum(Fraction(7, 3), 0, 5) + 0, Fraction)
+    assert QuadNum(Fraction(7, 3), 0, 5) + 0 == Fraction(7, 3)
+    assert isinstance(QuadNum(0, 1, 5) + 0, QuadNum)
+    assert isinstance(QuadNum(0, 1, 5) * QuadNum(0, 1, 5), Fraction)
+    assert QuadNum(0, 1, 5) * QuadNum(0, 1, 5) == 5
 
 
 def test_str_forms():

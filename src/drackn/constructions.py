@@ -17,8 +17,8 @@ loop and no field arithmetic per pair, and verify it before returning it.
 A cover with delta = -2 (equivalently n = rc) is the same thing as a
 self-adjoint generalized Hadamard matrix with constant diagonal over the
 deck group; ``cover_to_gh`` / ``gh_to_cover`` convert between the two views.
-``gh_to_cover`` checks the Hadamard row-pair identity on the cover's count
-table (``covers._count_blocks``), the table ``drackn_verify`` checks.
+``gh_to_cover`` checks the Hadamard row-pair identity as ``drackn_verify``
+checks a cover (``covers._unproven_blocks``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .covers import (
     ArcMatrix,
     CoverCertificate,
     _MAX_FIBRES,
-    _count_blocks,
+    _frozen,
+    _unproven_blocks,
     check_deck_group,
     cover_certificate,
     drackn_verify,
@@ -341,10 +342,7 @@ class GHMatrix:
         n = len(entries)
         if n < 1 or any(len(row) != n for row in entries):
             raise CoverStructureError("not-square", f"need a square table, got {n} rows")
-        index = np.array(entries, dtype=np.int64)
-        index.flags.writeable = False
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", index)
+        _frozen(self, group=group, index=np.array(entries, dtype=np.int64))
 
     def __setattr__(self, name, value):
         raise AttributeError("GHMatrix is immutable")
@@ -378,13 +376,18 @@ def _row_pair_defect(group: AbelianGroup, f: np.ndarray) -> str | None:
     """None if the arc index array ``f`` of ``gh_to_cover`` has
     N_uv(x) = n/r for x != f(u, v) (the row sum n - 2 then forces n/r - 2 at
     f(u, v)), else a witness: the first failing row pair u < v and the worst
-    of its row differences, which hit x N_uv(x) + 2[x = f(u, v)] times."""
+    of its row differences, which hit x N_uv(x) + 2[x = f(u, v)] times.
+
+    A block is counted only if it fails B (B + 2I) = (n - 1)I (mod q)
+    (``covers._unproven_blocks``), exact with c = lam once lam >= 2, as then
+    lam <= n/2 <= n - 2; smaller tables are counted.  Pair (v, u) fails iff
+    (u, v) does, so a failing block holds the first failing pair u < v."""
     n, r = f.shape[0], group.order
     if n % r:
         return f"order {n} is not a multiple of the group order {r}"
     lam = n // r
     fibres, xs = np.arange(n), np.arange(r)
-    for lo, N in _count_blocks(f, group):
+    for lo, N in _unproven_blocks(f, group, -2 if lam >= 2 else None):
         block = f[lo:lo + len(N)]
         bad = (N != lam) & (xs != block[:, :, None])
         bad = bad.any(axis=2) & (fibres > fibres[lo:lo + len(N), None])

@@ -7,14 +7,13 @@ expanded graph has vertex set {0..n-1} x G, with (u, g) adjacent to (v, h)
 iff u != v and h - g = f(u, v).  Normalizing and quotienting are gathers
 through the group's addition, negation and projection tables.
 
-``drackn_verify`` proves the defining regularity conditions from one exact
-integer table, the group-ring counts
-N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}, built and checked in
-blocks of fibres.  Fibre 0's counts are the column histograms of the gauged
-table; ``_count_blocks`` builds the later fibres' by integer gathers, or for
-deck groups of order up to 32 by a character transform over a prime field
-GF(q): float64 products of character values, integer residues whose every
-sum stays below 2^51 and so is exact; the counts are the sums' residues.
+``drackn_verify`` proves the defining regularity conditions on the counts
+N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}, in blocks of fibres;
+fibre 0's are the column histograms of the gauged table.  For deck groups of
+order up to 32 a later block is proven by B_chi (B_chi - delta I) = (n - 1)I
+(mod q) over a prime field GF(q), in float64 products of residues whose sums
+stay below 2^51, so are exact; ``_count_blocks`` builds the counts from the
+first block that fails it, or when r > 32.
 """
 
 from __future__ import annotations
@@ -95,6 +94,14 @@ def _check_arc_index(group: AbelianGroup, index: np.ndarray) -> None:
         raise CoverStructureError("inverse-pair", f"f({v},{u}) != -f({u},{v}) at ({u},{v})")
 
 
+def _frozen(obj, **fields):
+    """``obj`` with ``fields`` set past its immutability, ``index`` read-only."""
+    fields["index"].flags.writeable = False
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class ArcMatrix:
     """Validated arc function of an n-fibre cover with abelian deck group.
 
@@ -111,9 +118,12 @@ class ArcMatrix:
             entries = _index_of_rows(group, entries)
         index = np.array(entries, dtype=np.int64)
         _check_arc_index(group, index)
-        index.flags.writeable = False
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", index)
+        _frozen(self, group=group, index=index)
+
+    @classmethod
+    def _proven(cls, group: AbelianGroup, index: np.ndarray) -> "ArcMatrix":
+        """The table of an int64 index array proven valid by its caller."""
+        return _frozen(object.__new__(cls), group=group, index=index)
 
     def __setattr__(self, name, value):
         raise AttributeError("ArcMatrix is immutable")
@@ -153,7 +163,7 @@ def normalize(f: ArcMatrix) -> ArcMatrix:
     f'(u, v) = f(u, v) + f(0, u) - f(0, v), reading f(0, 0) as the identity:
     the expanded graph is unchanged up to relabelling within fibres.
     """
-    return ArcMatrix(f.group, _gauged(f))
+    return ArcMatrix._proven(f.group, _gauged(f))
 
 
 def _gauged(f: ArcMatrix) -> np.ndarray:
@@ -250,10 +260,52 @@ def _transform(orders: tuple[int, ...], n: int) -> tuple[int, np.ndarray, np.nda
     return q, chi, inv
 
 
+def _unproven_blocks(idx: np.ndarray, group: AbelianGroup, delta: int | None, start: int = 0):
+    """The count blocks the identity leaves unproven: on the character route
+    of ``_count_blocks``, from the first block from ``start`` whose rows fail
+    B_a (B_a - delta I) = (n - 1)I (mod q) for some a != 0 (none if all pass),
+    else all from ``start``.  As the trivial sum is n - 2, a pair passes iff
+    N_uv(x) = r^-1 (n - 2 - delta) (mod q) for x != f(u, v).  Given an
+    integer c in [0, n - 2] of that residue, N_uv(x) = c there (q > n - 2)
+    and the row sum n - 2 fixes N_uv(f(u, v)): each caller names its c.
+    With d = -delta/2 (mod q; q is odd), (B_a + dI)^2 = B_a^2 - delta B_a +
+    d^2 I: one product of the stack of the B_a + dI by itself, every sum below
+    n (q - 1)^2 < 2^51, the diagonal n - 1 + d^2 as f(v, u) = -f(u, v)."""
+    n, r = idx.shape[0], group.order
+    characters, b = _count_plan(n, r)
+    if delta is None or not characters:
+        yield from _count_blocks(idx, group, start)
+        return
+    q, chi, _ = _transform(group.orders, n)
+    assert n * (q - 1) ** 2 < _EXACT, "identity sums must stay below 2^51"
+    d = -delta * (q + 1) // 2 % q
+    stack = chi[1:].take(idx, axis=1)  # [a - 1, u, w]: chi_a(f(u, w))
+    stack.reshape(r - 1, n * n)[:, ::n + 1] = d
+    for lo in range(start, n, b):
+        h = min(b, n - lo)
+        y = np.matmul(stack[:, lo:lo + h], stack)  # [a - 1, u, v]
+        # entry (u, u) sits at lo + u (n + 1): n - 1 units and d^2, so >= 0
+        y.reshape(r - 1, h * n)[:, lo::n + 1] -= (n - 1 + d * d) % q
+        if _residue(y, q, np.empty_like(y)).any():
+            yield from _count_blocks(idx, group, lo)
+            return
+
+
+def _residue(y: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
+    """y mod q into ``out`` for float64 integers 0 <= y < 2^51 (``_count_blocks``)."""
+    np.add(y, 0.5, out=out)
+    out *= 1 / q
+    np.floor(out, out=out)
+    out *= -q
+    out += y
+    return out
+
+
 def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0):
     """Yield (lo, N[lo:hi]) for blocks of consecutive fibres u >= ``start``,
     where N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x} and
-    N[u, u] = 0.  Each block is a C-contiguous int64 array.
+    N[u, u] = 0.  Each block is a C-contiguous int64 array.  Callers reach
+    it through ``_unproven_blocks``, which checks the identity first.
 
     ``idx`` holds the element index of f(u, v) in ``group`` (the diagonal
     is ignored).  The first block starts at fibre ``start``: the fibres
@@ -283,13 +335,8 @@ def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0):
 
     The cost rule (``_count_plan``) takes the characters when r <= 32, the
     stack of the B_a fits r n^2 <= 2^23 float64 entries (64 MB) and the bound
-    holds for the least prime = 1 (mod r) above n - 2, which bounds q.
-    Measured on a 2-vCPU Xeon with OpenBLAS 0.3.31 (2 threads), random
-    tables, characters against gathers: 0.044 vs 1.1 ms at (n, r) =
-    (64, 2), 0.073 vs 0.67 ms at (49, 7), 3.2 vs 15 ms at (169, 13), 0.71
-    vs 0.97 ms at (64, 32) and 25 vs 89 ms at (256, 32); at r = 64 the
-    characters lose at small n (1.8 vs 1.1 ms at n = 64, 11 vs 6.7 ms at
-    n = 128); the README lists more.  Blocks hold about ``_CHAR_BLOCK``
+    holds for the least prime = 1 (mod r) above n - 2, which bounds q; the
+    README lists timings on both sides.  Blocks hold about ``_CHAR_BLOCK``
     counts on the character route (256 rows at n r = 2048) and ``_BLOCK``
     keys on the gather route, so a rejection stops at its first failing
     block on either.
@@ -332,14 +379,10 @@ def _character_counts(ind: np.ndarray, orders: tuple[int, ...], b: int, start: i
         sums[0] = n - 2  # the trivial character counts every w off the diagonal
         np.matmul(stack[:, lo:lo + h], stack, out=sums[1:])
         y = sums.reshape(r, h * n).T @ inv  # [(u, v), x]: N_uv(x) mod q
-        # y - q floor((y + 1/2)/q), computed in the buffer of sums and cast into
-        # that of y: fresh temporaries of this size made glibc return and refault
+        # the residue is computed in the buffer of sums and cast into that of
+        # y: fresh temporaries of this size made glibc return and refault
         # heap pages on every call, which tripled the time at ts72
-        res = np.add(y, 0.5, out=sums.reshape(h * n, r))
-        res *= 1 / q
-        np.floor(res, out=res)
-        res *= -q
-        res += y
+        res = _residue(y, q, sums.reshape(h * n, r))
         counts = y.view(np.int64)
         np.copyto(counts, res, casting="unsafe")
         yield lo, counts.reshape(h, n, r)
@@ -385,22 +428,18 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
     histogram of column v, one bincount in O(n^2).  Fibre 0 is checked
     from it, mates first: a missed mate makes fibre 0 fail, since a passing
     fibre 0 reaches every mate x through fibre 1 (N_01(x) = c >= 1).  Only
-    if fibre 0 passes is the rest of the table built, in blocks of fibres
-    from fibre 1 on (``_count_blocks``), and each block is checked as soon
-    as it is built.  A block's pairs with earlier fibres need no mask: as
+    if fibre 0 passes are the later fibres checked, in blocks from fibre 1
+    on.  A block's pairs with earlier fibres need no mask: as
     N_uv(x) = N_vu(-x), a count other than c at v < u fails fibre v first.
-    The counts are the same numbers and the blocks come in fibre order, so
-    the first failing fibre, its first failing pair and so the tag and
-    witness are those of the scan.  A typical non-cover fails
-    at fibre 0: every change of one arc pair of a cover does (n >= 3), as
-    one count of N_0u moves to c +- 1 when 0 is neither end of the arc, and
-    N_0w moves for every other w when it is.
+    The blocks come in fibre order, so the first failing fibre, its first
+    failing pair and so the tag and witness are those of the scan.  A
+    typical non-cover fails at fibre 0: every change of one arc pair of a
+    cover does (n >= 3), as one count of N_0u moves to c +- 1 when 0 is
+    neither end of the arc, and N_0w moves for every other w when it is.
 
-    The character blocks follow without a matrix product (Fourier lemma):
-    (B_chi^2)[u, v] = sum_x N_uv(x) chi(x) for u != v, and the diagonal is
-    n - 1.  Constant counts force N_uv(f(u, v)) = n - 2 - (r - 1)c, and
-    sum_x chi(x) = 0 for chi != 1, so B_chi^2 = delta*B_chi + (n-1)I with
-    delta = n - rc - 2 for every non-trivial character at once.
+    A block is counted only if it fails the ``character-blocks`` identity
+    B_chi^2 = delta B_chi + (n - 1)I mod q, delta = n - rc - 2
+    (``_unproven_blocks``), exact as c itself lies in [1, n - 2].
 
     Returns the certificate on success; raises ``VerificationError`` with a
     condition keyword and witness when the expanded graph is not a cover with
@@ -429,17 +468,15 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
             raise VerificationError("not-antipodal", f"fibre mates 0,{x} are not at distance 3")
         v, x = (int(i) + 1 for i in np.argwhere(bad)[0])
         raise _count_failure(0, v, x, int(N0[v, x]), c, r)
-    for lo, N in _count_blocks(idx, G, start=1):
+    for lo, N in _unproven_blocks(idx, G, n - r * c - 2, start=1):
         h = len(N)
         bad = N != c  # c >= 1 now
         # x = f(u, v) is free; the diagonal's -1 reads x = r - 1 of the pair
         # (u, u), which is cleared whole
         bad.reshape(-1)[np.arange(0, h * n * r, r) + idx[lo:lo + h].ravel() % r] = False
         bad[np.arange(h), np.arange(lo, lo + h)] = False
-        failed = bad.any(axis=(1, 2))
-        if failed.any():
-            k = int(np.argmax(failed))
-            v, x = (int(i) for i in np.argwhere(bad[k])[0])
+        if bad.any():
+            k, v, x = (int(i) for i in np.argwhere(bad)[0])
             raise _count_failure(lo + k, v, x, int(N[k, v, x]), c, r)
     return cover_certificate(n, r, c)
 
@@ -469,9 +506,10 @@ _CHECKS = (
 )
 
 
+@lru_cache(maxsize=256)
 def cover_certificate(n: int, r: int, c: int) -> CoverCertificate:
-    """The certificate of a proven (n, r, c) cover: its parameters, its
-    spectrum and the checks passed, ending with the integral multiplicities."""
+    """The certificate of a proven (n, r, c) cover, derived once per triple
+    (a refusal is not cached): parameters, spectrum and the checks passed."""
     params = spectral_params(n, r, c)
     mults = []
     for name, m in (("m_theta", params.m_theta), ("m_tau", params.m_tau)):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import np
-from .covers import ArcMatrix, CoverCertificate, _count_blocks, cover_certificate
+from .covers import ArcMatrix, CoverCertificate, _frozen, _unproven_blocks, cover_certificate
 from .covers import _MAX_FIBRES, drackn_verify
 from .errors import UnsupportedError, VerificationError
 from .feasibility import _is_positive_integer, quadratic_spectrum
@@ -109,9 +109,13 @@ class SeidelMatrix:
         if bad.any():
             u, v = (int(i) for i in np.argwhere(bad)[0])
             raise ValueError(f"matrix is not Hermitian at ({u},{v})")
-        index.flags.writeable = False
-        object.__setattr__(self, "root_order", root_order)
-        object.__setattr__(self, "index", index)
+        _frozen(self, root_order=root_order, index=index)
+
+    @classmethod
+    def _proven(cls, index: np.ndarray, root_order: int | None) -> "SeidelMatrix":
+        """The matrix of an int64 index array proven valid by its caller."""
+        np.fill_diagonal(index, 0)
+        return _frozen(object.__new__(cls), root_order=root_order, index=index)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeidelMatrix is immutable")
@@ -171,20 +175,25 @@ def _table_orders(h: np.ndarray, k: np.ndarray, q: int) -> tuple[int, int]:
 def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     """Verify S^2 = aS + (n-1)I and return the eigenvalue data.
 
-    No matrix product: write S[u, v] = e_uv zeta^k_uv (``S.index``) and let
-    M_uv(k) = N_uv(+, k) - N_uv(-, k) from the count table
-    (``covers._count_blocks``; the first block with a failing pair stops
-    the check), so S^2[u, v] = sum_k M_uv(k) zeta^k for u != v; the
-    diagonal is n - 1 since the entries are units.  The table is built over
-    the smallest group that holds every entry: Z/2 when every k_uv is 0
-    (+-1 matrices, and every matrix with q = 2), Z/q when every e_uv is +1
-    (as in every character block of a cover), else Z/2 x Z/q.  A product
-    of entries stays in the group of its factors, so the missing factor
-    only adds zero counts: M_uv(k) = 0 for k != 0 over Z/2, and
-    N_uv(-, k) = 0 over Z/q.  For prime q the only rational relation among
-    1, zeta, ..., zeta^(q-1) is the all-equal one, so the identity holds
-    with rational a iff M_uv(k) - a e_uv [k = k_uv] is constant in k for
-    every u != v, and a is read off the pair (0, 1).
+    Write S[u, v] = e_uv zeta^k_uv (``S.index``) and let
+    M_uv(k) = N_uv(+, k) - N_uv(-, k) on the count table of the entries, so
+    S^2[u, v] = sum_k M_uv(k) zeta^k for u != v; the diagonal is n - 1
+    since the entries are units.  The table is over the smallest group that
+    holds every entry: Z/2 when every k_uv is 0 (+-1 matrices, and every
+    matrix with q = 2), Z/q when every e_uv is +1 (as in every character
+    block of a cover), else Z/2 x Z/q.  A product of entries stays in the
+    group of its factors, so the missing factor only adds zero counts:
+    M_uv(k) = 0 for k != 0 over Z/2, and N_uv(-, k) = 0 over Z/q.  For
+    prime q the only rational relation among 1, zeta, ..., zeta^(q-1) is
+    the all-equal one, so the identity holds with rational a iff
+    M_uv(k) - a e_uv [k = k_uv] is constant in k for every u != v, and a is
+    read off the pair (0, 1), whose counts over w >= 2 are one bincount.
+
+    Over Z/2 and Z/q a block is counted only if it fails B (B - aI) = (n - 1)I
+    mod the table's field prime (``covers._unproven_blocks``), which is exact
+    with c = (n - 2 - a)/2 over Z/2, in [0, n - 2] as a = e_01 M_01 = n
+    (mod 2) and |a| <= n - 2, and c = N_01(k_01 + 1) over Z/q, as pair (0, 1)
+    is in the first block; there a = N_01(k_01) - c = n - 2 - qc.
 
     The spectrum is ``feasibility.quadratic_spectrum(a, n, n)``, as for a
     character block of a cover.
@@ -199,8 +208,12 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     h, k = h[s.index], k[s.index]  # S[u, v] = (-1)^h zeta^k
     H, K = _table_orders(h, k, q)  # the table's group Z/H x Z/K holds entry h*K + k
     group = AbelianGroup(tuple(d for d in (H, K) if d > 1))
-    sign = 1 - 2 * h
-    for lo, counts in _count_blocks(h * K + k, group):
+    sign, table = 1 - 2 * h, h * K + k
+    n01 = np.bincount(group.add_table()[table[0, 2:], table[2:, 1]], minlength=H * K)
+    m01, k01 = np.zeros(q, dtype=np.int64), k[0, 1]
+    m01[:K] = n01[:K] - n01[K:] if H == 2 else n01
+    a = int(sign[0, 1] * (m01[k01] - m01[(k01 + 1) % q]))
+    for lo, counts in _unproven_blocks(table, group, a if group.rank == 1 else None):
         rows = len(counts)
         by_sign = counts.reshape(rows, n, H, K)
         # [u, v, k]: M_uv(k) for k < K; over Z/2 (K = 1), M_uv(k) = 0 for k != 0
@@ -208,10 +221,6 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
             m = by_sign[:, :, 0] - by_sign[:, :, 1]
         else:
             m = np.ascontiguousarray(by_sign[:, :, 0])  # the flat write below must land in m
-        if lo == 0:
-            m01, k01 = np.zeros(q, dtype=np.int64), k[0, 1]
-            m01[:K] = m[0, 1]
-            a = int(sign[0, 1] * (m01[k01] - m01[(k01 + 1) % q]))
         # m[u, v] - a e_uv [k = k_uv], the entry of S^2 - aS - (n-1)I off the diagonal
         flat = np.arange(0, rows * n * K, K) + k[lo:lo + rows].ravel()
         m.reshape(-1)[flat] -= a * sign[lo:lo + rows].ravel()
@@ -367,7 +376,7 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
     ks = np.array(els).reshape(len(els), G.rank) @ np.array(els[char_index])
     k = ks[f.index]  # the diagonal is ignored
     k0 = np.append(0, k[0, 1:])  # k(0, u), with k(0, 0) = 0
-    s = SeidelMatrix(_root_index(k + k0[:, None] - k0, p), root_order=p)
+    s = SeidelMatrix._proven(_root_index(k + k0[:, None] - k0, p), root_order=p)
     ps = cert.params
     spec = SeidelSpectrum(ps.theta, ps.tau, int(ps.mbar_theta), int(ps.mbar_tau))
     return CoverLines(cert, s, *_line_sets(s, spec))
@@ -405,7 +414,7 @@ def lines_to_cover(s: SeidelMatrix, r: int) -> tuple[ArcMatrix, CoverCertificate
             "entry-not-root-of-unity",
             f"entry ({u},{v}) = {s._entry_repr(u, v)} is not an order-{r} root of unity",
         )
-    return ArcMatrix(AbelianGroup((r,)), exps), cover_certificate(n, r, int(c))
+    return ArcMatrix._proven(AbelianGroup((r,)), exps), cover_certificate(n, r, int(c))
 
 
 def double_real(s: SeidelMatrix) -> tuple[np.ndarray, list[tuple[int, int]]]:

@@ -1,4 +1,5 @@
-"""Force ``covers._count_blocks`` down one route, for the differential tests."""
+"""Force ``covers._count_blocks`` down one route, or skip the identity step
+before it, for the differential tests."""
 
 from __future__ import annotations
 
@@ -7,20 +8,33 @@ from contextlib import contextmanager
 
 import pytest
 
-from drackn import covers
+from drackn import constructions, covers, lines
 
 ROUTES = ("gather", "characters")
+# (route, identity step) settings that run different code: the gathers have
+# no identity step
+SETTINGS = (("gather", True), ("characters", True), ("characters", False))
 
 
 @contextmanager
-def count_route(route: str, block: int | None = None):
-    """Every count table built inside takes ``route``; with ``block``, its
-    blocks hold that many keys (gathers) or counts (characters)."""
+def count_route(route: str | None = None, block: int | None = None, identity: bool = True):
+    """Every count table built inside takes ``route`` (None: the rule's
+    choice); with ``block``, its blocks hold that many keys (gathers) or
+    counts (characters).  With ``identity`` False the character-domain
+    identity step of ``covers._unproven_blocks`` is skipped, in every module
+    that calls it, so every fibre from the caller's start is counted."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(covers, "_CHAR_R", math.inf if route == "characters" else -1)
-        mp.setattr(covers, "_CHAR_STACK", math.inf)
+        if route is not None:
+            mp.setattr(covers, "_CHAR_R", math.inf if route == "characters" else -1)
+            mp.setattr(covers, "_CHAR_STACK", math.inf)
+            assert covers._count_plan(2, 64)[0] == (route == "characters")
         if block is not None:
             mp.setattr(covers, "_BLOCK", block)
             mp.setattr(covers, "_CHAR_BLOCK", block)
-        assert covers._count_plan(2, 64)[0] == (route == "characters")
+        if not identity:
+            def counted(idx, group, delta, start=0):
+                return covers._count_blocks(idx, group, start)
+
+            for module in (covers, constructions, lines):
+                mp.setattr(module, "_unproven_blocks", counted)
         yield

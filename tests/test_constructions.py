@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from count_routes import ROUTES, count_route
+from count_routes import SETTINGS, count_route
 from gf_oracle import FFElement, FiniteField, embed_subfield
 from oracles import gfp_rank
 
@@ -537,11 +537,11 @@ def test_gh_defect_matches_pairwise_loop(rows):
     verdicts = set()
     for h in _self_adjoint_tables():
         want = _pairwise_gh_defect(h)
-        for route in ROUTES:
+        for route, identity in SETTINGS:
             # a block of k rows holds k n n gather keys or k n r character counts
             width = h.n if route == "gather" else h.group.order
-            with count_route(route, None if rows is None else rows * h.n * width):
-                assert _row_pairs_witness(h) == want, (route, h.group, h.entries)
+            with count_route(route, None if rows is None else rows * h.n * width, identity):
+                assert _row_pairs_witness(h) == want, (route, identity, h.group, h.entries)
         if want is None:
             verdicts.add("pass")
         elif want.startswith("rows"):

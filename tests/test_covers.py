@@ -13,7 +13,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
-from count_routes import ROUTES, count_route
+from count_routes import ROUTES, SETTINGS, count_route
 from oracles import (
     arc_from_adjacency,
     check_arc_index,
@@ -24,10 +24,11 @@ from oracles import (
 
 from drackn import covers
 from drackn.arith import is_prime
-from drackn.constructions import dcff, thas_somma
+from drackn.constructions import cover_to_gh, dcff, gh_to_cover, thas_somma
 from drackn.covers import (
     ArcMatrix,
     _count_blocks,
+    cover_certificate,
     drackn_verify,
     normalize,
     quotient,
@@ -35,9 +36,11 @@ from drackn.covers import (
 from drackn.errors import (
     CoverStructureError,
     GroupMismatchError,
+    RoutesDisagreeError,
     UnsupportedError,
     VerificationError,
 )
+from drackn.lines import cover_to_lines, two_eigenvalue_data
 from drackn.groups import AbelianGroup, regular_expand
 
 
@@ -531,24 +534,85 @@ def _switched_covers() -> tuple[ArcMatrix, ...]:
     return tuple(s for f in ladder for s in fibre_zero_switches(f, 6))
 
 
+@functools.cache
+def _ladder() -> tuple[ArcMatrix, ...]:
+    """The benchmark's ladder covers ts32, ts52, ts72, ts26 and dcff13."""
+    return (cover_933(), thas_somma(5, 2), thas_somma(7, 2), thas_somma(2, 6), dcff(1, 3))
+
+
+def _relabelled(f: ArcMatrix, seed: int) -> ArcMatrix:
+    """f(p u, p v) + g(u) - g(v) for a seeded fibre permutation p and gauge g."""
+    rng = np.random.default_rng(seed)
+    G = f.group
+    add, neg = G.add_table(), G.neg_table()
+    p, g = rng.permutation(f.n), rng.integers(0, G.order, f.n)
+    index = add[add[f.index[np.ix_(p, p)], g[:, None]], neg[g]]
+    np.fill_diagonal(index, -1)
+    return ArcMatrix(G, index)
+
+
 @BLOCK_SIZES
 def test_verify_matches_per_fibre_scan(block):
+    """Both routes, with the identity step on and off: the certificate, or
+    the tag and witness, of the per-fibre scan."""
     tables = [*_one_arc_changes(cover_933()), *_random_tables(1000, seed=20261018)]
     switched = _switched_covers()
+    ladder = [g for f in _ladder() for g in (f, _relabelled(f, 1), _relabelled(f, 2))]
     tags, fibres = set(), []
-    for f in [*tables, *switched, cover_933(), dcff(1, 3)]:
-        want = _verdict(_per_fibre_scan, f)
-        for route in ROUTES:
-            with count_route(route, block):
-                got = _verdict(lambda t: drackn_verify(t).params.c, f)
-            assert got == want, (route, f.group, f.entries)
+    for f in [*tables, *switched, *ladder]:
+        want = _verdict(lambda t: cover_certificate(t.n, t.group.order, _per_fibre_scan(t)), f)
+        for route, identity in SETTINGS:
+            with count_route(route, block, identity):
+                got = _verdict(drackn_verify, f)
+            assert got == want, (route, identity, f.group, f.entries)
         tags.add(want[1][0] if want[1] else None)
         fibres.append(_failing_fibre(want, f.group.order))
     assert tags == {"not-connected", "not-antipodal", "not-distance-regular", None}
     later = fibres[len(tables):len(tables) + len(switched)]
     assert 0 not in later and any(later)
+    assert fibres[len(tables) + len(switched):] == [None] * len(ladder)
     # accepts, fibre-0 failures (column histograms) and later-fibre ones (kernel)
     assert {None, 0} < set(fibres)
+
+
+def test_ladder_accepts_build_no_count_table(monkeypatch):
+    """``drackn_verify``, ``two_eigenvalue_data`` on a character block and
+    ``gh_to_cover`` accept every ladder rung from the identity alone:
+    ``_count_blocks`` is never called.  With the identity step skipped, each
+    call counts."""
+    calls = []
+    count_blocks = covers._count_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return count_blocks(*args)
+
+    monkeypatch.setattr(covers, "_count_blocks", counted)
+
+    def accept_all():
+        for f in _ladder():
+            drackn_verify(f)
+            two_eigenvalue_data(cover_to_lines(f).seidel)
+            gh_to_cover(cover_to_gh(f))  # every rung has delta = -2
+
+    accept_all()
+    assert calls == []
+    with count_route(identity=False):
+        accept_all()
+    # cover_to_lines and cover_to_gh verify too
+    assert len(calls) == 5 * len(_ladder())
+
+
+def test_certificate_is_derived_once_per_triple():
+    """Two verifies of one (n, r, c) return one certificate; a refusal is
+    not cached, so it raises on every call."""
+    f = thas_somma(5, 2)
+    first = drackn_verify(f)
+    assert drackn_verify(_relabelled(f, 3)) is first
+    assert first == cover_certificate(25, 5, 5)
+    for _ in range(2):
+        with pytest.raises(RoutesDisagreeError, match="inadmissible m_theta"):
+            cover_certificate(5, 3, 1)
 
 
 def test_fibre_zero_rejects_without_the_count_kernel(monkeypatch):

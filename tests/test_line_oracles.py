@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+from count_routes import count_route
 from oracles import exact_square_two_eigenvalue_data, gram, seidel_mat
 
 from drackn.constructions import dcff, thas_somma
@@ -155,7 +156,20 @@ def _random_index(rng, p: int | None, n: int) -> np.ndarray:
     return index
 
 
+def _bridge_outcomes(s: SeidelMatrix) -> list:
+    """``two_eigenvalue_data``'s spectrum and ``lines_to_cover``'s table and
+    certificate for r = 2, 3, 5, or their refusal texts."""
+    out = []
+    for fn, args in ((two_eigenvalue_data, ()), *((lines_to_cover, (r,)) for r in (2, 3, 5))):
+        try:
+            out.append(fn(s, *args))
+        except DracknError as exc:
+            out.append(str(exc))
+    return out
+
+
 def test_random_index_arrays_match_the_exact_views():
+    """Also: the same outcomes with the identity step skipped."""
     rng = np.random.default_rng(23)
     tally: Counter = Counter()
     for p in ORDERS:
@@ -163,6 +177,9 @@ def test_random_index_arrays_match_the_exact_views():
             for _ in range(20):
                 s = SeidelMatrix(_random_index(rng, p, n), p)
                 _check_refusals(s, tally)
+                with count_route(identity=False):
+                    counted = _bridge_outcomes(s)
+                assert _bridge_outcomes(s) == counted
                 for ls in _line_sets(s):
                     _check_line_set(ls, tally)
     assert min(tally[k] for k in ("not rational", "(S^2 - aS)", "emit_seidel", "double_real")) > 50

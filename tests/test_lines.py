@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 import pytest
-from count_routes import ROUTES, count_route
+from count_routes import ROUTES, SETTINGS, count_route
 from hypothesis import given, settings, strategies as st
 from oracles import exact_square_two_eigenvalue_data, gram, seidel_mat, seidel_of_values
 
@@ -46,11 +47,12 @@ def _outcome(fn, s: SeidelMatrix):
 
 
 def _assert_same_as_exact_square(s: SeidelMatrix, block: int | None = None):
-    """Both count routes, with ``block``-sized blocks when given."""
+    """Both count routes, with ``block``-sized blocks when given, and the
+    identity step on and off."""
     want = _outcome(exact_square_two_eigenvalue_data, s)
-    for route in ROUTES:
-        with count_route(route, block):
-            assert _outcome(two_eigenvalue_data, s) == want, route
+    for route, identity in SETTINGS:
+        with count_route(route, block, identity):
+            assert _outcome(two_eigenvalue_data, s) == want, (route, identity)
 
 
 def _signed_root(p, h: int, k: int):
@@ -210,7 +212,11 @@ def test_two_eigenvalue_data_matches_exact_square(data):
 
 def test_two_eigenvalue_data_matches_exact_square_on_small_pm1():
     """Every +-1 matrix of order 3 to 5, stored with no root order, q = 2 or
-    the odd q = 3: each is counted over Z/2."""
+    the odd q = 3: each is counted over Z/2.  At order 5 the field prime of
+    Z/2 is 5 <= 2(n - 2), below the range of M_uv - a e_uv: the integer
+    c = (n - 2 - a)/2 of ``two_eigenvalue_data`` makes its identity step
+    exact, with the step on and off alike."""
+    assert covers._transform((2,), 5)[0] == 5
     # count blocks of one row, ragged last blocks (50 keys or counts: n = 4, 5), the default
     for p, block, n in product((None, 2, 3), (1, 50, None), (3, 4, 5)):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -270,6 +276,37 @@ def test_two_eigenvalue_data_matches_z2_x_zq_on_larger_blocks(p, monkeypatch):
     spec = SeidelSpectrum(ps.theta, ps.tau, int(ps.mbar_theta), int(ps.mbar_tau))
     assert outcomes[0] == repr(spec)
     assert [o[0] for o in outcomes[2:]] == ["not-two-eigenvalue"] * 3
+
+
+def test_identity_step_is_exact_over_z3_at_small_orders():
+    """2,000 seeded sign-free Hermitian arrays over Z/3 of order 8, and the
+    character block of ts32 (order 9) with 20 of its switchings
+    diag(zeta^j) S diag(zeta^-j).  The field primes, 7 and 13, are at most
+    2(n - 2), below the range of the entries of S^2 - aS - (n - 1)I: the
+    count c that pair (0, 1) gives (``two_eigenvalue_data``) makes the
+    identity step exact, so the outcomes are those with the step skipped."""
+    assert covers._transform((3,), 8)[0] == 7 and covers._transform((3,), 9)[0] == 13
+    rng = np.random.default_rng(31)
+    iu = np.triu_indices(8, 1)
+    cases = []
+    for _ in range(2000):
+        index = np.zeros((8, 8), dtype=np.int64)
+        index[iu] = rng.integers(0, 3, len(iu[0]))
+        index.T[iu] = -index[iu] % 3
+        cases.append(SeidelMatrix(index, 3))
+    s = _ladder_block(3, 2)
+    for j in [np.zeros(s.n, dtype=np.int64), *rng.integers(0, 3, (20, s.n))]:
+        cases.append(SeidelMatrix((s.index + j[:, None] - j) % 3, 3))
+    kinds = Counter()
+    for t in cases:
+        got = _outcome(two_eigenvalue_data, t)
+        with count_route(identity=False):
+            assert _outcome(two_eigenvalue_data, t) == got, t.index
+        if isinstance(got, str):
+            kinds["pass"] += 1
+        else:
+            kinds["pair (0, 1)" if "is not rational" in got[1] else "later pair"] += 1
+    assert kinds["pass"] == 21 and min(kinds.values()) > 20, kinds
 
 
 @pytest.mark.parametrize("p, m, changes", [(3, 2, None), (5, 2, 4)], ids=["ts32", "ts52"])
@@ -436,6 +473,29 @@ def test_bridges_certify_without_drackn_verify(monkeypatch, make):
     assert lines_cert == drackn_verify(lines_arc)
     assert cover_to_lines(lines_arc).seidel == cl.seidel
     assert gh_arc == f and gh_cert == drackn_verify(f)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: thas_somma(5, 2), lambda: dcff(1, 3)], ids=["ts52", "dcff13"]
+)
+def test_bridges_do_not_check_proven_arrays_again(monkeypatch, make):
+    """``cover_to_lines`` builds its block from a verified arc table,
+    ``lines_to_cover`` its table from a Hermitian S and ``normalize`` a gauge
+    switch of a valid table: none runs the public constructors' checks, and
+    each result equals the checked one."""
+    f = make()
+    checks = []
+    init = SeidelMatrix.__init__
+    monkeypatch.setattr(covers, "_check_arc_index", lambda *args: checks.append(args))
+    monkeypatch.setattr(SeidelMatrix, "__init__", lambda *args: checks.append(init(*args)))
+    cl = cover_to_lines(f)
+    arc, _ = lines_to_cover(cl.seidel, f.group.prime_exponent)
+    assert normalize(arc).index[0, 1:].max() == 0
+    monkeypatch.undo()
+    assert checks == []
+    assert SeidelMatrix(np.array(cl.seidel.index), cl.seidel.root_order) == cl.seidel
+    assert ArcMatrix(arc.group, np.array(arc.index)) == arc
+    assert not (cl.seidel.index.flags.writeable or arc.index.flags.writeable)
 
 
 def _pm1_two_eigenvalue(n: int) -> np.ndarray:

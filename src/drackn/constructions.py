@@ -18,7 +18,7 @@ A cover with delta = -2 (equivalently n = rc) is the same thing as a
 self-adjoint generalized Hadamard matrix with constant diagonal over the
 deck group; ``cover_to_gh`` / ``gh_to_cover`` convert between the two views.
 ``gh_to_cover`` checks the Hadamard row-pair identity as ``drackn_verify``
-checks a cover (``covers._unproven_blocks``).
+checks a cover (``covers._count_blocks``).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .covers import (
     ArcMatrix,
     CoverCertificate,
     _MAX_FIBRES,
+    _count_blocks,
     _frozen,
-    _unproven_blocks,
     check_deck_group,
     cover_certificate,
     drackn_verify,
@@ -379,15 +379,15 @@ def _row_pair_defect(group: AbelianGroup, f: np.ndarray) -> str | None:
     of its row differences, which hit x N_uv(x) + 2[x = f(u, v)] times.
 
     A block is counted only if it fails B (B + 2I) = (n - 1)I (mod q)
-    (``covers._unproven_blocks``), exact with c = lam once lam >= 2, as then
-    lam <= n/2 <= n - 2; smaller tables are counted.  Pair (v, u) fails iff
-    (u, v) does, so a failing block holds the first failing pair u < v."""
+    (``covers._count_blocks``), exact with c = lam, in [0, n - 2] for n >= 3
+    and r >= 2 (at r = 1 every table passes).  Pair (v, u) fails iff (u, v)
+    does, so the first failing block holds the first failing pair u < v."""
     n, r = f.shape[0], group.order
     if n % r:
         return f"order {n} is not a multiple of the group order {r}"
     lam = n // r
     fibres, xs = np.arange(n), np.arange(r)
-    for lo, N in _unproven_blocks(f, group, -2 if lam >= 2 else None):
+    for lo, N in _count_blocks(f, group, 0, -2):
         block = f[lo:lo + len(N)]
         bad = (N != lam) & (xs != block[:, :, None])
         bad = bad.any(axis=2) & (fibres > fibres[lo:lo + len(N), None])

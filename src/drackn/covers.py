@@ -12,8 +12,8 @@ N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}, in blocks of fibres;
 fibre 0's are the column histograms of the gauged table.  For deck groups of
 order up to 32 a later block is proven by B_chi (B_chi - delta I) = (n - 1)I
 (mod q) over a prime field GF(q), in float64 products of residues whose sums
-stay below 2^51, so are exact; ``_count_blocks`` builds the counts from the
-first block that fails it, or when r > 32.
+stay below 2^51, so are exact; ``_count_blocks`` counts only the blocks that
+fail it, and every block when r > 32.
 """
 
 from __future__ import annotations
@@ -260,39 +260,9 @@ def _transform(orders: tuple[int, ...], n: int) -> tuple[int, np.ndarray, np.nda
     return q, chi, inv
 
 
-def _unproven_blocks(idx: np.ndarray, group: AbelianGroup, delta: int | None, start: int = 0):
-    """The count blocks the identity leaves unproven: on the character route
-    of ``_count_blocks``, from the first block from ``start`` whose rows fail
-    B_a (B_a - delta I) = (n - 1)I (mod q) for some a != 0 (none if all pass),
-    else all from ``start``.  As the trivial sum is n - 2, a pair passes iff
-    N_uv(x) = r^-1 (n - 2 - delta) (mod q) for x != f(u, v).  Given an
-    integer c in [0, n - 2] of that residue, N_uv(x) = c there (q > n - 2)
-    and the row sum n - 2 fixes N_uv(f(u, v)): each caller names its c.
-    With d = -delta/2 (mod q; q is odd), (B_a + dI)^2 = B_a^2 - delta B_a +
-    d^2 I: one product of the stack of the B_a + dI by itself, every sum below
-    n (q - 1)^2 < 2^51, the diagonal n - 1 + d^2 as f(v, u) = -f(u, v)."""
-    n, r = idx.shape[0], group.order
-    characters, b = _count_plan(n, r)
-    if delta is None or not characters:
-        yield from _count_blocks(idx, group, start)
-        return
-    q, chi, _ = _transform(group.orders, n)
-    assert n * (q - 1) ** 2 < _EXACT, "identity sums must stay below 2^51"
-    d = -delta * (q + 1) // 2 % q
-    stack = chi[1:].take(idx, axis=1)  # [a - 1, u, w]: chi_a(f(u, w))
-    stack.reshape(r - 1, n * n)[:, ::n + 1] = d
-    for lo in range(start, n, b):
-        h = min(b, n - lo)
-        y = np.matmul(stack[:, lo:lo + h], stack)  # [a - 1, u, v]
-        # entry (u, u) sits at lo + u (n + 1): n - 1 units and d^2, so >= 0
-        y.reshape(r - 1, h * n)[:, lo::n + 1] -= (n - 1 + d * d) % q
-        if _residue(y, q, np.empty_like(y)).any():
-            yield from _count_blocks(idx, group, lo)
-            return
-
-
 def _residue(y: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
-    """y mod q into ``out`` for float64 integers 0 <= y < 2^51 (``_count_blocks``)."""
+    """y mod q into ``out`` for float64 integers 0 <= y < 2^51 (``_count_blocks``);
+    ``out`` must not overlap y."""
     np.add(y, 0.5, out=out)
     out *= 1 / q
     np.floor(out, out=out)
@@ -301,11 +271,10 @@ def _residue(y: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0):
+def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0, delta: int | None = None):
     """Yield (lo, N[lo:hi]) for blocks of consecutive fibres u >= ``start``,
     where N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x} and
-    N[u, u] = 0.  Each block is a C-contiguous int64 array.  Callers reach
-    it through ``_unproven_blocks``, which checks the identity first.
+    N[u, u] = 0.  Each block is a C-contiguous int64 array.
 
     ``idx`` holds the element index of f(u, v) in ``group`` (the diagonal
     is ignored).  The first block starts at fibre ``start``: the fibres
@@ -333,6 +302,17 @@ def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0):
       which is below 1/(2q) for y + 1/2 < 2^51.  A count lies in
       [0, n - 2] and q > n - 2, so the residue y mod q is the count.
 
+    With ``delta`` on the character route, a block is yielded only if its
+    rows fail B_a (B_a - delta I) = (n - 1)I (mod q) for some a != 0: the
+    products plus (-delta mod q) B_a[rows], less n - 1 on the diagonal, whose
+    n - 1 terms of B_a^2 are = 1 (mod q) as f(v, u) = -f(u, v), so >= 1;
+    every sum stays below (n + 1)(q - 1)^2, and the residue tests it.
+    As the trivial sum is n - 2, a pair passes iff N_uv(x) = r^-1 (n - 2 -
+    delta) (mod q) for x != f(u, v).  Given an integer c in [0, n - 2] of
+    that residue, N_uv(x) = c there (q > n - 2) and the row sum n - 2 fixes
+    N_uv(f(u, v)): each caller names its c.  A pair with those counts passes,
+    so a skipped block holds no failing pair and a yielded one holds one.
+
     The cost rule (``_count_plan``) takes the characters when r <= 32, the
     stack of the B_a fits r n^2 <= 2^23 float64 entries (64 MB) and the bound
     holds for the least prime = 1 (mod r) above n - 2, which bounds q; the
@@ -346,7 +326,7 @@ def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0):
     ind = np.array(idx, dtype=np.intp)
     np.fill_diagonal(ind, r)
     if characters:
-        blocks = _character_counts(ind, group.orders, b, start)
+        blocks = _character_counts(ind, group.orders, b, start, delta)
     else:
         blocks = _gather_counts(ind, group.add_table(), b, start)
     for lo, counts in blocks:
@@ -368,17 +348,28 @@ def _gather_counts(ind: np.ndarray, add: np.ndarray, b: int, start: int):
         yield lo, np.ascontiguousarray(counts.reshape(h, n, r + 1)[:, :, :r])
 
 
-def _character_counts(ind: np.ndarray, orders: tuple[int, ...], b: int, start: int):
+def _character_counts(
+    ind: np.ndarray, orders: tuple[int, ...], b: int, start: int, delta: int | None
+):
     n = ind.shape[0]
     q, chi, inv = _transform(orders, n)
     r = len(chi)
     stack = chi[1:].take(ind, axis=1)  # [a - 1, u, w]: chi_a(f(u, w)), 0 on the diagonal
     for lo in range(start, n, b):
         h = min(b, n - lo)
-        sums = np.empty((r, h, n))  # [a, u, v]: sum_x N_uv(x) chi_a(x) mod q
+        rows = stack[:, lo:lo + h]
+        sums, y = np.empty((r, h, n)), np.empty((h * n, r))
         sums[0] = n - 2  # the trivial character counts every w off the diagonal
-        np.matmul(stack[:, lo:lo + h], stack, out=sums[1:])
-        y = sums.reshape(r, h * n).T @ inv  # [(u, v), x]: N_uv(x) mod q
+        np.matmul(rows, stack, out=sums[1:])  # [a, u, v]: sum_x N_uv(x) chi_a(x) mod q
+        if delta is not None:
+            # B_a (B_a - delta I) - (n - 1)I on the rows, in the buffers of sums and y
+            t, spare = sums[1:], y.reshape(r, h, n)[1:]
+            t += np.multiply(rows, -delta % q, out=spare)
+            t.reshape(r - 1, h * n)[:, lo::n + 1] -= n - 1
+            if not _residue(t, q, spare).any():
+                continue
+            np.matmul(rows, stack, out=t)  # a failing block is counted
+        np.matmul(sums.reshape(r, h * n).T, inv, out=y)  # [(u, v), x]: N_uv(x) mod q
         # the residue is computed in the buffer of sums and cast into that of
         # y: fresh temporaries of this size made glibc return and refault
         # heap pages on every call, which tripled the time at ts72
@@ -439,7 +430,7 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
 
     A block is counted only if it fails the ``character-blocks`` identity
     B_chi^2 = delta B_chi + (n - 1)I mod q, delta = n - rc - 2
-    (``_unproven_blocks``), exact as c itself lies in [1, n - 2].
+    (``_count_blocks``), exact as c itself lies in [1, n - 2].
 
     Returns the certificate on success; raises ``VerificationError`` with a
     condition keyword and witness when the expanded graph is not a cover with
@@ -468,7 +459,7 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
             raise VerificationError("not-antipodal", f"fibre mates 0,{x} are not at distance 3")
         v, x = (int(i) + 1 for i in np.argwhere(bad)[0])
         raise _count_failure(0, v, x, int(N0[v, x]), c, r)
-    for lo, N in _unproven_blocks(idx, G, n - r * c - 2, start=1):
+    for lo, N in _count_blocks(idx, G, 1, n - r * c - 2):
         h = len(N)
         bad = N != c  # c >= 1 now
         # x = f(u, v) is free; the diagonal's -1 reads x = r - 1 of the pair

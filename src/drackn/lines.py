@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import np
-from .covers import ArcMatrix, CoverCertificate, _frozen, _unproven_blocks, cover_certificate
+from .covers import ArcMatrix, CoverCertificate, _count_blocks, _frozen, cover_certificate
 from .covers import _MAX_FIBRES, drackn_verify
 from .errors import UnsupportedError, VerificationError
 from .feasibility import _is_positive_integer, quadratic_spectrum
@@ -190,7 +190,7 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     read off the pair (0, 1), whose counts over w >= 2 are one bincount.
 
     Over Z/2 and Z/q a block is counted only if it fails B (B - aI) = (n - 1)I
-    mod the table's field prime (``covers._unproven_blocks``), which is exact
+    mod the table's field prime (``covers._count_blocks``), which is exact
     with c = (n - 2 - a)/2 over Z/2, in [0, n - 2] as a = e_01 M_01 = n
     (mod 2) and |a| <= n - 2, and c = N_01(k_01 + 1) over Z/q, as pair (0, 1)
     is in the first block; there a = N_01(k_01) - c = n - 2 - qc.
@@ -213,7 +213,7 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     m01, k01 = np.zeros(q, dtype=np.int64), k[0, 1]
     m01[:K] = n01[:K] - n01[K:] if H == 2 else n01
     a = int(sign[0, 1] * (m01[k01] - m01[(k01 + 1) % q]))
-    for lo, counts in _unproven_blocks(table, group, a if group.rank == 1 else None):
+    for lo, counts in _count_blocks(table, group, 0, a if group.rank == 1 else None):
         rows = len(counts)
         by_sign = counts.reshape(rows, n, H, K)
         # [u, v, k]: M_uv(k) for k < K; over Z/2 (K = 1), M_uv(k) = 0 for k != 0

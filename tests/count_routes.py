@@ -1,5 +1,5 @@
-"""Force ``covers._count_blocks`` down one route, or skip the identity step
-before it, for the differential tests."""
+"""Force ``covers._count_blocks`` down one route, or skip its identity step,
+for the differential tests."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from drackn import constructions, covers, lines
+from drackn import covers
 
 ROUTES = ("gather", "characters")
 # (route, identity step) settings that run different code: the gathers have
@@ -21,8 +21,8 @@ def count_route(route: str | None = None, block: int | None = None, identity: bo
     """Every count table built inside takes ``route`` (None: the rule's
     choice); with ``block``, its blocks hold that many keys (gathers) or
     counts (characters).  With ``identity`` False the character-domain
-    identity step of ``covers._unproven_blocks`` is skipped, in every module
-    that calls it, so every fibre from the caller's start is counted."""
+    identity step of ``covers._count_blocks`` is skipped, so every fibre
+    from the caller's start is counted."""
     with pytest.MonkeyPatch.context() as mp:
         if route is not None:
             mp.setattr(covers, "_CHAR_R", math.inf if route == "characters" else -1)
@@ -32,9 +32,10 @@ def count_route(route: str | None = None, block: int | None = None, identity: bo
             mp.setattr(covers, "_BLOCK", block)
             mp.setattr(covers, "_CHAR_BLOCK", block)
         if not identity:
-            def counted(idx, group, delta, start=0):
-                return covers._count_blocks(idx, group, start)
+            character_counts = covers._character_counts
 
-            for module in (covers, constructions, lines):
-                mp.setattr(module, "_unproven_blocks", counted)
+            def counted(ind, orders, b, start, delta):
+                return character_counts(ind, orders, b, start, None)
+
+            mp.setattr(covers, "_character_counts", counted)
         yield

@@ -577,17 +577,18 @@ def test_verify_matches_per_fibre_scan(block):
 
 def test_ladder_accepts_build_no_count_table(monkeypatch):
     """``drackn_verify``, ``two_eigenvalue_data`` on a character block and
-    ``gh_to_cover`` accept every ladder rung from the identity alone:
-    ``_count_blocks`` is never called.  With the identity step skipped, each
-    call counts."""
-    calls = []
-    count_blocks = covers._count_blocks
+    ``gh_to_cover`` accept every ladder rung from the identity alone: the
+    character kernel yields no count block.  With the identity step skipped,
+    each call counts one block."""
+    blocks = []
+    character_counts = covers._character_counts
 
     def counted(*args):
-        calls.append(args)
-        return count_blocks(*args)
+        for lo, N in character_counts(*args):
+            blocks.append(lo)
+            yield lo, N
 
-    monkeypatch.setattr(covers, "_count_blocks", counted)
+    monkeypatch.setattr(covers, "_character_counts", counted)
 
     def accept_all():
         for f in _ladder():
@@ -596,11 +597,11 @@ def test_ladder_accepts_build_no_count_table(monkeypatch):
             gh_to_cover(cover_to_gh(f))  # every rung has delta = -2
 
     accept_all()
-    assert calls == []
+    assert blocks == []
     with count_route(identity=False):
         accept_all()
     # cover_to_lines and cover_to_gh verify too
-    assert len(calls) == 5 * len(_ladder())
+    assert len(blocks) == 5 * len(_ladder())
 
 
 def test_certificate_is_derived_once_per_triple():

@@ -10,12 +10,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import fibre_zero_switches, one_arc_change
 
 from drackn import constructions
 from drackn.cli import main
 from drackn.constructions import (
+    GHMatrix,
     cover_to_gh,
     dcff,
     default_latin,
@@ -25,7 +27,15 @@ from drackn.constructions import (
 )
 from drackn.errors import DracknError, RoutesDisagreeError
 from drackn.feasibility import family_enumerate, rows_to_tsv
-from drackn.formats import emit_cover, emit_form, emit_gh, emit_latin, emit_seidel, emit_skew
+from drackn.formats import (
+    emit_cover,
+    emit_form,
+    emit_gh,
+    emit_latin,
+    emit_seidel,
+    emit_skew,
+    parse_cover,
+)
 from drackn.lines import cover_to_lines
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -240,6 +250,90 @@ def test_parameter_commands_output_is_pinned(capsys, monkeypatch):
         code, out, err = run(capsys, monkeypatch, argv)
         digest.update(f"{' '.join(argv)}\n{code}\n{out}{err}".encode())
     assert digest.hexdigest() == "21a2eafa8cf233158ad250959f53479666f175eb85c7d43b9f09f847d2f9f0a4"
+
+
+def _seidel_changes(text: str) -> tuple[str, str]:
+    """The first n + 2 lines of a SEIDEL text with S[0, 2] times zeta (times
+    -1 for r=generic) and S[2, 0] conjugated with it, then with S[0, 2]
+    alone changed: a Hermitian change and a non-Hermitian one."""
+    lines = text.splitlines()
+    r = lines[1].split("r=")[1]
+    n = int(lines[1].split()[0].removeprefix("n="))
+    rows = [row.split() for row in lines[2:2 + n]]
+    if r == "generic":
+        new = {"1": "-1", "-1": "1"}[rows[0][2]]
+        mate = new
+    else:
+        k = (int(rows[0][2]) + 1) % int(r)
+        new, mate = str(k), str(-k % int(r))
+    out = []
+    for both in (True, False):
+        changed = [list(row) for row in rows]
+        changed[0][2] = new
+        if both:
+            changed[2][0] = mate
+        out.append("\n".join(lines[:2] + [" ".join(row) for row in changed]) + "\n")
+    return out[0], out[1]
+
+
+def test_bridge_commands_output_is_pinned(capsys, monkeypatch):
+    # the cover <-> lines and cover <-> GH bridges and quotients on ts32,
+    # ts52, dcff13 and the (6, 2, 2) cover of the Paley conference matrix of
+    # order 6, and on one-arc (one-entry) changes of each input, hashed as one
+    # sha256 of "input / argv / exit code / stdout stderr"
+    paley = (
+        "SEIDEL v1\nn=6 r=generic\n"
+        ". 1 1 1 1 1\n1 . 1 -1 -1 1\n1 1 . 1 -1 -1\n"
+        "1 -1 1 . 1 -1\n1 -1 -1 1 . 1\n1 1 -1 -1 1 .\n"
+    )
+    covers = {}
+    for name, construct in (
+        ("ts32", ["thas-somma", "-p", "3", "-m", "2"]),
+        ("ts52", ["thas-somma", "-p", "5", "-m", "2"]),
+        ("dcff13", ["dcff", "-t", "1", "-d", "3"]),
+    ):
+        covers[name] = run(capsys, monkeypatch, ["construct", *construct])[1]
+    covers["conf6"] = run(capsys, monkeypatch, ["lines-to-cover", "--r", "2"], paley)[1]
+    for name in list(covers):
+        arc = parse_cover(covers[name])
+        covers[name + "-changed"] = emit_cover(one_arc_change(arc, 1, 2))
+    subgroups = {"ts32": ["1"], "ts52": ["1"], "dcff13": ["1,0,0", "1,0,0;0,1,1"], "conf6": ["1"]}
+    runs = []
+    seidels = {"paley6-generic": paley, "paley6-read-as-r2": paley.replace("r=generic", "r=2")}
+    ghs = {"one-row": "GH v1\nn=1 group=1\n0\n"}
+    for name, cover in covers.items():
+        for which in ("tau", "theta", "both"):
+            for char in ("1", "2"):
+                for gram in ([], ["--full-gram"]):
+                    argv = ["cover-to-lines", "--which", which, "--char", char, *gram]
+                    runs.append((name, argv, cover))
+        runs.append((name, ["cover-to-gh"], cover))
+        for sub in subgroups[name.removesuffix("-changed")]:
+            runs.append((name, ["quotient", "--subgroup", sub], cover))
+        code, seidel, _ = run(capsys, monkeypatch, ["cover-to-lines", "--char", "1"], cover)
+        if code == 0:
+            seidels[name] = seidel
+            seidels[name + "-entry"], seidels[name + "-not-hermitian"] = _seidel_changes(seidel)
+        code, gh, _ = run(capsys, monkeypatch, ["cover-to-gh"], cover)
+        if code == 0:
+            arc = parse_cover(cover)
+            changed = one_arc_change(arc, 1, 2).index
+            ghs[name] = gh
+            ghs[name + "-entry"] = emit_gh(GHMatrix(arc.group, np.maximum(changed, 0)))
+            rows = gh.splitlines()  # row 1 written backwards
+            ghs[name + "-reversed"] = "\n".join(rows[:3] + [rows[3][::-1]] + rows[4:]) + "\n"
+    seidels["paley6-entry"], seidels["paley6-not-hermitian"] = _seidel_changes(paley)
+    for name, seidel in seidels.items():
+        for r in ("2", "3", "5"):
+            runs.append((name, ["lines-to-cover", "--r", r], seidel))
+    for name, gh in ghs.items():
+        runs.append((name, ["gh-to-cover"], gh))
+    digest = hashlib.sha256()
+    for name, argv, stdin_text in runs:
+        code, out, err = run(capsys, monkeypatch, argv, stdin_text)
+        digest.update(f"{name}\n{' '.join(argv)}\n{code}\n{out}{err}".encode())
+    assert len(runs) == 172
+    assert digest.hexdigest() == "29ffdd5f31adf15939b6a1fb3445f62638fb56f018e09356e62be71464ceb262"
 
 
 def test_jobs_is_not_an_option(capsys, monkeypatch):

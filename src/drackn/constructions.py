@@ -32,8 +32,9 @@ from .covers import (
     ArcMatrix,
     CoverCertificate,
     _MAX_FIBRES,
+    _IndexTable,
+    _check_shape,
     _count_blocks,
-    _frozen,
     check_deck_group,
     cover_certificate,
     drackn_verify,
@@ -145,6 +146,8 @@ def thas_somma(p: int, m: int, s: int = 1, form: AlternatingForm | None = None) 
     The arc values of all vertex pairs are the s tables V M_k V^T mod p, with
     V the p^m x m vertex matrix; alternating M_k make f(w, v) = -f(v, w).
     """
+    if not 1 <= s <= m:
+        raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
     if form is None:
         if s != 1 or m % 2:
             raise UnsupportedError(
@@ -323,12 +326,12 @@ def dcff(
 # -- generalized Hadamard bridge ----------------------------------------------
 
 
-class GHMatrix:
+class GHMatrix(_IndexTable):
     """A square matrix with entries in an abelian group (diagonal included).
 
-    ``index`` is a read-only (n, n) int64 array of element indices
-    (``AbelianGroup.elements`` order).  The constructor takes such an array
-    or nested rows of exponent tuples (coordinates are reduced mod the orders).
+    ``index`` holds every entry's element index.  The constructor takes such
+    an array or nested rows of exponent tuples (coordinates are reduced mod
+    the orders).
     """
 
     __slots__ = ("group", "index")
@@ -342,34 +345,7 @@ class GHMatrix:
         n = len(entries)
         if n < 1 or any(len(row) != n for row in entries):
             raise CoverStructureError("not-square", f"need a square table, got {n} rows")
-        _frozen(self, group=group, index=np.array(entries, dtype=np.int64))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GHMatrix is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.index.shape[0]
-
-    @property
-    def entries(self) -> tuple[tuple, ...]:
-        """Nested rows of exponent tuples."""
-        els = self.group.elements()
-        return tuple(tuple(els[i] for i in row) for row in self.index.tolist())
-
-    def entry(self, u: int, v: int):
-        return self.group.elements()[int(self.index[u, v])]
-
-    def __eq__(self, other):
-        if not isinstance(other, GHMatrix):
-            return NotImplemented
-        return self.group == other.group and np.array_equal(self.index, other.index)
-
-    def __hash__(self):
-        return hash((self.group, self.index.tobytes()))
-
-    def __repr__(self):
-        return f"GHMatrix(n={self.n}, group={self.group})"
+        super().__init__(group, np.array(entries, dtype=np.int64))
 
 
 def _row_pair_defect(group: AbelianGroup, f: np.ndarray) -> str | None:
@@ -417,7 +393,7 @@ def cover_to_gh(f: ArcMatrix) -> GHMatrix:
         raise UnsupportedError(
             f"the Hadamard view needs delta = -2 (n = rc), got delta = {cert.params.delta}"
         )
-    return GHMatrix(f.group, np.maximum(f.index, 0))  # the diagonal's -1 reads the identity
+    return GHMatrix._proven(f.group, np.maximum(f.index, 0))  # the diagonal's -1 reads the identity
 
 
 def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:
@@ -445,6 +421,7 @@ def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:
     defect = _row_pair_defect(group, idx)
     if defect is not None:
         raise VerificationError("gh-row-pairs", defect)
-    arc = ArcMatrix(group, idx)
+    _check_shape([h.n] * h.n)  # a cover has at least 2 fibres
     check_deck_group(group)
-    return arc, cover_certificate(h.n, group.order, h.n // group.order)
+    # f(v, u) = -h(u, v) - g0 = -f(u, v), as 2 g0 = 0
+    return ArcMatrix._proven(group, idx), cover_certificate(h.n, group.order, h.n // group.order)

@@ -7,6 +7,12 @@ expanded graph has vertex set {0..n-1} x G, with (u, g) adjacent to (v, h)
 iff u != v and h - g = f(u, v).  Normalizing and quotienting are gathers
 through the group's addition, negation and projection tables.
 
+The same index table holds a generalized Hadamard matrix
+(``constructions.GHMatrix``) and a Seidel matrix (``lines.SeidelMatrix``, an
+arc table over Z/2 x Z/q: conjugation negates (h, k) in (-1)^h zeta_q^k, so
+``_arc_defect`` proves Hermitian-ness).  A table proven valid by its
+construction is stored through ``_proven`` unchecked.
+
 ``drackn_verify`` proves the defining regularity conditions on the counts
 N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}, in blocks of fibres;
 fibre 0's are the column histograms of the gauged table.  For deck groups of
@@ -66,48 +72,103 @@ def _check_shape(lengths: list[int]) -> None:
             raise CoverStructureError("not-square", f"row {u} has {m} entries, want {n}")
 
 
-def _check_arc_index(group: AbelianGroup, index: np.ndarray) -> None:
-    """Diagonal -1, every other entry an element index, f(v, u) = -f(u, v).
-    Whole-array checks pass a valid table; a failing one is scanned, and its
-    first failing row (then entry) is the witness."""
-    n = index.shape[0] if index.ndim == 2 else 0
-    if n >= 2 and index.shape[1] == n and index.min() >= -1 and index.max() < group.order:
+def _arc_defect(group: AbelianGroup, index: np.ndarray):
+    """(``CoverStructureError``, u, v) for the first failure of an (n, n) arc
+    index array, n >= 2, or None: diagonal -1, every other entry an element
+    index, f(v, u) = -f(u, v).  Whole-array checks pass a valid table; a
+    failing one is scanned, and its first failing row (then entry) is the
+    witness."""
+    n = index.shape[0]
+    if index.min() >= -1 and index.max() < group.order:
         # neg[-1] is an element, so the diagonal never matches; a valid table matches elsewhere
         mismatch = group.neg_table()[index] != index.T
         if np.array_equal(index < 0, np.eye(n, dtype=bool)) and np.count_nonzero(mismatch) == n:
-            return
-    _check_shape([len(row) for row in index])
-    n = index.shape[0]
+            return None
     bad_diag = index.diagonal() != -1
     bad_entry = ~np.eye(n, dtype=bool) & ((index < 0) | (index >= group.order))
     bad_row = bad_diag | bad_entry.any(axis=1)
     if bad_row.any():
         u = int(np.argmax(bad_row))
         if bad_diag[u]:
-            raise CoverStructureError("diagonal", f"entry ({u},{u}) must be None")
+            return CoverStructureError("diagonal", f"entry ({u},{u}) must be None"), u, u
         v = int(np.argmax(bad_entry[u]))
         e = None if index[u, v] < 0 else int(index[u, v])
-        raise CoverStructureError("entry-outside-group", f"f({u},{v}) = {e!r} is not in {group}")
+        witness = f"f({u},{v}) = {e!r} is not in {group}"
+        return CoverStructureError("entry-outside-group", witness), u, v
     bad_pair = np.triu(group.neg_table()[index] != index.T, 1)
     if bad_pair.any():
         u, v = (int(i) for i in np.argwhere(bad_pair)[0])
-        raise CoverStructureError("inverse-pair", f"f({v},{u}) != -f({u},{v}) at ({u},{v})")
+        return CoverStructureError("inverse-pair", f"f({v},{u}) != -f({u},{v}) at ({u},{v})"), u, v
+    return None
 
 
-def _frozen(obj, **fields):
-    """``obj`` with ``fields`` set past its immutability, ``index`` read-only."""
-    fields["index"].flags.writeable = False
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+def _check_arc_index(group: AbelianGroup, index: np.ndarray) -> None:
+    if index.ndim != 2 or index.shape[0] < 2 or index.shape[1] != index.shape[0]:
+        _check_shape([len(row) for row in index])
+    defect = _arc_defect(group, index)
+    if defect is not None:
+        raise defect[0]
 
 
-class ArcMatrix:
+class _IndexTable:
+    """An n x n table over an abelian group ``group``: ``index`` is a
+    read-only (n, n) int64 array of element indices (``AbelianGroup.elements``
+    order), -1 where the table has no entry.  Subclasses validate, then store
+    through this constructor; equal tables share type, ``_key`` and array."""
+
+    __slots__ = ()
+    _key = ("group",)
+
+    def __init__(self, group: AbelianGroup, index: np.ndarray, **fields):
+        index.flags.writeable = False
+        for name, value in dict(fields, group=group, index=index).items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _proven(cls, group: AbelianGroup, index: np.ndarray, **fields):
+        """The table of an int64 index array proven valid by its caller."""
+        table = object.__new__(cls)
+        _IndexTable.__init__(table, group, index, **fields)
+        return table
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def n(self) -> int:
+        return self.index.shape[0]
+
+    @property
+    def entries(self) -> tuple[tuple, ...]:
+        """Nested rows of exponent tuples, None where the index is -1."""
+        els = self.group.elements() + (None,)
+        return tuple(tuple(els[i] for i in row) for row in self.index.tolist())
+
+    def entry(self, u: int, v: int):
+        i = int(self.index[u, v])
+        return None if i < 0 else self.group.elements()[i]
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._key)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields() and np.array_equal(self.index, other.index)
+
+    def __hash__(self) -> int:
+        return hash((self._fields(), self.index.tobytes()))
+
+    def __repr__(self) -> str:
+        fields = "".join(f", {name}={value}" for name, value in zip(self._key, self._fields()))
+        return f"{type(self).__name__}(n={self.n}{fields})"
+
+
+class ArcMatrix(_IndexTable):
     """Validated arc function of an n-fibre cover with abelian deck group.
 
-    ``index`` is a read-only (n, n) int64 array: entry (u, v) is the element
-    index of f(u, v) (``AbelianGroup.elements`` order), -1 on the diagonal.
-    The constructor takes such an array, or nested rows of exponent tuples
+    ``index`` holds the element index of f(u, v), -1 on the diagonal.  The
+    constructor takes such an array, or nested rows of exponent tuples
     with None on the diagonal (coordinates are reduced mod the orders).
     """
 
@@ -118,43 +179,10 @@ class ArcMatrix:
             entries = _index_of_rows(group, entries)
         index = np.array(entries, dtype=np.int64)
         _check_arc_index(group, index)
-        _frozen(self, group=group, index=index)
-
-    @classmethod
-    def _proven(cls, group: AbelianGroup, index: np.ndarray) -> "ArcMatrix":
-        """The table of an int64 index array proven valid by its caller."""
-        return _frozen(object.__new__(cls), group=group, index=index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ArcMatrix is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.index.shape[0]
-
-    @property
-    def entries(self) -> tuple[tuple, ...]:
-        """Nested rows of exponent tuples, None on the diagonal."""
-        els = self.group.elements() + (None,)  # index -1 reads None
-        return tuple(tuple(els[i] for i in row) for row in self.index.tolist())
-
-    def entry(self, u: int, v: int):
-        i = int(self.index[u, v])
-        return None if i < 0 else self.group.elements()[i]
+        super().__init__(group, index)
 
     def is_normalized(self) -> bool:
         return not self.index[0, 1:].any()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ArcMatrix):
-            return NotImplemented
-        return self.group == other.group and np.array_equal(self.index, other.index)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.index.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"ArcMatrix(n={self.n}, group={self.group})"
 
 
 def normalize(f: ArcMatrix) -> ArcMatrix:
@@ -547,4 +575,5 @@ def quotient(f: ArcMatrix, generators) -> ArcMatrix:
         return tuple(v[j] for j in nonpivots)
 
     proj = np.array([quot.index(project(el)) for el in G.elements()] + [-1])
-    return ArcMatrix(quot, proj[f.index])  # the diagonal's -1 reads the last entry
+    # a homomorphism keeps f(v, u) = -f(u, v); the diagonal's -1 reads the last entry
+    return ArcMatrix._proven(quot, proj[f.index])

@@ -323,7 +323,7 @@ def parse_cover(text: str) -> ArcMatrix:
 
 def emit_seidel(s: lines.SeidelMatrix) -> str:
     p = s.root_order
-    exps, bad = s.exponents(p or 2)  # +-1 entries are powers of zeta_2
+    exps, bad = lines._root_exponents(s, p or 2)  # +-1 entries are powers of zeta_2
     if bad is not None:
         u, v = bad
         raise FormatError(
@@ -460,12 +460,11 @@ def parse_latin(text: str) -> constructions.LatinSquare:
 
 def emit_gram(label: str, ls: lines.LineSet) -> str:
     q = ls.seidel.root_order or 2
-    index = ls.seidel.index.copy()
-    np.fill_diagonal(index, 2 * q)
+    index = ls.seidel.index
     scale = Fraction(-1) / ls.lam  # G[u, v] = -S[u, v]/lam
     one_value = q == 2 or isinstance(scale, QuadNum)  # a surd lam has +-1 entries
-    names = [""] * (2 * q) + ["1"]  # index 2q: the diagonal
-    for i in np.flatnonzero(np.bincount(index.ravel())).tolist()[:-1]:
+    names = [""] * (2 * q) + ["1"]  # index -1: the diagonal
+    for i in np.flatnonzero(np.bincount(index.ravel() + 1)[1:]).tolist():
         coeffs = lines._zeta_coeffs(i, q)
         names[i] = str(coeffs[0] * scale) if one_value else ",".join(str(c * scale) for c in coeffs)
     out = [f"GRAM {label} n={ls.n} d={ls.d} alpha_sq={ls.alpha_sq} field={ls.field}"]

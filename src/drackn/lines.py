@@ -2,10 +2,11 @@
 
 A Seidel matrix here is a Hermitian n x n matrix with zero diagonal and
 off-diagonal entries +-zeta_p^k for a prime p (just +-1 in the rational
-case), stored as one integer array: (-1)^h zeta_p^k is the index h*p + k
-in Z/2 x Z/p.  Everything here reads that array and integer count tables;
-failure witnesses print exact values straight from integer coefficient
-vectors (``_value_repr``).  If S has exactly two eigenvalues theta > 0 > tau,
+case), stored as an arc table over Z/2 x Z/p (``covers``): (-1)^h zeta_p^k
+is the element (h, k), and conjugation is its negation, so Hermitian is
+f(v, u) = -f(u, v).  Everything here reads that array and integer count
+tables; failure witnesses print exact values straight from integer
+coefficient vectors (``_value_repr``).  If S has exactly two eigenvalues theta > 0 > tau,
 then for each eigenvalue lambda the matrix
 
     G = I - S / lambda
@@ -19,10 +20,12 @@ S^2 = aS + (n-1)I is proven from an integer count table by one lemma: for
 prime p the only rational relation among 1, zeta_p, ..., zeta_p^(p-1) is
 the all-equal one.  The table is built over the smallest of Z/2, Z/p and
 Z/2 x Z/p that holds every entry: Z/2 for +-1 matrices, Z/p when no entry
-has a sign (every character block of a cover).  ``drackn_verify`` proves
-the identity for the character blocks of a cover, which gives
-``cover_to_lines``; conversely a two-eigenvalue Seidel matrix whose entries
-are r-th roots of unity folds back into an arc table over Z/r
+has a sign (every character block of a cover).  Its index array is a
+gather onto that subgroup (``_subgroup_projection``), and so are the
+exponents of r-th roots of unity, which form Z/2, Z/p or 1.
+``drackn_verify`` proves the identity for the character blocks of a cover,
+which gives ``cover_to_lines``; conversely a two-eigenvalue Seidel matrix
+whose entries are r-th roots of unity folds back into an arc table over Z/r
 (``lines_to_cover``), and the same lemma makes it a cover with
 c = (n - 2 - a)/r.
 Both directions only relabel indices: a character block's entry is
@@ -33,10 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import np
-from .covers import ArcMatrix, CoverCertificate, _count_blocks, _frozen, cover_certificate
-from .covers import _MAX_FIBRES, drackn_verify
+from .covers import ArcMatrix, CoverCertificate, _IndexTable, _arc_defect, _count_blocks
+from .covers import _MAX_FIBRES, cover_certificate, drackn_verify
 from .errors import UnsupportedError, VerificationError
 from .feasibility import _is_positive_integer, quadratic_spectrum
 from .groups import AbelianGroup, regular_expand
@@ -71,17 +75,20 @@ def _value_repr(root_order: int | None, value) -> str:
     return f"CycNum({root_order}, {tuple(str(c) for c in coeffs)!r})"
 
 
-class SeidelMatrix:
+class SeidelMatrix(_IndexTable):
     """Hermitian matrix with zero diagonal and entries +-zeta_p^k.
 
-    ``root_order`` is None for +-1 entries, or a prime p.  ``index`` is the
-    one stored array: it holds each off-diagonal entry (-1)^h zeta_q^k as
-    h*q + k in Z/2 x Z/q, where q = p, or q = 2 and k = 0 for +-1 entries;
-    the diagonal holds 0.  The constructor takes such an (n, n) array (its
-    diagonal is ignored) and nothing else.
+    ``root_order`` is None for +-1 entries, or a prime p.  The matrix is an
+    arc table over ``group`` = Z/2 x Z/q, q = p (q = 2 for +-1 entries): its
+    ``index`` holds each off-diagonal entry (-1)^h zeta_q^k as h*q + k, the
+    element (h, k), and -1 on the diagonal.  Conjugation negates (h, k), so
+    S is Hermitian iff the table has f(v, u) = -f(u, v).  The constructor
+    takes such an (n, n) array (its diagonal is ignored) and nothing else;
+    for q = 2 the entries are +-1, so k = 0.
     """
 
-    __slots__ = ("root_order", "index")
+    __slots__ = ("group", "index", "root_order")
+    _key = ("root_order",)  # None and 2 share the group Z/2 x Z/2
 
     def __init__(self, entries, root_order: int | None = None):
         if not isinstance(entries, np.ndarray) or entries.ndim != 2:
@@ -95,65 +102,50 @@ class SeidelMatrix:
             raise ValueError(f"root_order must be a prime or None, got {root_order}")
         q = root_order or 2
         index = entries.astype(np.int64)
-        # an index h*q + k, exactly: a cast that changed a value refuses it
-        ok = (index == entries) & (index >= 0) & (index < 2 * q)
+        # an index h*q + k, exactly: a cast that changed a value, or zeta_2 as
+        # k = 1 (it is h = 1), moves the entry out of the group
+        bad = index != entries
         if q == 2:
-            ok &= (index & 1) == 0  # zeta_2 = -1 is h = 1
-        np.fill_diagonal(ok, True)
-        if not ok.all():
-            u, v = (int(i) for i in np.argwhere(~ok)[0])
+            bad |= (index & 1) == 1
+        index[bad] = -2
+        np.fill_diagonal(index, -1)
+        group = AbelianGroup((2, q))
+        defect = _arc_defect(group, index)
+        if defect is not None:
+            error, u, v = defect
+            if error.condition == "inverse-pair":
+                raise ValueError(f"matrix is not Hermitian at ({u},{v})")
             raise ValueError(f"entry ({u},{v}) = {entries[u, v].item()!r} is not +-zeta_{q}^k")
-        np.fill_diagonal(index, 0)
-        # conj((-1)^h zeta^k) = (-1)^h zeta^(-k), the index of -(h, k) in Z/2 x Z/q
-        bad = index.T != AbelianGroup((2, q)).neg_table()[index]
-        if bad.any():
-            u, v = (int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(f"matrix is not Hermitian at ({u},{v})")
-        _frozen(self, root_order=root_order, index=index)
-
-    @classmethod
-    def _proven(cls, index: np.ndarray, root_order: int | None) -> "SeidelMatrix":
-        """The matrix of an int64 index array proven valid by its caller."""
-        np.fill_diagonal(index, 0)
-        return _frozen(object.__new__(cls), root_order=root_order, index=index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeidelMatrix is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.index.shape[0]
+        super().__init__(group, index, root_order=root_order)
 
     def _entry_repr(self, u: int, v: int) -> str:
         """repr of the exact entry S[u, v], u != v, for refusal messages."""
         return _value_repr(self.root_order, int(self.index[u, v]))
 
-    def exponents(self, r: int) -> tuple[np.ndarray, tuple[int, int] | None]:
-        """k with S[u, v] = zeta_r^k (-1 on the diagonal), and the first
-        (u, v) whose entry is no r-th root of unity, or None."""
-        q = self.root_order or 2
-        h, k = divmod(np.arange(2 * q), q)  # of each index value; the diagonal's 0 is ok
-        ok = (((k == 0) | (q == r)) & ((h == 0) | (r == 2)))[self.index]
-        exps = (h + k)[self.index]
-        np.fill_diagonal(exps, -1)
-        if ok.all():
-            return exps, None
-        return exps, tuple(int(i) for i in np.argwhere(~ok)[0])
 
-    def negate(self) -> "SeidelMatrix":
-        q = self.root_order or 2
-        return SeidelMatrix((self.index + q) % (2 * q), self.root_order)
+@lru_cache(maxsize=64)
+def _subgroup_projection(q: int, H: int, K: int) -> np.ndarray:
+    """The gather from element indices h*q + k of Z/2 x Z/q onto h*K + k in
+    its subgroup Z/H x Z/K (H in {1, 2}, K in {1, q}), as in
+    ``covers.quotient``: -2 for an element outside it, and -1 for the index
+    -1 of a diagonal (read-only)."""
+    h, k = divmod(np.arange(2 * q), q)
+    proj = np.append(np.where((h < H) & (k < K), h * K + k, -2), -1)
+    proj.flags.writeable = False
+    return proj
 
-    def __eq__(self, other):
-        if not isinstance(other, SeidelMatrix):
-            return NotImplemented
-        return self.root_order == other.root_order and np.array_equal(self.index, other.index)
 
-    def __hash__(self):
-        return hash((self.index.tobytes(), self.root_order))
-
-    def __repr__(self):
-        return f"SeidelMatrix(n={self.n}, root_order={self.root_order})"
+def _root_exponents(s: SeidelMatrix, r: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """k with S[u, v] = zeta_r^k for prime r (-1 on the diagonal), and the
+    first (u, v) whose entry is no r-th root of unity, or None.  The r-th
+    roots in Z/2 x Z/q are Z/2 for r = 2, Z/q for r = q, else the identity."""
+    q = s.group.orders[1]
+    H, K = (2, 1) if r == 2 else (1, q) if r == q else (1, 1)
+    exps = _subgroup_projection(q, H, K)[s.index]
+    bad = exps == -2
+    if not bad.any():
+        return exps, None
+    return exps, tuple(int(i) for i in np.argwhere(bad)[0])
 
 
 @dataclass(frozen=True)
@@ -164,12 +156,6 @@ class SeidelSpectrum:
     tau: Fraction | QuadNum
     m_theta: int
     m_tau: int
-
-
-def _table_orders(h: np.ndarray, k: np.ndarray, q: int) -> tuple[int, int]:
-    """(H, K) of the smallest of Z/2, Z/q and Z/2 x Z/q, as Z/H x Z/K, that
-    holds every entry (-1)^h zeta_q^k."""
-    return (2, 1) if not k.any() else (1, q) if not h.any() else (2, q)
 
 
 def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
@@ -203,12 +189,15 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     vector M_uv read as an exact number) or by a multiplicity obstruction.
     """
     n = s.n
-    q = s.root_order or 2
-    h, k = divmod(np.arange(2 * q), q)  # of each index value
-    h, k = h[s.index], k[s.index]  # S[u, v] = (-1)^h zeta^k
-    H, K = _table_orders(h, k, q)  # the table's group Z/H x Z/K holds entry h*K + k
+    q = s.group.orders[1]
+    for H, K in ((2, 1), (1, q), (2, q)):  # the first that holds every entry
+        table = _subgroup_projection(q, H, K)[s.index]  # (-1)^h zeta^k is h*K + k
+        if table.min() >= -1:
+            break
     group = AbelianGroup(tuple(d for d in (H, K) if d > 1))
-    sign, table = 1 - 2 * h, h * K + k
+    np.fill_diagonal(table, 0)  # read as +1 below, and ignored by the counts
+    h = table >= K
+    sign, k = 1 - 2 * h, table - K * h
     n01 = np.bincount(group.add_table()[table[0, 2:], table[2:, 1]], minlength=H * K)
     m01, k01 = np.zeros(q, dtype=np.int64), k[0, 1]
     m01[:K] = n01[:K] - n01[K:] if H == 2 else n01
@@ -275,8 +264,7 @@ def _line_sets(s: SeidelMatrix, spec: SeidelSpectrum) -> tuple[LineSet, LineSet]
     G^2 = (n/d) G and rank G = d = m_mu: the caller's spectrum gives d.
     """
     field = "real" if s.root_order in (None, 2) else "complex"
-    q = s.root_order or 2
-    if isinstance(spec.theta, QuadNum) and (s.index % q).any():
+    if isinstance(spec.theta, QuadNum) and _root_exponents(s, 2)[1] is not None:
         raise UnsupportedError(
             "irrational eigenvalue with non-rational Seidel entries is not supported"
         )
@@ -376,7 +364,9 @@ def cover_to_lines(f: ArcMatrix, char_index: int = 1) -> CoverLines:
     ks = np.array(els).reshape(len(els), G.rank) @ np.array(els[char_index])
     k = ks[f.index]  # the diagonal is ignored
     k0 = np.append(0, k[0, 1:])  # k(0, u), with k(0, 0) = 0
-    s = SeidelMatrix._proven(_root_index(k + k0[:, None] - k0, p), root_order=p)
+    index = _root_index(k + k0[:, None] - k0, p)
+    np.fill_diagonal(index, -1)
+    s = SeidelMatrix._proven(AbelianGroup((2, p)), index, root_order=p)
     ps = cert.params
     spec = SeidelSpectrum(ps.theta, ps.tau, int(ps.mbar_theta), int(ps.mbar_tau))
     return CoverLines(cert, s, *_line_sets(s, spec))
@@ -407,7 +397,7 @@ def lines_to_cover(s: SeidelMatrix, r: int) -> tuple[ArcMatrix, CoverCertificate
     c = (n - 2 - (spec.theta + spec.tau)) / r
     if c.denominator != 1 or c < 1:
         raise VerificationError("parameters", f"derived c = {c} is not a positive integer")
-    exps, bad = s.exponents(r)
+    exps, bad = _root_exponents(s, r)
     if bad is not None:
         u, v = bad
         raise VerificationError(
@@ -425,14 +415,14 @@ def double_real(s: SeidelMatrix) -> tuple[np.ndarray, list[tuple[int, int]]]:
     (2n x 2n) adjacency matrix and the fibre list; the result equals the
     expansion of ``lines_to_cover(s, 2)``'s arc table.
     """
-    exps, bad = s.exponents(2)
+    exps, bad = _root_exponents(s, 2)
     if bad is not None:
         u, v = bad
         raise VerificationError(
             "entry-not-root-of-unity",
             f"doubling needs +-1 entries, got {s._entry_repr(u, v)} at ({u},{v})",
         )
-    adj = regular_expand(ArcMatrix(AbelianGroup((2,)), exps))
+    adj = regular_expand(ArcMatrix._proven(AbelianGroup((2,)), exps))
     return adj, [(2 * u, 2 * u + 1) for u in range(s.n)]
 
 

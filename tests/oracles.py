@@ -197,9 +197,49 @@ def seidel_of_values(entries, root_order: int | None = None) -> SeidelMatrix:
     return SeidelMatrix(index, root_order)
 
 
+def negate(s: SeidelMatrix) -> SeidelMatrix:
+    """-S: (h, k) -> (h + 1, k) on every entry."""
+    q = s.root_order or 2
+    return SeidelMatrix((s.index + q) % (2 * q), s.root_order)
+
+
+def seidel_matrix_reference(entries, root_order: int | None = None) -> SeidelMatrix:
+    """The checks of ``SeidelMatrix`` before it was an arc table over
+    Z/2 x Z/q, verbatim: the entries, then Hermitian-ness through the
+    negation table, each with its own scan.  The index array with -1 on the
+    diagonal is then stored unchecked."""
+    if not isinstance(entries, np.ndarray) or entries.ndim != 2:
+        raise TypeError(
+            f"SeidelMatrix takes an (n, n) index array, got {type(entries).__name__}"
+        )
+    n = entries.shape[0]
+    if n < 2 or entries.shape[1] != n:
+        raise ValueError(f"Seidel matrix must be square of order >= 2, got {entries.shape}")
+    if root_order is not None and not is_prime(root_order):
+        raise ValueError(f"root_order must be a prime or None, got {root_order}")
+    q = root_order or 2
+    index = entries.astype(np.int64)
+    # an index h*q + k, exactly: a cast that changed a value refuses it
+    ok = (index == entries) & (index >= 0) & (index < 2 * q)
+    if q == 2:
+        ok &= (index & 1) == 0  # zeta_2 = -1 is h = 1
+    np.fill_diagonal(ok, True)
+    if not ok.all():
+        u, v = (int(i) for i in np.argwhere(~ok)[0])
+        raise ValueError(f"entry ({u},{v}) = {entries[u, v].item()!r} is not +-zeta_{q}^k")
+    np.fill_diagonal(index, 0)
+    # conj((-1)^h zeta^k) = (-1)^h zeta^(-k), the index of -(h, k) in Z/2 x Z/q
+    bad = index.T != AbelianGroup((2, q)).neg_table()[index]
+    if bad.any():
+        u, v = (int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"matrix is not Hermitian at ({u},{v})")
+    np.fill_diagonal(index, -1)
+    return SeidelMatrix._proven(AbelianGroup((2, q)), index, root_order=root_order)
+
+
 def _exact(s: SeidelMatrix, fn, diagonal) -> ExactMatrix:
     """``diagonal`` on the diagonal and fn(S[u, v]) off it."""
-    values = {i: fn(signed_root(i, s.root_order)) for i in np.unique(s.index).tolist()}
+    values = {i: fn(signed_root(i, s.root_order)) for i in np.unique(s.index).tolist() if i >= 0}
     return ExactMatrix(
         tuple(
             tuple(diagonal if u == v else values[i] for v, i in enumerate(row))

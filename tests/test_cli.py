@@ -512,6 +512,12 @@ def test_construct_missing_ingredient_file(capsys, monkeypatch, tmp_path):
     assert code == 2 and err.startswith("error: cannot read")
 
 
+def test_construct_refuses_s_outside_one_to_m(capsys, monkeypatch):
+    argv = ["construct", "thas-somma", "-p", "3", "-m", "2", "-s", "0"]
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert (code, out, err) == (2, "", "error: need 1 <= s <= m, got s=0, m=2\n")
+
+
 @pytest.mark.parametrize(
     "argv, what, fibres",
     [

@@ -108,6 +108,17 @@ def test_thas_somma_argument_checks():
         thas_somma(3, 2, form=standard_symplectic(2, 2))  # wrong field
 
 
+@pytest.mark.parametrize("m, s", [(2, 0), (2, -1), (2, 3), (1, 0)])
+def test_thas_somma_needs_s_from_one_to_m(m, s):
+    # the range comes before the default form's conditions, in the text of AlternatingForm
+    with pytest.raises(ValueError) as exc:
+        thas_somma(3, m, s)
+    assert str(exc.value) == f"need 1 <= s <= m, got s={s}, m={m}"
+    with pytest.raises(ValueError) as exc:
+        AlternatingForm(3, m, s, ())
+    assert str(exc.value) == f"need 1 <= s <= m, got s={s}, m={m}"
+
+
 def test_skew_product_covers():
     assert params_of(dcff(1, 1)) == (4, 2, 2)
     assert params_of(dcff(2, 1)) == (16, 4, 4)

@@ -7,7 +7,7 @@ import math
 import random
 import re
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import networkx as nx
@@ -40,6 +40,7 @@ from drackn.errors import (
     UnsupportedError,
     VerificationError,
 )
+from drackn.feasibility import feasibility_battery
 from drackn.lines import cover_to_lines, two_eigenvalue_data
 from drackn.groups import AbelianGroup, regular_expand
 
@@ -172,6 +173,66 @@ def test_quotient_by_full_group_gives_trivial_cover():
     assert q.group.order == 1
     assert q.group.orders == ()
     assert all(q.entry(u, v) == () for u in range(q.n) for v in range(q.n) if u != v)
+
+
+def test_every_proper_quotient_of_dcff15_is_a_cover():
+    """Godsil and Hensel's quotient lattice: an (n, r, c) cover maps onto an
+    (n, r/s, sc) cover for each subgroup of order s.  All 372 subgroups of
+    order 1 < s < 32 of the deck group of dcff(1, 5), a (64, 32, 2) cover;
+    each quotient, stored unchecked, also passes ``ArcMatrix``'s checks."""
+    f = dcff(1, 5)
+    G, add = f.group, f.group.add_table()
+    subgroups, level = set(), {frozenset([0])}  # as element indices
+    while level:  # in (Z/2)^5, S and S + x make up the span of S and x
+        level = {S | frozenset(add[sorted(S), x].tolist()) for S in level for x in range(G.order)}
+        level -= subgroups
+        subgroups |= level
+    proper = [S for S in subgroups if 1 < len(S) < G.order]
+    assert len(proper) == 31 + 155 + 155 + 31
+    els = G.elements()
+    for S in proper:
+        q = quotient(f, [els[i] for i in sorted(S)])
+        assert ArcMatrix(q.group, np.array(q.index)) == q
+        p = drackn_verify(q).params
+        assert (p.n, p.r, p.c) == (64, 32 // len(S), 2 * len(S))
+
+
+def _normalized_tables(n: int, G: AbelianGroup):
+    """Every arc table over G on n fibres whose row 0 is the identity: one
+    index array per choice of f(u, v), 1 <= u < v, built in one numpy call."""
+    iu = np.triu_indices(n - 1, 1)
+    choices = np.indices((G.order,) * len(iu[0])).reshape(len(iu[0]), -1).T
+    index = np.zeros((len(choices), n, n), dtype=np.int64)
+    index[:, iu[0] + 1, iu[1] + 1] = choices
+    index[:, iu[1] + 1, iu[0] + 1] = G.neg_table()[choices]
+    index[:, np.arange(n), np.arange(n)] = -1
+    return [ArcMatrix(G, table) for table in index]
+
+
+def test_census_of_small_normalized_tables():
+    """Every normalized arc table at (5, Z/2), (6, Z/2), (5, Z/3) and
+    (5, (Z/2)^2), 5,913 in all: ``drackn_verify`` has the verdict and tag of
+    the expanded-graph scan, and the covers it finds are exactly the
+    triples that pass the feasibility battery with 1 <= c <= n - 2."""
+    found, tags = Counter(), Counter()
+    for n, orders in ((5, (2,)), (6, (2,)), (5, (3,)), (5, (2, 2))):
+        G = AbelianGroup(orders)
+        tables = _normalized_tables(n, G)
+        assert len(tables) == G.order ** ((n - 1) * (n - 2) // 2)
+        for f in tables:
+            got = _outcome(lambda t: drackn_verify(t).params.c, f)
+            assert got == _outcome(_expanded_graph_scan, f), (n, orders, f.entries)
+            c, tag = got
+            if tag is None:
+                found[n, G.order, c] += 1
+            else:
+                tags[n, orders, tag] += 1
+        feasible = {
+            (n, G.order, c) for c in range(1, n - 1) if feasibility_battery(n, G.order, c).passed
+        }
+        assert {t for t in found if t[:2] == (n, G.order)} == feasible
+    assert found == {(5, 2, 3): 1, (6, 2, 2): 12, (6, 2, 4): 1}
+    assert tags[5, (2, 2), "not-connected"] == 190 and tags[5, (2, 2), "not-antipodal"] == 1806
 
 
 def test_quotient_order_two_subgroups_of_dcff13():

@@ -21,6 +21,7 @@ from oracles import exact_square_two_eigenvalue_data, gram, seidel_mat
 from drackn.constructions import dcff, thas_somma
 from drackn.cyclotomic import CycNum
 from drackn.errors import DracknError, UnsupportedError, VerificationError
+from drackn import lines
 from drackn.formats import emit_gram, emit_seidel
 from drackn.lines import (
     SeidelMatrix,
@@ -53,7 +54,7 @@ def _lines_to_cover_text(s: SeidelMatrix, r: int, spec) -> str | None:
     c = (s.n - 2 - (spec.theta + spec.tau)) / r
     if c.denominator != 1 or c < 1:
         return f"parameters: derived c = {c} is not a positive integer"
-    _, bad = s.exponents(r)
+    _, bad = lines._root_exponents(s, r)
     if bad is None:
         return None
     entry = seidel_mat(s).entry(*bad)
@@ -64,7 +65,7 @@ def _lines_to_cover_text(s: SeidelMatrix, r: int, spec) -> str | None:
 
 
 def _emit_seidel_text(s: SeidelMatrix) -> str | None:
-    _, bad = s.exponents(s.root_order or 2)
+    _, bad = lines._root_exponents(s, s.root_order or 2)
     if bad is None:
         return None
     entry = seidel_mat(s).entry(*bad)
@@ -75,7 +76,7 @@ def _emit_seidel_text(s: SeidelMatrix) -> str | None:
 
 
 def _double_real_text(s: SeidelMatrix) -> str | None:
-    _, bad = s.exponents(2)
+    _, bad = lines._root_exponents(s, 2)
     if bad is None:
         return None
     entry = seidel_mat(s).entry(*bad)

@@ -12,10 +12,17 @@ import numpy as np
 import pytest
 from count_routes import ROUTES, SETTINGS, count_route
 from hypothesis import given, settings, strategies as st
-from oracles import exact_square_two_eigenvalue_data, gram, seidel_mat, seidel_of_values
+from oracles import (
+    exact_square_two_eigenvalue_data,
+    gram,
+    negate,
+    seidel_mat,
+    seidel_matrix_reference,
+    seidel_of_values,
+)
 
 from drackn.constructions import cover_to_gh, dcff, gh_to_cover, thas_somma
-from drackn.covers import ArcMatrix, _count_blocks, drackn_verify, normalize
+from drackn.covers import ArcMatrix, _count_blocks, drackn_verify, normalize, quotient
 from drackn.cyclotomic import CycNum, zeta
 from drackn.errors import FormatError, UnsupportedError, VerificationError
 from drackn.exact_matrix import ExactMatrix, mat_rank_exact
@@ -123,8 +130,8 @@ def test_seidel_matrix_validation():
     seidel_of_values([[0, z], [z.conjugate(), 0]], root_order=3)
     # (-1)^h zeta_q^k is indexed h*q + k in Z/2 x Z/q
     s = seidel_of_values([[0, -z, 1], [-z.conjugate(), 0, -1], [1, -1, 0]], root_order=3)
-    assert s.index.tolist() == [[0, 4, 0], [5, 0, 3], [0, 3, 0]]
-    assert seidel_of_values([[0, -1], [-1, 0]]).index.tolist() == [[0, 2], [2, 0]]
+    assert s.index.tolist() == [[-1, 4, 0], [5, -1, 3], [0, 3, -1]]
+    assert seidel_of_values([[0, -1], [-1, 0]]).index.tolist() == [[-1, 2], [2, -1]]
 
 
 def test_seidel_matrix_takes_only_an_index_array():
@@ -142,7 +149,7 @@ def test_seidel_matrix_takes_only_an_index_array():
     # other dtypes: a value is an index when it equals one; the diagonal is ignored
     for entries in (np.array([[7, 1], [2, 9]]), np.array([[0, 1], [2, 0]], dtype=object),
                     np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([[True, True], [2, False]])):
-        assert SeidelMatrix(entries, 3).index.tolist() == [[0, 1], [2, 0]]
+        assert SeidelMatrix(entries, 3).index.tolist() == [[-1, 1], [2, -1]]
     refusals = [
         (np.array([[0, 1.5], [1.5, 0]]), 3, "entry (0,1) = 1.5 is not +-zeta_3^k"),
         (np.array([[0, 2**64 - 1], [0, 0]], dtype=np.uint64), 3,
@@ -158,10 +165,68 @@ def test_seidel_matrix_takes_only_an_index_array():
         assert str(exc.value) == text
 
 
+def _seidel_or_refusal(make, entries, root_order):
+    try:
+        return make(entries, root_order)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_seidel_matrix_matches_its_former_checks():
+    """The arc-table checks over Z/2 x Z/q against the former entry and
+    Hermitian scans (``oracles.seidel_matrix_reference``), on seeded arrays:
+    valid ones with any diagonal, and ones with an entry out of range, not
+    Hermitian, a non-integral float, an odd index under q = 2, the uint64
+    maximum, or several of these at once."""
+    rng = np.random.default_rng(32)
+    kinds = Counter()
+    for _ in range(1500):
+        p = [None, 2, 3, 5, 7][rng.integers(5)]
+        q, n = p or 2, int(rng.integers(2, 7))
+        iu = np.triu_indices(n, 1)
+        h = rng.integers(0, 2, len(iu[0]))
+        k = rng.integers(0, q, len(iu[0])) if q > 2 else np.zeros(len(iu[0]), dtype=np.int64)
+        index = rng.integers(-3, 3 * q, (n, n))  # the diagonal is ignored
+        index[iu] = h * q + k
+        index.T[iu] = h * q + (-k % q)
+        entries = index
+        for _ in range(int(rng.integers(0, 3))):  # defects, at seeded places
+            u, v = (int(i) for i in rng.integers(0, n, 2))
+            kind = ["range", "hermitian", "float", "odd", "uint64"][rng.integers(5)]
+            if kind == "range":
+                entries[u, v] = [-1, -5, 2 * q, 2 * q + 3][rng.integers(4)]
+            elif kind == "hermitian":
+                entries[u, v] = (entries[u, v] + 2 * int(rng.integers(1, q))) % (2 * q)
+            elif kind == "odd":
+                entries[u, v] = 1 + 2 * int(rng.integers(0, q))
+            elif kind == "float":
+                entries = entries.astype(np.float64)
+                entries[u, v] += 0.5
+            else:
+                entries = np.maximum(entries, 0).astype(np.uint64)
+                entries[u, v] = 2**64 - 1
+            kinds[kind] += 1
+            if entries.dtype != np.int64:  # the last defect: its cast comes first
+                break
+        want = _seidel_or_refusal(seidel_matrix_reference, entries, p)
+        got = _seidel_or_refusal(SeidelMatrix, entries, p)
+        assert got == want, (entries, p)
+        if isinstance(want, SeidelMatrix):
+            assert got.group == want.group and not got.index.flags.writeable
+            kinds["valid"] += 1
+        else:
+            kinds["not Hermitian" if "Hermitian" in want[1] else "bad entry"] += 1
+    for entries, p in ((np.zeros((2, 3)), 3), (np.zeros((1, 1)), None), ([[0, 0], [0, 0]], 2)):
+        assert _seidel_or_refusal(SeidelMatrix, entries, p) == _seidel_or_refusal(
+            seidel_matrix_reference, entries, p
+        )
+    assert min(kinds.values()) > 50, kinds
+
+
 def test_seidel_negate_involution():
     s = seidel_of_values([[0, 1, -1], [1, 0, 1], [-1, 1, 0]])
-    assert s.negate().negate() == s
-    assert seidel_mat(s.negate()).entry(0, 1) == -1
+    assert negate(negate(s)) == s
+    assert seidel_mat(negate(s)).entry(0, 1) == -1
 
 
 def test_two_eigenvalue_data_k2():
@@ -242,8 +307,13 @@ def test_two_eigenvalue_data_of_j_minus_i(p, n):
 def _outcome_over_z2_x_zq(s: SeidelMatrix, monkeypatch):
     """``_outcome`` of ``two_eigenvalue_data`` with the count table forced
     over Z/2 x Z/q, whatever the entries."""
+    project = lines._subgroup_projection
+
+    def only_whole(q, H, K):  # a smaller subgroup reads as holding no entry
+        return project(q, H, K) if (H, K) == (2, q) else np.full(2 * q + 1, -2)
+
     with monkeypatch.context() as mp:
-        mp.setattr(lines, "_table_orders", lambda h, k, q: (2, q))
+        mp.setattr(lines, "_subgroup_projection", only_whole)
         return _outcome(two_eigenvalue_data, s)
 
 
@@ -260,7 +330,7 @@ def test_two_eigenvalue_data_matches_z2_x_zq_on_larger_blocks(p, monkeypatch):
     # so does the block of thas_somma(3, 6), n = 729
     for n, q in ((s.n, p), (729, 3)):
         assert covers._count_plan(n, q)[0] and covers._count_plan(n, 2 * q)[0]
-    cases = [s, s.negate()]
+    cases = [s, negate(s)]
     for (u, v), i in (((2, 5), (s.index[2, 5] + 1) % p), ((2, 5), s.index[2, 5] + p), ((0, 1), 1)):
         index = s.index.copy()
         index[u, v], index[v, u] = i, i - i % p + (-i) % p
@@ -315,7 +385,7 @@ def test_two_eigenvalue_data_matches_exact_square_near_blocks(p, m, changes):
     ts32, a seeded sample for ts52, where each exact square takes ~0.6 s)."""
     s = _ladder_block(p, m)
     _assert_same_as_exact_square(s)
-    _assert_same_as_exact_square(s.negate())
+    _assert_same_as_exact_square(negate(s))
     mat = seidel_mat(s)
     upper = {(u, v): mat.entry(u, v) for u in range(s.n) for v in range(u + 1, s.n)}
     edits = [
@@ -498,6 +568,40 @@ def test_bridges_do_not_check_proven_arrays_again(monkeypatch, make):
     assert not (cl.seidel.index.flags.writeable or arc.index.flags.writeable)
 
 
+def test_proven_tables_pass_their_constructors(monkeypatch):
+    """Every table stored unchecked through ``_proven`` (by ``normalize``,
+    ``quotient``, ``cover_to_gh``, ``gh_to_cover``, ``cover_to_lines``,
+    ``lines_to_cover`` and ``double_real``) equals the table that the
+    validating constructor of its type builds from a copy of its array."""
+    made = Counter()
+    proven = covers._IndexTable._proven.__func__
+
+    def checked(cls, group, index, **fields):
+        table = proven(cls, group, index, **fields)
+        copy = np.array(index)
+        if cls is SeidelMatrix:
+            want = SeidelMatrix(copy, fields["root_order"])
+        else:
+            want = cls(group, copy)
+        assert want == table and want.group == group
+        made[cls.__name__] += 1
+        return table
+
+    monkeypatch.setattr(covers._IndexTable, "_proven", classmethod(checked))
+    for f in (thas_somma(3, 2), thas_somma(5, 2), dcff(1, 3), dcff(1, 1)):
+        normalize(f)
+        quotient(f, [f.group.elements()[1]])
+        gh_to_cover(cover_to_gh(f))
+        for char in range(1, f.group.order):
+            cl = cover_to_lines(f, char)
+            lines_to_cover(cl.seidel, f.group.prime_exponent)
+            if f.group.prime_exponent == 2:
+                double_real(cl.seidel)
+    double_real(paley_conference(13))
+    blocks, real = 2 + 4 + 7 + 1, 7 + 1 + 1  # character blocks; +-1 ones and Paley
+    assert made == {"ArcMatrix": 3 * 4 + blocks + real, "GHMatrix": 4, "SeidelMatrix": blocks}
+
+
 def _pm1_two_eigenvalue(n: int) -> np.ndarray:
     """Index arrays of every +-1 Seidel matrix of order n with
     S^2 = aS + (n-1)I for an integer a (an integer matrix product over all
@@ -520,7 +624,7 @@ def _switched_blocks(rng) -> list[SeidelMatrix]:
     for f in (thas_somma(3, 2), thas_somma(5, 2), thas_somma(2, 4), dcff(1, 3), thas_somma(7, 2)):
         s = cover_to_lines(f).seidel
         q = s.root_order
-        for t in (s, s.negate()) if q == 2 else (s,):
+        for t in (s, negate(s)) if q == 2 else (s,):
             for _ in range(4):
                 p, d = rng.permutation(t.n), rng.integers(0, q, t.n)
                 h, k = np.divmod(t.index[np.ix_(p, p)], q)
@@ -577,7 +681,7 @@ def test_lines_to_cover_rejects_bad_parameters():
     s = cover_to_lines(thas_somma(3, 2)).seidel
     # negating swaps the eigenvalues; the derived c is 5/3
     with pytest.raises(VerificationError) as exc:
-        lines_to_cover(s.negate(), 3)
+        lines_to_cover(negate(s), 3)
     assert exc.value.condition == "parameters"
     with pytest.raises(UnsupportedError):
         lines_to_cover(s, 4)
@@ -591,11 +695,11 @@ def test_lines_to_cover_refuses_r_above_size_limit():
 
 
 def test_seidel_exponents():
-    """S.exponents(r) reads zeta_r^k off the index array, or names the
-    first entry that is no r-th root of unity."""
+    """``_root_exponents(S, r)`` reads zeta_r^k off the index array, or
+    names the first entry that is no r-th root of unity."""
 
     def exps(e, p, r):
-        k, bad = seidel_of_values([[0, e], [e.conjugate(), 0]], p).exponents(r)
+        k, bad = lines._root_exponents(seidel_of_values([[0, e], [e.conjugate(), 0]], p), r)
         return None if bad is not None else int(k[0, 1])
 
     assert exps(Fraction(1), None, 3) == 0
@@ -608,7 +712,7 @@ def test_seidel_exponents():
     assert exps(-z, 3, 3) is None
     assert exps(CycNum.zeta_pow(3, 0), 3, 3) == 0
     assert exps(-CycNum.zeta_pow(3, 0), 3, 2) == 1
-    k, bad = seidel_of_values([[0, 1, z], [1, 0, 1], [z * z, 1, 0]], 3).exponents(2)
+    k, bad = lines._root_exponents(seidel_of_values([[0, 1, z], [1, 0, 1], [z * z, 1, 0]], 3), 2)
     assert bad == (0, 2) and k[0, 0] == -1
 
 
@@ -674,7 +778,7 @@ def test_paley_conference_needs_a_prime_one_mod_four():
 def test_paley_conference_of_order_14():
     s = paley_conference(13)
     assert s.n == 14 and s.root_order is None
-    assert not (s.index % 2).any()  # every entry is +-1
+    assert set(s.index.ravel().tolist()) == {-1, 0, 2}  # every entry is +-1
     arc, cert = lines_to_cover(s, 2)
     assert (cert.params.n, cert.params.r, cert.params.c) == (14, 2, 6)
     assert cert.params.delta == 0

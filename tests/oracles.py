@@ -1,9 +1,10 @@
 """Exact helpers that only the tests use: GF(p) rank, subgroup closure, the
 arc table of an expanded graph, one-arc changes and switches that keep
 fibre 0's counts, Seidel and Gram matrices as exact
-``CycNum``/``ExactMatrix`` values, and the token-by-token readers and
+``CycNum``/``ExactMatrix`` values, the token-by-token readers and
 writers of the cover, SEIDEL and GH text formats with the row-by-row arc
-table check."""
+table check, and the coefficient-by-coefficient readers of the FORM, SKEW
+and LATIN formats."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from drackn.arith import gfp_rref, is_prime, sqrt_exact
 from drackn import formats
-from drackn.constructions import GHMatrix
+from drackn.constructions import AlternatingForm, GHMatrix, LatinSquare, SkewProduct
 from drackn.covers import ArcMatrix, _check_shape, normalize
 from drackn.cyclotomic import CycNum
 from drackn.errors import CoverStructureError, FormatError, VerificationError
@@ -460,6 +461,72 @@ def parse_gh_by_tokens(text: str) -> GHMatrix:
             ]
         index.append(row)
     return GHMatrix(group, np.array(index, dtype=np.int64).reshape(n, n))
+
+
+def _bits_index(tok: str, k: int, where: str) -> int:
+    """The ``gf`` index of a GF(2^k) element written as k comma-joined bits."""
+    bits = tuple(formats._int_of(x, f"{where}: coefficient") for x in tok.split(","))
+    if len(bits) != k:
+        raise FormatError(f"{where}: expected {k} coefficients, got {len(bits)}")
+    if any(b not in (0, 1) for b in bits):
+        raise FormatError(f"{where}: coefficients must be bits, got {tok!r}")
+    return int("".join(map(str, bits)), 2)
+
+
+def _bits_rows(body: list[str], k: int, count: int, tag: str) -> tuple[tuple[int, ...], ...]:
+    """A count x count block of GF(2^k) elements, as ``gf`` indices."""
+    return tuple(
+        tuple(
+            _bits_index(tok, k, f"row {i + 1}, column {j + 1}")
+            for j, tok in enumerate(formats._split_row(line, count, f"row {i + 1}"))
+        )
+        for i, line in enumerate(_take_rows(body, count, tag))
+    )
+
+
+def parse_form_by_tokens(text: str) -> AlternatingForm:
+    meta, body = split_header_by_lines(text, formats.FORM_TAG, ("p", "m", "s"))
+    p, m, s = (formats._int_of(meta[key], key) for key in ("p", "m", "s"))
+    if p < 2 or m < 1 or s < 1:
+        raise FormatError(f"need p >= 2, m >= 1, s >= 1, got p={p} m={m} s={s}")
+    rows = _take_rows(body, s * m, formats.FORM_TAG)
+    mats = []
+    for k in range(s):
+        mat = []
+        for i in range(m):
+            where = f"block {k + 1}, row {i + 1}"
+            toks = formats._split_row(rows[k * m + i], m, where)
+            mat.append(tuple(formats._int_of(tok, where) for tok in toks))
+        mats.append(tuple(mat))
+    try:
+        return AlternatingForm(p, m, s, tuple(mats))
+    except ValueError as exc:
+        raise FormatError(f"invalid form pencil: {exc}") from None
+
+
+def parse_skew_by_tokens(text: str) -> SkewProduct:
+    meta, body = split_header_by_lines(text, formats.SKEW_TAG, ("t", "d"))
+    t, d = formats._int_of(meta["t"], "t"), formats._int_of(meta["d"], "d")
+    if t < 1 or d < 1:
+        raise FormatError(f"need t >= 1 and d >= 1, got t={t} d={d}")
+    table = _bits_rows(body, t * d, t * d, formats.SKEW_TAG)
+    try:
+        return SkewProduct(t=t, d=d, table=table)
+    except ValueError as exc:
+        raise FormatError(f"invalid skew product: {exc}") from None
+
+
+def parse_latin_by_tokens(text: str) -> LatinSquare:
+    meta, body = split_header_by_lines(text, formats.LATIN_TAG, ("t",))
+    t = formats._int_of(meta["t"], "t")
+    if t < 1:
+        raise FormatError(f"need t >= 1, got t={t}")
+    formats._check_order(2 ** min(t, 12), f"the order of GF(2^{t})")
+    table = _bits_rows(body, t, 2**t, formats.LATIN_TAG)
+    try:
+        return LatinSquare(t=t, table=table)
+    except ValueError as exc:
+        raise FormatError(f"invalid Latin square: {exc}") from None
 
 
 def emit_by_tokens(tag: str, table) -> str:

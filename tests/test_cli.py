@@ -17,6 +17,7 @@ from oracles import fibre_zero_switches, one_arc_change
 from drackn import constructions
 from drackn.cli import main
 from drackn.constructions import (
+    AlternatingForm,
     GHMatrix,
     cover_to_gh,
     dcff,
@@ -334,6 +335,93 @@ def test_bridge_commands_output_is_pinned(capsys, monkeypatch):
         digest.update(f"{name}\n{' '.join(argv)}\n{code}\n{out}{err}".encode())
     assert len(runs) == 172
     assert digest.hexdigest() == "29ffdd5f31adf15939b6a1fb3445f62638fb56f018e09356e62be71464ceb262"
+
+
+def _ingredient_runs() -> list[tuple[str, list[str], str, bool]]:
+    """(name, argv, stdin, stderr pinned) for ``construct`` on FORM, SKEW and
+    LATIN files: emitted ingredients, their re-spaced, tab and CRLF copies,
+    one-entry changes that break an axiom, and headers over the size limit.
+    Stderr is left out only for oversized headers whose rows are missing or
+    over a p that is not prime: which refusal they get depends on whether
+    the size or the rows are checked first."""
+    pencil_s2 = AlternatingForm(2, 4, 2, (
+        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+        ((0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
+    ))
+    texts = {}
+
+    def add(name, argv, text, changes):
+        # the emitted text, and copies whose first row is ``changes(entries)[label]``
+        texts[name] = (argv, text)
+        head, rows = text.splitlines()[:2], text.splitlines()[2:]
+        for label, entries in changes(rows[0].split()).items():
+            texts[f"{name}-{label}"] = (argv, "\n".join(head + [" ".join(entries)] + rows[1:]) + "\n")
+
+    forms = [standard_symplectic(p, m) for p, m in ((2, 2), (3, 2), (5, 2), (7, 2), (2, 4), (3, 4))]
+    for form in forms + [pencil_s2]:
+        argv = ["thas-somma", "-p", str(form.p), "-m", str(form.m), "-s", str(form.s), "--form"]
+        add(f"form{form.p}{form.m}{form.s}", argv, emit_form(form), lambda row: {
+            "diagonal": ["1"] + row[1:],
+            "alternating": row[:1] + [str((int(row[1]) + 1) % form.p)] + row[2:],
+        })
+    for t, d in ((1, 1), (1, 3), (2, 1), (1, 5), (3, 1)):
+        argv = ["dcff", "-t", str(t), "-d", str(d), "--skew"]
+        add(f"skew{t}{d}", argv, emit_skew(default_skew(t, d)), lambda row: {  # flip a constant term
+            "entry": [str(1 - int(row[0][0])) + row[0][1:]] + row[1:],
+        })
+    for t, d in ((1, 1), (2, 1), (1, 3), (3, 1)):
+        argv = ["dcff", "-t", str(t), "-d", str(d), "--latin"]
+        add(f"latin{t}{d}", argv, emit_latin(default_latin(t)), lambda row: {  # repeat an element
+            "entry": row[1:2] * 2 + row[2:],
+        })
+    runs = []
+    for name, (argv, text) in texts.items():
+        argv = ["construct", *argv, "-"]
+        runs.append((name, argv, text, True))
+        if name[-1].isdigit():  # emitted: the same rows with other spacing and line ends
+            head, body = text.split("\n", 2)[:2], text.split("\n", 2)[2]
+            for label, copy in (
+                ("respaced", " " + body.replace(" ", "  ").replace("\n", " \n ")),
+                ("tabs", body.replace(" ", "\t")),
+            ):
+                runs.append((f"{name}-{label}", argv, "\n".join(head) + "\n" + copy, True))
+            runs.append((name + "-crlf", argv, text.replace("\n", "\r\n"), True))
+    zeros = lambda m: "".join(" ".join(["0"] * m) + "\n" for _ in range(m))
+    bits = ",".join("0" * 11)
+    oversized = [
+        ("form37", ["thas-somma", "-p", "3", "-m", "7", "--form"],
+         "FORM v1\np=3 m=7 s=1\n" + zeros(7), True),
+        ("form2053", ["thas-somma", "-p", "2053", "-m", "1", "--form"],
+         "FORM v1\np=2053 m=1 s=1\n0\n", True),
+        ("form-17-digit-prime", ["thas-somma", "-p", "10000000000000061", "-m", "2", "--form"],
+         "FORM v1\np=10000000000000061 m=2 s=1\n0 1\n-1 0\n", True),
+        ("form46-not-prime", ["thas-somma", "-p", "4", "-m", "6", "--form"],
+         "FORM v1\np=4 m=6 s=1\n" + zeros(6), False),
+        ("form-no-rows", ["thas-somma", "-p", "3", "-m", "100", "--form"],
+         "FORM v1\np=3 m=100 s=1\n", False),
+        ("skew33", ["dcff", "-t", "3", "-d", "3", "--skew"], emit_skew(default_skew(3, 3)), True),
+        ("skew1-11", ["dcff", "-t", "1", "-d", "11", "--skew"],
+         "SKEW v1\nt=1 d=11\n" + (" ".join([bits] * 11) + "\n") * 11, True),
+        ("skew-no-rows", ["dcff", "-t", "1000", "-d", "1001", "--skew"],
+         "SKEW v1\nt=1000 d=1001\n", False),
+        ("latin12", ["dcff", "-t", "12", "-d", "1", "--latin"], "LATIN v1\nt=12\n0 1\n", True),
+        ("latin-huge", ["dcff", "-t", "1", "-d", "1", "--latin"], "LATIN v1\nt=100000\n", True),
+    ]
+    runs += [(name, ["construct", *argv, "-"], text, pin) for name, argv, text, pin in oversized]
+    return runs
+
+
+def test_ingredient_commands_output_is_pinned(capsys, monkeypatch):
+    # construct thas-somma --form and construct dcff --skew/--latin, hashed as
+    # one sha256 of "name / argv / exit code / stdout", with stderr for every
+    # run whose rows are read (accepted, refused by an axiom or for size)
+    runs = _ingredient_runs()
+    digest = hashlib.sha256()
+    for name, argv, stdin_text, pin_err in runs:
+        code, out, err = run(capsys, monkeypatch, argv, stdin_text)
+        digest.update(f"{name}\n{' '.join(argv)}\n{code}\n{out}{err if pin_err else ''}".encode())
+    assert len(runs) == 97
+    assert digest.hexdigest() == "09802a77664b7be427c379fa993a6ff72f49fd33d1dcefbdb4d8e92553feb2f3"
 
 
 def test_jobs_is_not_an_option(capsys, monkeypatch):

@@ -9,18 +9,23 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_fuzz import ALPHABET
 from oracles import (
     emit_by_tokens,
     parse_cover_by_tokens,
+    parse_form_by_tokens,
     parse_gh_by_tokens,
+    parse_latin_by_tokens,
     parse_seidel_by_tokens,
+    parse_skew_by_tokens,
     seidel_mat,
     seidel_of_values,
     split_header_by_lines,
 )
 
-from drackn import formats
+from drackn import constructions, formats
 from drackn.constructions import (
+    AlternatingForm,
     GHMatrix,
     cover_to_gh,
     dcff,
@@ -31,7 +36,7 @@ from drackn.constructions import (
 )
 from drackn.covers import ArcMatrix, quotient
 from drackn.cyclotomic import CycNum, zeta
-from drackn.errors import FormatError
+from drackn.errors import FormatError, UnsupportedError
 from drackn.groups import AbelianGroup
 from drackn.formats import (
     COVER_TAG,
@@ -253,6 +258,86 @@ def test_latin_parse_errors():
     with pytest.raises(FormatError, match=r"GF\(2\^100000\) is above the size limit of 2048"):
         parse_latin("LATIN v1\nt=100000\n0 1\n")  # 2^t rows, never computed
 
+
+
+PENCIL_S2 = (
+    ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+    ((0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
+)
+INGREDIENTS = {  # parser, the parent's reader, emitted texts
+    "form": (parse_form, parse_form_by_tokens, [
+        emit_form(standard_symplectic(p, m)) for p, m in ((2, 2), (3, 2), (2, 4), (13, 2))
+    ] + [emit_form(AlternatingForm(2, 4, 2, PENCIL_S2))]),
+    "skew": (parse_skew, parse_skew_by_tokens, [
+        emit_skew(default_skew(t, d)) for t, d in ((1, 1), (1, 3), (2, 1), (3, 1), (1, 5))
+    ]),
+    "latin": (parse_latin, parse_latin_by_tokens, [emit_latin(default_latin(t)) for t in (1, 2, 3)]),
+}
+
+
+def _over_budget(kind: str, text: str) -> str | None:
+    """The ``constructions._check_fibres`` text of a FORM or SKEW header
+    that declares a cover above the fibre limit, else None."""
+    tag, keys = {
+        "form": (formats.FORM_TAG, ("p", "m", "s")),
+        "skew": (formats.SKEW_TAG, ("t", "d")),
+        "latin": (formats.LATIN_TAG, ("t",)),
+    }[kind]
+    try:
+        meta, _ = split_header_by_lines(text, tag, keys)
+        values = [int(meta[key]) for key in keys]
+    except (FormatError, ValueError):
+        return None
+    if kind == "latin" or min(values) < 1 or values[0] < 2 and kind == "form":
+        return None
+    try:
+        if kind == "form":
+            p, m = values[:2]
+            constructions._check_fibres(p, m, f"a form pencil on GF({p})^{m}")
+        else:
+            t, d = values
+            constructions._check_fibres(2, t * (d + 1), f"dcff(t={t}, d={d})")
+    except UnsupportedError as exc:
+        return str(exc)
+    return None
+
+
+def _ingredient_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except FormatError:
+        return FormatError
+    except UnsupportedError as exc:
+        return str(exc)
+
+
+def _respaced(text: str, rng: random.Random) -> str:
+    head, body = text.split("\n", 2)[:2], text.split("\n", 2)[2]
+    body = "".join(rng.choice((" ", "  ", "\t", " \t ")) if c == " " else c for c in body)
+    return "\n".join(head) + "\n" + body.replace("\n", rng.choice(("\n", "\r\n", " \n")))
+
+
+@pytest.mark.parametrize("kind", INGREDIENTS)
+def test_ingredient_parsers_match_the_parent_reader(kind):
+    # emitted, re-spaced and fuzz-mutated texts (1-4 characters of the fuzz
+    # alphabet): the same object, both a FormatError, or a header above the
+    # fibre limit refused with the construction's text
+    parse, reference, texts = INGREDIENTS[kind]
+    rng, seen = random.Random(f"ingredient {kind}"), set()
+    for text in texts:
+        for base in [text] + [_respaced(text, rng) for _ in range(3)]:
+            for _ in range(120):
+                t = base
+                for _ in range(rng.randint(1, 4)):
+                    i, c = rng.randrange(len(t) + 1), rng.choice(ALPHABET)
+                    t = rng.choice((t[:i] + c + t[i:], t[:i] + c + t[i + 1:], t[:i] + t[i + 1:]))
+                for case in (base, t):
+                    got, budget = _ingredient_outcome(parse, case), _over_budget(kind, case)
+                    want = _ingredient_outcome(reference, case)
+                    assert got == want or budget is not None and got == budget, repr(case)
+                    refused = got is FormatError or isinstance(got, str)
+                    seen.add("size" if budget else "refused" if refused else "parsed")
+    assert seen == ({"parsed", "refused"} if kind == "latin" else {"parsed", "refused", "size"})
 
 def test_emit_gram_display():
     cl = cover_to_lines(thas_somma(3, 2))

@@ -93,11 +93,11 @@ class AlternatingForm:
     mats: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        _check_fibres(self.p, self.m, f"a form pencil on GF({self.p})^{self.m}")
+        if not is_prime(self.p):  # after the size check: trial division of a large p is slow
             raise ValueError(f"p must be prime, got {self.p}")
         if not 1 <= self.s <= self.m:
             raise ValueError(f"need 1 <= s <= m, got s={self.s}, m={self.m}")
-        _check_fibres(self.p, self.m, f"a form pencil on GF({self.p})^{self.m}")
         mats = tuple(
             tuple(tuple(int(x) % self.p for x in row) for row in mat) for mat in self.mats
         )
@@ -361,6 +361,8 @@ def _row_pair_defect(group: AbelianGroup, f: np.ndarray) -> str | None:
     n, r = f.shape[0], group.order
     if n % r:
         return f"order {n} is not a multiple of the group order {r}"
+    if n < 2:  # no row pair
+        return None
     lam = n // r
     fibres, xs = np.arange(n), np.arange(r)
     for lo, N in _count_blocks(f, group, 0, -2):

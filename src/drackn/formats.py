@@ -6,18 +6,21 @@ Every emitter produces one canonical rendering (header line, parameter line,
 then matrix rows), and every parser reads exactly the declared number of rows
 after the two header lines and ignores trailing content.  That makes emitted
 payloads pipeable: a command may append report lines after the matrix block
-without breaking a downstream parser.  Cover, Seidel and GH rows are
-parsed straight into the index arrays of their matrix classes.  Only the
-two header lines are split off; rows as the emitters write them (single
-spaces, one-digit coordinates, line feeds) are sliced from the text and
-read as one byte array, and other spacing, line ends or tokens are split
-into lines and read token by token, with the same result or the same error.
+without breaking a downstream parser.  The rows of every format are one
+table of group element indices, read by ``_index_rows`` and written by
+``_emit_rows``.  Only the two header lines are split off; rows as the
+emitters write them (single spaces, one-digit coordinates, line feeds) are
+sliced from the text and read as one byte array, and other spacing, line
+ends or tokens are split into lines and read token by token, with the same
+result or the same error.
 
 A cover of K_n needs a deck group of order r <= n - 1, and the constructions
 build at most ``covers._MAX_FIBRES`` = 2048 fibres.  The parsers use
 the same number as their size budget: a cover or GH ``group=`` of larger
-order, or a Seidel ``r=`` above it, is refused before any table of the group
-is built (those tables take O(r^2) memory).
+order, a Seidel ``r=`` or a LATIN field GF(2^t) above it, and a FORM or
+SKEW header whose cover would have more fibres (p^m, 2^(t(d+1))), are
+refused before any row is read or any table of the group is built (those
+tables take O(r^2) memory); FORM and SKEW with the construction's own text.
 
 Encodings:
 
@@ -31,7 +34,8 @@ Encodings:
 * ``GH v1`` — ``n=<int> group=<d1,...>``; all n^2 entries are exponent
   tuples, no diagonal marker.
 * ``FORM v1`` — ``p=<int> m=<int> s=<int>``, then s blocks of m rows of m
-  integers: the alternating matrices of a form pencil.
+  integers: the alternating matrices of a form pencil, an (s m) x m table
+  over Z/p (any integer is read mod p).
 * ``SKEW v1`` — ``t=<int> d=<int>``, then the td x td table of the skew
   product on basis pairs: entry (a, b) is x^a * x^b in GF(2^(td)), written
   as its td polynomial coefficients over the fixed modulus ``gf.MODULI``,
@@ -40,9 +44,9 @@ Encodings:
   each its t comma-joined coefficients, constant term first.  Rows and
   columns follow the ``gf`` index order of GF(2^t).
 
-The SKEW and LATIN entries are read straight into ``gf`` indices, whose
-binary digits are those coefficients, and no field is built: a SKEW file
-of any td parses, and a td too large for a cover is refused by ``dcff``.
+The ``gf`` index of a GF(2^k) element is the (Z/2)^k element index of its
+coefficient tuple, so SKEW and LATIN rows are tables over (Z/2)^(td) and
+(Z/2)^t, read and written like a GH matrix's, and no field is built.
 
 ``emit_gram`` renders a line-set Gram matrix for display: one header line
 ``GRAM <label> n=... d=... alpha_sq=... field=...`` and then one line per
@@ -61,7 +65,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, repeat
 
-from . import constructions, gf, lines, np
+from . import constructions, lines, np
 from .arith import is_prime
 from .covers import _MAX_FIBRES, ArcMatrix
 from .errors import FormatError
@@ -161,13 +165,21 @@ def _check_order(order: int, what: str) -> None:
         raise FormatError(f"{what} is above the size limit of {_MAX_FIBRES}")
 
 
-def _emit_element(el: tuple[int, ...]) -> str:
-    return ",".join(str(x) for x in el) if el else "0"
+def _element_names(group: AbelianGroup) -> list[str]:
+    """The canonical token of each element, in element index order."""
+    return [",".join(str(x) for x in el) if el else "0" for el in group.elements()]
 
 
 def _element_lookup(group: AbelianGroup) -> dict[str, int]:
     """Canonical token -> element index."""
-    return {_emit_element(el): i for i, el in enumerate(group.elements())}
+    return {name: i for i, name in enumerate(_element_names(group))}
+
+
+def _field(k: int) -> AbelianGroup:
+    """GF(2^k) as (Z/2)^k, refused above the size limit: a ``gf`` index is
+    the element index of its coefficient tuple."""
+    _check_order(2 ** min(k, 12), f"the order of GF(2^{k})")  # min: no huge 2^k is built
+    return AbelianGroup((2,) * k)
 
 
 def _element_index(group: AbelianGroup, tok: str, where: str) -> int:
@@ -188,101 +200,82 @@ def _element_index(group: AbelianGroup, tok: str, where: str) -> int:
     return group.index(el)
 
 
-def _gf_index(tok: str, k: int, where: str) -> int:
-    """The ``gf`` index of a GF(2^k) element written as k comma-joined bits."""
-    bits = tuple(_int_of(x, f"{where}: coefficient") for x in tok.split(","))
-    if len(bits) != k:
-        raise FormatError(f"{where}: expected {k} coefficients, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise FormatError(f"{where}: coefficients must be bits, got {tok!r}")
-    return int("".join(map(str, bits)), 2)
-
-
-def _gf_rows(body: str, k: int, count: int, tag: str) -> tuple[tuple[int, ...], ...]:
-    """A count x count block of GF(2^k) elements, as ``gf`` indices."""
-    return tuple(
-        tuple(
-            _gf_index(tok, k, f"row {i + 1}, column {j + 1}")
-            for j, tok in enumerate(_split_row(line, count, f"row {i + 1}"))
-        )
-        for i, line in enumerate(_take_rows(body, count, tag))
-    )
-
-
-def _emit_gf_rows(table, k: int) -> list[str]:
-    return [" ".join(",".join(map(str, gf.coeffs(e, k))) for e in row) for row in table]
-
-
 def _index_rows(
-    body: str, n: int, tag: str, group, parse_entry, lookup=None, diagonal=True
+    body: str, shape: tuple[int, int], tag: str, group, parse_entry=None, lookup=None, diagonal=True
 ) -> np.ndarray:
-    """(n, n) index array of a block of ``group`` elements (canonical tokens:
-    ``lookup`` if ``group`` is None), '.' exactly on the diagonal (read as -1)
-    if ``diagonal``.  Canonical rows are read as one byte array, sliced from
-    the body.  Otherwise the body is split into rows and all tokens go
-    through the lookup in one pass; if that fails, row by row, and a row
-    with any other token token by token, where ``parse_entry(tok, where)``
-    reads an entry or raises the ``FormatError`` that names it."""
+    """(rows, cols) index array of a block of ``group`` elements (canonical
+    tokens: ``lookup`` if ``group`` is None), '.' exactly on the diagonal
+    (read as -1) if ``diagonal``.  Canonical rows are read as one byte
+    array, sliced from the body.  Otherwise the body is split into rows and
+    all tokens go through the lookup in one pass; if that fails, row by row,
+    and a row with any other token token by token, where
+    ``parse_entry(tok, where)`` (default: ``_element_index``) reads an entry
+    or raises the ``FormatError`` that names it."""
+    rows, cols = shape
+    parse_entry = parse_entry or partial(_element_index, group)
     if group is not None and max(group.orders, default=0) <= 10:
-        index = _fixed_rows(body, n, group.orders or (1,), diagonal)
+        index = _fixed_rows(body, shape, group.orders or (1,), diagonal)
         if index is not None:
             return index
-    rows = _take_rows(body, n, tag)
+    lines = _take_rows(body, rows, tag)
     lookup = {**(lookup or _element_lookup(group)), ".": -1 if diagonal else -2}
-    split = [line.split() for line in rows]
-    if all(len(toks) == n for toks in split):
+    split = [line.split() for line in lines]
+    if all(len(toks) == cols for toks in split):
         flat = map(lookup.get, chain.from_iterable(split), repeat(-2))
-        index = np.fromiter(flat, dtype=np.int64, count=n * n).reshape(n, n)
-        if np.array_equal(index < 0, np.eye(n, dtype=bool) & diagonal) and (index >= -1).all():
+        index = np.fromiter(flat, dtype=np.int64, count=rows * cols).reshape(shape)
+        if np.array_equal(index < 0, np.eye(*shape, dtype=bool) & diagonal) and (index >= -1).all():
             return index
     out = []
-    for u, line in enumerate(rows):
-        toks = _split_row(line, n, f"row {u + 1}")
+    for u, line in enumerate(lines):
+        toks = _split_row(line, cols, f"row {u + 1}")
         row = [lookup.get(tok, -2) for tok in toks]
         if -2 in row or diagonal and (row[u] != -1 or row.count(-1) != 1):
             row = [_entry(tok, u, v, parse_entry, diagonal) for v, tok in enumerate(toks)]
         out.append(row)
-    return np.array(out, dtype=np.int64).reshape(n, n)
+    return np.array(out, dtype=np.int64).reshape(shape)
 
 
-def _fixed_rows(body: str, n: int, orders: tuple, diagonal: bool) -> np.ndarray | None:
-    """The index array of the first n rows of ``body`` if they are canonical
-    (one-digit coordinates joined by ',', single spaces, '.' on the diagonal
-    if ``diagonal``, each row ended by a line feed or the text's end), or None.
-    With each '.' widened to a token, they are one (n, n * w) byte array, w
-    per token and its separator."""
+def _fixed_rows(
+    body: str, shape: tuple[int, int], orders: tuple, diagonal: bool
+) -> np.ndarray | None:
+    """The index array of the first ``rows`` rows of ``body`` if they are
+    canonical (one-digit coordinates joined by ',', single spaces, '.' on
+    the diagonal if ``diagonal``, each row ended by a line feed or the
+    text's end), or None.  With each '.' widened to a token, they are one
+    (rows, cols * w) byte array, w per token and its separator."""
+    rows, cols = shape
     k = len(orders)
     w = 2 * k
-    end = n * (n * w - (w - 2 if diagonal else 0)) - 1  # n rows and the n - 1 breaks between
-    if n < 2 or body[end:end + 1] not in ("\n", ""):
+    end = rows * (cols * w - (w - 2 if diagonal else 0)) - 1  # the rows and the breaks between
+    if min(shape) < 2 or body[end:end + 1] not in ("\n", ""):
         return None
     text = body[:end] + "\n"
     if k > 1 and diagonal:
         text = text.replace(".", ",".join("." * k))  # '.' as wide as a token
-    if len(text) != n * n * w or not text.isascii():
+    if len(text) != rows * cols * w or not text.isascii():
         return None
-    lo, span = _layout(orders, n)
-    cells = np.frombuffer(text.encode(), dtype=np.uint8).reshape(n, n * w) - lo
+    lo, span = _layout(orders, cols)
+    cells = np.frombuffer(text.encode(), dtype=np.uint8).reshape(rows, cols * w) - lo
     # a byte below its range wraps round; the diagonal's digit slots hold '.' (254)
-    marks = np.count_nonzero(cells.reshape(n * n, w)[:: n + 1, ::2] == 254)
-    if marks != diagonal * n * k or np.count_nonzero(cells < span) + marks != cells.size:
+    marks = np.count_nonzero(cells.reshape(rows * cols, w)[:: cols + 1, ::2] == 254)
+    if marks != diagonal * rows * k or np.count_nonzero(cells < span) + marks != cells.size:
         return None
-    index = np.zeros((n, n), dtype=np.int64)
+    index = np.zeros(shape, dtype=np.int64)
     for i, d in enumerate(orders):  # mixed radix over the digit slots
-        index = index * d + cells.reshape(n, n, w)[..., 2 * i]
+        index = index * d + cells.reshape(rows, cols, w)[..., 2 * i]
     if diagonal:
         np.fill_diagonal(index, -1)
     return index
 
 
 @lru_cache(maxsize=64)
-def _layout(orders: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _layout(orders: tuple[int, ...], cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Per byte of a row: the lowest byte allowed ('0', ',', ' ' or the
     row's closing line feed), and how many."""
-    lo = ([48, 44] * (len(orders) - 1) + [48, 32]) * n
+    lo = ([48, 44] * (len(orders) - 1) + [48, 32]) * cols
     lo[-1] = 10
     span = [x for d in orders for x in (d, 1)]
-    return np.array(lo, dtype=np.uint8), np.array(span * n, dtype=np.uint8)
+    return np.array(lo, dtype=np.uint8), np.array(span * cols, dtype=np.uint8)
 
 
 def _entry(tok: str, u: int, v: int, parse_entry, diagonal: bool) -> int:
@@ -296,25 +289,26 @@ def _entry(tok: str, u: int, v: int, parse_entry, diagonal: bool) -> int:
     return parse_entry(tok, where)
 
 
-def _emit_rows(names: list[str], index: np.ndarray) -> list[str]:
-    """Rows of space-joined ``names[i]``, one gather for the whole table."""
-    return [" ".join(row) for row in np.array(names)[index].tolist()]
+def _emit_rows(head: list[str], names: list[str], index: np.ndarray) -> str:
+    """The ``head`` lines, then rows of space-joined ``names[i]``, one
+    gather for the whole table."""
+    rows = [" ".join(row) for row in np.array(names)[index].tolist()]
+    return "\n".join(head + rows) + "\n"
 
 
 # -- cover format --------------------------------------------------------------
 
 
 def emit_cover(f: ArcMatrix) -> str:
-    names = [_emit_element(el) for el in f.group.elements()] + ["."]  # index -1: diagonal
-    out = [COVER_TAG, f"n={f.n} group={_emit_group(f.group)}"] + _emit_rows(names, f.index)
-    return "\n".join(out) + "\n"
+    names = _element_names(f.group) + ["."]  # index -1: diagonal
+    return _emit_rows([COVER_TAG, f"n={f.n} group={_emit_group(f.group)}"], names, f.index)
 
 
 def parse_cover(text: str) -> ArcMatrix:
     meta, body = _split_header(text, COVER_TAG, ("n", "group"))
     n = _int_of(meta["n"], "n")
     group = _parse_group(meta["group"])
-    index = _index_rows(body, n, COVER_TAG, group, partial(_element_index, group))
+    index = _index_rows(body, (n, n), COVER_TAG, group)
     return ArcMatrix(group, index)
 
 
@@ -331,8 +325,7 @@ def emit_seidel(s: lines.SeidelMatrix) -> str:
         )
     names = ["1", "-1"] if p is None else [str(k) for k in range(p)]
     names.append(".")  # exponent -1: diagonal
-    out = [SEIDEL_TAG, f"n={s.n} r={'generic' if p is None else p}"] + _emit_rows(names, exps)
-    return "\n".join(out) + "\n"
+    return _emit_rows([SEIDEL_TAG, f"n={s.n} r={'generic' if p is None else p}"], names, exps)
 
 
 def _generic_entry(tok: str, where: str) -> int:
@@ -345,14 +338,15 @@ def parse_seidel(text: str) -> lines.SeidelMatrix:
     root_order: int | None
     if meta["r"] == "generic":  # the exponent k of (-1)^k
         root_order = None
-        exps = _index_rows(body, n, SEIDEL_TAG, None, _generic_entry, {"1": 0, "+1": 0, "-1": 1})
+        lookup = {"1": 0, "+1": 0, "-1": 1}
+        exps = _index_rows(body, (n, n), SEIDEL_TAG, None, _generic_entry, lookup)
     else:
         root_order = _int_of(meta["r"], "r")
         _check_order(root_order, f"r={meta['r']}")
         if not is_prime(root_order):
             raise FormatError(f"r must be a prime or 'generic', got {meta['r']!r}")
         exps = _index_rows(
-            body, n, SEIDEL_TAG, AbelianGroup((root_order,)),
+            body, (n, n), SEIDEL_TAG, AbelianGroup((root_order,)),
             lambda tok, where: _int_of(tok, where) % root_order,
         )
     try:  # the diagonal's -1 maps to some index, which SeidelMatrix ignores
@@ -365,16 +359,15 @@ def parse_seidel(text: str) -> lines.SeidelMatrix:
 
 
 def emit_gh(h: constructions.GHMatrix) -> str:
-    names = [_emit_element(el) for el in h.group.elements()]
-    out = [GH_TAG, f"n={h.n} group={_emit_group(h.group)}"] + _emit_rows(names, h.index)
-    return "\n".join(out) + "\n"
+    head = [GH_TAG, f"n={h.n} group={_emit_group(h.group)}"]
+    return _emit_rows(head, _element_names(h.group), h.index)
 
 
 def parse_gh(text: str) -> constructions.GHMatrix:
     meta, body = _split_header(text, GH_TAG, ("n", "group"))
     n = _int_of(meta["n"], "n")
     group = _parse_group(meta["group"])
-    index = _index_rows(body, n, GH_TAG, group, partial(_element_index, group), diagonal=False)
+    index = _index_rows(body, (n, n), GH_TAG, group, diagonal=False)
     return constructions.GHMatrix(group, index)
 
 
@@ -382,31 +375,23 @@ def parse_gh(text: str) -> constructions.GHMatrix:
 
 
 def emit_form(form: constructions.AlternatingForm) -> str:
-    out = [FORM_TAG, f"p={form.p} m={form.m} s={form.s}"]
-    for mat in form.mats:
-        for row in mat:
-            out.append(" ".join(str(x) for x in row))
-    return "\n".join(out) + "\n"
+    head = [FORM_TAG, f"p={form.p} m={form.m} s={form.s}"]
+    mats = np.array(form.mats, dtype=np.int64).reshape(form.s * form.m, form.m)
+    return _emit_rows(head, [str(x) for x in range(form.p)], mats)
 
 
 def parse_form(text: str) -> constructions.AlternatingForm:
     meta, body = _split_header(text, FORM_TAG, ("p", "m", "s"))
-    p = _int_of(meta["p"], "p")
-    m = _int_of(meta["m"], "m")
-    s = _int_of(meta["s"], "s")
+    p, m, s = (_int_of(meta[key], key) for key in ("p", "m", "s"))
     if p < 2 or m < 1 or s < 1:
         raise FormatError(f"need p >= 2, m >= 1, s >= 1, got p={p} m={m} s={s}")
-    rows = _take_rows(body, s * m, FORM_TAG)
-    mats = []
-    for k in range(s):
-        mat = []
-        for i in range(m):
-            where = f"block {k + 1}, row {i + 1}"
-            toks = _split_row(rows[k * m + i], m, where)
-            mat.append(tuple(_int_of(tok, where) for tok in toks))
-        mats.append(tuple(mat))
+    constructions._check_fibres(p, m, f"a form pencil on GF({p})^{m}")
+    mats = _index_rows(
+        body, (s * m, m), FORM_TAG, AbelianGroup((p,)),
+        lambda tok, where: _int_of(tok, where) % p, diagonal=False,
+    )
     try:
-        return constructions.AlternatingForm(p, m, s, tuple(mats))
+        return constructions.AlternatingForm(p, m, s, mats.reshape(s, m, m))
     except ValueError as exc:
         raise FormatError(f"invalid form pencil: {exc}") from None
 
@@ -415,19 +400,19 @@ def parse_form(text: str) -> constructions.AlternatingForm:
 
 
 def emit_skew(skew: constructions.SkewProduct) -> str:
-    out = [SKEW_TAG, f"t={skew.t} d={skew.d}"] + _emit_gf_rows(skew.table, skew.t * skew.d)
-    return "\n".join(out) + "\n"
+    names = _element_names(_field(skew.t * skew.d))
+    return _emit_rows([SKEW_TAG, f"t={skew.t} d={skew.d}"], names, np.array(skew.table))
 
 
 def parse_skew(text: str) -> constructions.SkewProduct:
     """Read a skew-product table; coefficients are over the fixed modulus
     of GF(2^(td)) (``gf.MODULI``)."""
     meta, body = _split_header(text, SKEW_TAG, ("t", "d"))
-    t = _int_of(meta["t"], "t")
-    d = _int_of(meta["d"], "d")
+    t, d = _int_of(meta["t"], "t"), _int_of(meta["d"], "d")
     if t < 1 or d < 1:
         raise FormatError(f"need t >= 1 and d >= 1, got t={t} d={d}")
-    table = _gf_rows(body, t * d, t * d, SKEW_TAG)
+    constructions._check_fibres(2, t * (d + 1), f"dcff(t={t}, d={d})")
+    table = _index_rows(body, (t * d, t * d), SKEW_TAG, _field(t * d), diagonal=False)
     try:
         return constructions.SkewProduct(t=t, d=d, table=table)
     except ValueError as exc:
@@ -438,8 +423,8 @@ def parse_skew(text: str) -> constructions.SkewProduct:
 
 
 def emit_latin(latin: constructions.LatinSquare) -> str:
-    out = [LATIN_TAG, f"t={latin.t}"] + _emit_gf_rows(latin.table, latin.t)
-    return "\n".join(out) + "\n"
+    names = _element_names(_field(latin.t))
+    return _emit_rows([LATIN_TAG, f"t={latin.t}"], names, np.array(latin.table))
 
 
 def parse_latin(text: str) -> constructions.LatinSquare:
@@ -447,8 +432,8 @@ def parse_latin(text: str) -> constructions.LatinSquare:
     t = _int_of(meta["t"], "t")
     if t < 1:
         raise FormatError(f"need t >= 1, got t={t}")
-    _check_order(2 ** min(t, 12), f"the order of GF(2^{t})")  # min: no huge 2^t is built
-    table = _gf_rows(body, t, 2**t, LATIN_TAG)
+    group = _field(t)  # before 2^t is computed
+    table = _index_rows(body, (2**t, 2**t), LATIN_TAG, group, diagonal=False)
     try:
         return constructions.LatinSquare(t=t, table=table)
     except ValueError as exc:
@@ -467,6 +452,5 @@ def emit_gram(label: str, ls: lines.LineSet) -> str:
     for i in np.flatnonzero(np.bincount(index.ravel() + 1)[1:]).tolist():
         coeffs = lines._zeta_coeffs(i, q)
         names[i] = str(coeffs[0] * scale) if one_value else ",".join(str(c * scale) for c in coeffs)
-    out = [f"GRAM {label} n={ls.n} d={ls.d} alpha_sq={ls.alpha_sq} field={ls.field}"]
-    out += _emit_rows(names, index)
-    return "\n".join(out) + "\n"
+    head = [f"GRAM {label} n={ls.n} d={ls.d} alpha_sq={ls.alpha_sq} field={ls.field}"]
+    return _emit_rows(head, names, index)

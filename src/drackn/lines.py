@@ -101,7 +101,8 @@ class SeidelMatrix(_IndexTable):
         if root_order is not None and not is_prime(root_order):
             raise ValueError(f"root_order must be a prime or None, got {root_order}")
         q = root_order or 2
-        index = entries.astype(np.int64)
+        with np.errstate(invalid="ignore"):  # nan, inf or out of int64 range: refused below
+            index = entries.astype(np.int64)
         # an index h*q + k, exactly: a cast that changed a value, or zeta_2 as
         # k = 1 (it is h = 1), moves the entry out of the group
         bad = index != entries

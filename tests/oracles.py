@@ -531,7 +531,7 @@ def parse_latin_by_tokens(text: str) -> LatinSquare:
 
 def emit_by_tokens(tag: str, table) -> str:
     """A cover (``ArcMatrix``) or GH table written one token at a time."""
-    names = [formats._emit_element(el) for el in table.group.elements()] + ["."]
+    names = [",".join(map(str, el)) if el else "0" for el in table.group.elements()] + ["."]
     out = [tag, f"n={table.n} group={formats._emit_group(table.group)}"]
     out.extend(" ".join(names[i] for i in row) for row in table.index.tolist())
     return "\n".join(out) + "\n"

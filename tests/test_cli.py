@@ -355,7 +355,8 @@ def _ingredient_runs() -> list[tuple[str, list[str], str, bool]]:
         texts[name] = (argv, text)
         head, rows = text.splitlines()[:2], text.splitlines()[2:]
         for label, entries in changes(rows[0].split()).items():
-            texts[f"{name}-{label}"] = (argv, "\n".join(head + [" ".join(entries)] + rows[1:]) + "\n")
+            changed = head + [" ".join(entries)] + rows[1:]
+            texts[f"{name}-{label}"] = (argv, "\n".join(changed) + "\n")
 
     forms = [standard_symplectic(p, m) for p, m in ((2, 2), (3, 2), (5, 2), (7, 2), (2, 4), (3, 4))]
     for form in forms + [pencil_s2]:

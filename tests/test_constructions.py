@@ -37,6 +37,7 @@ from drackn.errors import (
     UnsupportedError,
     VerificationError,
 )
+from drackn.formats import parse_form
 from drackn.groups import AbelianGroup
 from drackn.lines import lines_to_cover, paley_conference
 
@@ -97,6 +98,26 @@ def test_alternating_form_validation():
         AlternatingForm(4, 2, 1, (((0, 1), (3, 0)),))  # p not prime
     with pytest.raises(ValueError):
         AlternatingForm(2, 2, 3, ())  # s > m
+
+
+def test_oversized_pencil_is_refused_before_the_primality_test(monkeypatch):
+    # p^m above the fibre limit is refused without trial division of p
+    def no_trial_division(p):
+        raise AssertionError(f"is_prime({p}) called")
+
+    monkeypatch.setattr(constructions, "is_prime", no_trial_division)
+    p = 10000000000000061  # a 17-digit prime
+    want = (f"a form pencil on GF({p})^2 gives a cover with {p}^2 fibres, "
+            "more than the limit of 2048")
+    with pytest.raises(UnsupportedError) as exc:
+        AlternatingForm(p, 2, 1, (((0, 1), (p - 1, 0)),))
+    assert str(exc.value) == want
+    with pytest.raises(UnsupportedError) as exc:
+        parse_form(f"FORM v1\np={p} m=2 s=1\n")  # before the missing rows, too
+    assert str(exc.value) == want
+    with pytest.raises(UnsupportedError) as exc:  # 4^6 = 4096, and 4 is not prime
+        AlternatingForm(4, 6, 1, ())
+    assert str(exc.value).startswith("a form pencil on GF(4)^6 gives a cover with 4^6 fibres")
 
 
 def test_thas_somma_argument_checks():
@@ -427,6 +448,20 @@ def test_gh_to_cover_rejections():
     with pytest.raises(VerificationError) as exc:
         gh_to_cover(dull)
     assert exc.value.condition == "gh-row-pairs"
+
+
+def test_one_row_gh_is_too_small_without_a_count(monkeypatch):
+    # a table of one row has no row pair: nothing is counted before the size check
+    def spy(*args):
+        raise AssertionError("_count_blocks called")
+
+    monkeypatch.setattr(constructions, "_count_blocks", spy)
+    with pytest.raises(CoverStructureError) as exc:
+        gh_to_cover(GHMatrix(AbelianGroup(()), [[()]]))
+    assert exc.value.condition == "too-small"
+    with pytest.raises(VerificationError) as exc:  # 1 row over Z/2: the divisibility witness
+        gh_to_cover(GHMatrix(AbelianGroup((2,)), [[(0,)]]))
+    assert exc.value.witness == "order 1 is not a multiple of the group order 2"
 
 
 def test_cover_gh_round_trip():

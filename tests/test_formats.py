@@ -27,6 +27,7 @@ from drackn import constructions, formats
 from drackn.constructions import (
     AlternatingForm,
     GHMatrix,
+    SkewProduct,
     cover_to_gh,
     dcff,
     default_latin,
@@ -249,6 +250,57 @@ def test_skew_parse_errors():
         parse_skew("SKEW v1\nt=0 d=3\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, want",
+    [
+        (parse_form, "FORM v1\np=3 m=7 s=9\n",
+         "a form pencil on GF(3)^7 gives a cover with 3^7 fibres"),
+        (parse_form, "FORM v1\np=4 m=6 s=1\n",
+         "a form pencil on GF(4)^6 gives a cover with 4^6 fibres"),
+        (parse_skew, "SKEW v1\nt=3 d=3\n", "dcff(t=3, d=3) gives a cover with 2^12 fibres"),
+        (parse_skew, "SKEW v1\nt=1 d=1000000000\n",
+         "dcff(t=1, d=1000000000) gives a cover with 2^1000000001 fibres"),
+    ],
+    ids=["form-37", "form-not-prime", "skew-33", "skew-huge"],
+)
+def test_oversized_ingredient_header_is_refused_before_its_rows(parse, text, want):
+    # the construction's text, before the missing rows or the primality of p
+    with pytest.raises(UnsupportedError) as exc:
+        parse(text)
+    assert str(exc.value) == want + ", more than the limit of 2048"
+
+
+def test_oversized_library_ingredients_are_not_written():
+    table = ((0,) * 12,) * 12  # GF(2^12): above the limit, and no modulus is fixed for it
+    with pytest.raises(FormatError, match=r"the order of GF\(2\^12\) is above the size limit"):
+        emit_skew(SkewProduct(t=1, d=12, table=table))
+    assert parse_skew(emit_skew(default_skew(1, 5))) == default_skew(1, 5)
+
+
+def test_every_format_is_one_table_read_and_written(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(formats, name)
+        monkeypatch.setattr(formats, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    spy("_index_rows")
+    spy("_emit_rows")
+    f = thas_somma(3, 2)
+    cl = cover_to_lines(f, 1)
+    for emit, parse, value in [
+        (emit_cover, parse_cover, f),
+        (emit_seidel, parse_seidel, cl.seidel),
+        (emit_gh, parse_gh, cover_to_gh(f)),
+        (emit_form, parse_form, standard_symplectic(3, 2)),
+        (emit_skew, parse_skew, default_skew(1, 3)),
+        (emit_latin, parse_latin, default_latin(2)),
+    ]:
+        assert parse(emit(value)) == value
+    emit_gram("tau", cl.lines_tau)
+    assert calls == ["_emit_rows", "_index_rows"] * 6 + ["_emit_rows"]
+
+
 def test_latin_parse_errors():
     with pytest.raises(FormatError) as exc:
         parse_latin("LATIN v1\nt=1\n0 0\n0 0\n")  # rows are not permutations
@@ -271,7 +323,9 @@ INGREDIENTS = {  # parser, the parent's reader, emitted texts
     "skew": (parse_skew, parse_skew_by_tokens, [
         emit_skew(default_skew(t, d)) for t, d in ((1, 1), (1, 3), (2, 1), (3, 1), (1, 5))
     ]),
-    "latin": (parse_latin, parse_latin_by_tokens, [emit_latin(default_latin(t)) for t in (1, 2, 3)]),
+    "latin": (parse_latin, parse_latin_by_tokens, [
+        emit_latin(default_latin(t)) for t in (1, 2, 3)
+    ]),
 }
 
 

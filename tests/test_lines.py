@@ -158,6 +158,10 @@ def test_seidel_matrix_takes_only_an_index_array():
         (np.array([[0, -1], [0, 0]]), 3, "entry (0,1) = -1 is not +-zeta_3^k"),
         (np.array([[0, 1], [1, 0]]), None, "entry (0,1) = 1 is not +-zeta_2^k"),
         (np.array([[0, 2], [0, 0]]), 2, "matrix is not Hermitian at (0,1)"),
+        # out of int64's range: the cast raises no RuntimeWarning
+        (np.array([[0, 1e19], [1e19, 0]]), 3, "entry (0,1) = 1e+19 is not +-zeta_3^k"),
+        (np.array([[0, np.nan], [np.nan, 0]]), 3, "entry (0,1) = nan is not +-zeta_3^k"),
+        (np.array([[0, np.inf], [-np.inf, 0]]), 3, "entry (0,1) = inf is not +-zeta_3^k"),
     ]
     for entries, q, text in refusals:
         with pytest.raises(ValueError) as exc:

@@ -331,20 +331,19 @@ INGREDIENTS = {  # parser, the parent's reader, emitted texts
 def _over_budget(kind: str, text: str) -> str | None:
     """The ``constructions._check_fibres`` text of a FORM or SKEW header
     that declares a cover above the fibre limit, else None."""
-    tag, keys = {
-        "form": (formats.FORM_TAG, ("p", "m", "s")),
-        "skew": (formats.SKEW_TAG, ("t", "d")),
-        "latin": (formats.LATIN_TAG, ("t",)),
-    }[kind]
+    if kind == "latin":
+        return None
+    form = kind == "form"
+    tag, keys = (formats.FORM_TAG, ("p", "m", "s")) if form else (formats.SKEW_TAG, ("t", "d"))
     try:
         meta, _ = split_header_by_lines(text, tag, keys)
         values = [int(meta[key]) for key in keys]
     except (FormatError, ValueError):
         return None
-    if kind == "latin" or min(values) < 1 or values[0] < 2 and kind == "form":
+    if min(values) < 1 or values[0] < 2 and form:
         return None
     try:
-        if kind == "form":
+        if form:
             p, m = values[:2]
             constructions._check_fibres(p, m, f"a form pencil on GF({p})^{m}")
         else:
@@ -370,26 +369,44 @@ def _respaced(text: str, rng: random.Random) -> str:
     return "\n".join(head) + "\n" + body.replace("\n", rng.choice(("\n", "\r\n", " \n")))
 
 
+def _rewritten(kind: str, text: str, rng: random.Random) -> str:
+    """The same entries in other tokens: a FORM entry plus a multiple of p,
+    each SKEW or LATIN coordinate with a '0' or '+' in front."""
+    lines = text.splitlines()
+    if kind == "form":
+        p = int(lines[1].split()[0].removeprefix("p="))
+        spell = lambda tok: str(int(tok) + p * rng.randint(-2, 2))
+    else:
+        spell = lambda tok: ",".join(rng.choice(("", "0", "+")) + c for c in tok.split(","))
+    rows = [" ".join(spell(tok) for tok in line.split()) for line in lines[2:]]
+    return "\n".join(lines[:2] + rows) + "\n"
+
+
 @pytest.mark.parametrize("kind", INGREDIENTS)
 def test_ingredient_parsers_match_the_parent_reader(kind):
-    # emitted, re-spaced and fuzz-mutated texts (1-4 characters of the fuzz
-    # alphabet): the same object, both a FormatError, or a header above the
-    # fibre limit refused with the construction's text
+    # emitted, re-spaced, re-written and fuzz-mutated texts (1-4 characters
+    # of the fuzz alphabet): the same object, both a FormatError, or a header
+    # above the fibre limit refused with the construction's text
     parse, reference, texts = INGREDIENTS[kind]
     rng, seen = random.Random(f"ingredient {kind}"), set()
     for text in texts:
-        for base in [text] + [_respaced(text, rng) for _ in range(3)]:
+        variants = [_respaced(text, rng) for _ in range(2)] + [
+            _respaced(_rewritten(kind, text, rng), rng) for _ in range(2)
+        ]
+        for base in [text] + variants:
+            cases = [base]
             for _ in range(120):
                 t = base
                 for _ in range(rng.randint(1, 4)):
                     i, c = rng.randrange(len(t) + 1), rng.choice(ALPHABET)
                     t = rng.choice((t[:i] + c + t[i:], t[:i] + c + t[i + 1:], t[:i] + t[i + 1:]))
-                for case in (base, t):
-                    got, budget = _ingredient_outcome(parse, case), _over_budget(kind, case)
-                    want = _ingredient_outcome(reference, case)
-                    assert got == want or budget is not None and got == budget, repr(case)
-                    refused = got is FormatError or isinstance(got, str)
-                    seen.add("size" if budget else "refused" if refused else "parsed")
+                cases.append(t)
+            for case in cases:
+                got, budget = _ingredient_outcome(parse, case), _over_budget(kind, case)
+                want = _ingredient_outcome(reference, case)
+                assert got == want or budget is not None and got == budget, repr(case)
+                refused = got is FormatError or isinstance(got, str)
+                seen.add("size" if budget else "refused" if refused else "parsed")
     assert seen == ({"parsed", "refused"} if kind == "latin" else {"parsed", "refused", "size"})
 
 def test_emit_gram_display():

@@ -17,8 +17,8 @@ loop and no field arithmetic per pair, and verify it before returning it.
 A cover with delta = -2 (equivalently n = rc) is the same thing as a
 self-adjoint generalized Hadamard matrix with constant diagonal over the
 deck group; ``cover_to_gh`` / ``gh_to_cover`` convert between the two views.
-``gh_to_cover`` checks the Hadamard row-pair identity as ``drackn_verify``
-checks a cover (``covers._count_blocks``).
+``gh_to_cover`` checks the Hadamard row-pair identity through the scan that
+``drackn_verify`` checks a cover with (``covers._first_miscount``, c = n/r).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .covers import (
     _MAX_FIBRES,
     _IndexTable,
     _check_shape,
-    _count_blocks,
+    _first_miscount,
     check_deck_group,
     cover_certificate,
     drackn_verify,
@@ -348,38 +348,6 @@ class GHMatrix(_IndexTable):
         super().__init__(group, np.array(entries, dtype=np.int64))
 
 
-def _row_pair_defect(group: AbelianGroup, f: np.ndarray) -> str | None:
-    """None if the arc index array ``f`` of ``gh_to_cover`` has
-    N_uv(x) = n/r for x != f(u, v) (the row sum n - 2 then forces n/r - 2 at
-    f(u, v)), else a witness: the first failing row pair u < v and the worst
-    of its row differences, which hit x N_uv(x) + 2[x = f(u, v)] times.
-
-    A block is counted only if it fails B (B + 2I) = (n - 1)I (mod q)
-    (``covers._count_blocks``), exact with c = lam, in [0, n - 2] for n >= 3
-    and r >= 2 (at r = 1 every table passes).  Pair (v, u) fails iff (u, v)
-    does, so the first failing block holds the first failing pair u < v."""
-    n, r = f.shape[0], group.order
-    if n % r:
-        return f"order {n} is not a multiple of the group order {r}"
-    if n < 2:  # no row pair
-        return None
-    lam = n // r
-    fibres, xs = np.arange(n), np.arange(r)
-    for lo, N in _count_blocks(f, group, 0, -2):
-        block = f[lo:lo + len(N)]
-        bad = (N != lam) & (xs != block[:, :, None])
-        bad = bad.any(axis=2) & (fibres > fibres[lo:lo + len(N), None])
-        if bad.any():
-            k, v = (int(i) for i in np.argwhere(bad)[0])
-            diffs = N[k, v] + 2 * (xs == block[k, v])  # times rows lo + k, v differ by x
-            worst = int(np.argmax(abs(diffs - lam)))
-            return (
-                f"rows {lo + k},{v}: difference {group.elements()[worst]} appears "
-                f"{diffs[worst]} times, want {lam}"
-            )
-    return None
-
-
 def cover_to_gh(f: ArcMatrix) -> GHMatrix:
     """View a delta = -2 cover (n = rc) as a generalized Hadamard matrix.
 
@@ -401,7 +369,7 @@ def cover_to_gh(f: ArcMatrix) -> GHMatrix:
 def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:
     """Rebuild the cover of a self-adjoint generalized Hadamard matrix with
     constant diagonal, certified by the row-pair identity itself, checked on
-    the count table of its arc values (``_row_pair_defect``).
+    the count table of its arc values (``_first_miscount``).
 
     Requires h(v,u) = -h(u,v) for all u, v (so twice the diagonal is zero)
     and a constant diagonal g0; the arc table is f(u, v) = h(u,v) - g0 off
@@ -409,7 +377,8 @@ def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:
     f(u, k) + f(k, v) for k not in {u, v} and f(u, v) for k in {u, v}, so x
     appears N_uv(x) + 2[x = f(u, v)] times.  The identity makes that n/r
     for every x, so N_uv(x) = n/r off f(u, v): by Godsil and Hensel an
-    (n, r, n/r) cover, and delta = n - rc - 2 = -2.
+    (n, r, n/r) cover, and delta = n - rc - 2 = -2.  The first failing row
+    pair has u < v (N_vu(x) = N_uv(-x)); its worst difference is the witness.
     """
     group, idx = h.group, h.index
     bad = np.argwhere(group.neg_table()[idx] != idx.T)
@@ -418,12 +387,24 @@ def gh_to_cover(h: GHMatrix) -> tuple[ArcMatrix, CoverCertificate]:
         raise VerificationError("gh-not-self-adjoint", f"h({v},{u}) != -h({u},{v})")
     if (idx.diagonal() != idx[0, 0]).any():
         raise VerificationError("gh-diagonal", "diagonal is not constant")
+    n, r = h.n, group.order
+    if n % r:
+        witness = f"order {n} is not a multiple of the group order {r}"
+        raise VerificationError("gh-row-pairs", witness)
+    _check_shape([n] * n)  # a cover has at least 2 fibres
+    # f(v, u) = -h(u, v) - g0 = -f(u, v), as 2 g0 = 0
     idx = group.add_table()[idx, group.neg_table()[idx[0, 0]]]  # h(u, v) - g0
     np.fill_diagonal(idx, -1)
-    defect = _row_pair_defect(group, idx)
-    if defect is not None:
-        raise VerificationError("gh-row-pairs", defect)
-    _check_shape([h.n] * h.n)  # a cover has at least 2 fibres
+    lam = n // r
+    miss = _first_miscount(idx, group, lam)
+    if miss is not None:
+        u, v, _, counts = miss
+        diffs = counts + 2 * (np.arange(r) == idx[u, v])  # times rows u, v differ by x
+        worst = int(np.argmax(abs(diffs - lam)))
+        raise VerificationError(
+            "gh-row-pairs",
+            f"rows {u},{v}: difference {group.elements()[worst]} appears "
+            f"{diffs[worst]} times, want {lam}",
+        )
     check_deck_group(group)
-    # f(v, u) = -h(u, v) - g0 = -f(u, v), as 2 g0 = 0
-    return ArcMatrix._proven(group, idx), cover_certificate(h.n, group.order, h.n // group.order)
+    return ArcMatrix._proven(group, idx), cover_certificate(n, r, lam)

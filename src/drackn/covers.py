@@ -14,12 +14,13 @@ arc table over Z/2 x Z/q: conjugation negates (h, k) in (-1)^h zeta_q^k, so
 construction is stored through ``_proven`` unchecked.
 
 ``drackn_verify`` proves the defining regularity conditions on the counts
-N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}, in blocks of fibres;
-fibre 0's are the column histograms of the gauged table.  For deck groups of
-order up to 32 a later block is proven by B_chi (B_chi - delta I) = (n - 1)I
-(mod q) over a prime field GF(q), in float64 products of residues whose sums
-stay below 2^51, so are exact; ``_count_blocks`` counts only the blocks that
-fail it, and every block when r > 32.
+N_uv(x) = #{w not in {u, v} : f(u, w) + f(w, v) = x}; fibre 0's are the
+column histograms of the gauged table, and ``_first_miscount`` finds the
+first later pair with N_uv(x) != c off f(u, v), in blocks.  For deck groups
+of order up to 32 a block is proven by B_chi (B_chi - (n - rc - 2)I) =
+(n - 1)I (mod q) over a prime field GF(q), in float64 products of residues
+whose sums stay below 2^51, so are exact; ``_count_blocks`` counts only the
+blocks that fail it, and every block when r > 32.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ def _residue(y: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0, delta: int | None = None):
+def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0, c: int | None = None):
     """Yield (lo, N[lo:hi]) for blocks of consecutive fibres u >= ``start``,
     where N[u, v, x] = #{w not in {u, v} : f(u, w) + f(w, v) = x} and
     N[u, u] = 0.  Each block is a C-contiguous int64 array.
@@ -330,16 +331,16 @@ def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0, delta: i
       which is below 1/(2q) for y + 1/2 < 2^51.  A count lies in
       [0, n - 2] and q > n - 2, so the residue y mod q is the count.
 
-    With ``delta`` on the character route, a block is yielded only if its
-    rows fail B_a (B_a - delta I) = (n - 1)I (mod q) for some a != 0: the
-    products plus (-delta mod q) B_a[rows], less n - 1 on the diagonal, whose
-    n - 1 terms of B_a^2 are = 1 (mod q) as f(v, u) = -f(u, v), so >= 1;
-    every sum stays below (n + 1)(q - 1)^2, and the residue tests it.
-    As the trivial sum is n - 2, a pair passes iff N_uv(x) = r^-1 (n - 2 -
-    delta) (mod q) for x != f(u, v).  Given an integer c in [0, n - 2] of
-    that residue, N_uv(x) = c there (q > n - 2) and the row sum n - 2 fixes
-    N_uv(f(u, v)): each caller names its c.  A pair with those counts passes,
-    so a skipped block holds no failing pair and a yielded one holds one.
+    With a count ``c`` in [0, n - 2] (asserted) on the character route, a
+    block is yielded only if its rows fail B_a (B_a - delta I) = (n - 1)I
+    (mod q), delta = n - rc - 2, for some a != 0: the products plus
+    (-delta mod q) B_a[rows], less n - 1 on the diagonal, whose n - 1 terms
+    of B_a^2 are = 1 (mod q) as f(v, u) = -f(u, v), so >= 1; every sum stays
+    below (n + 1)(q - 1)^2, and the residue tests it.  As the trivial sum is
+    n - 2, a pair passes iff N_uv(x) = r^-1 (n - 2 - delta) = c (mod q), so
+    N_uv(x) = c, for x != f(u, v) (counts lie in [0, n - 2], below q).  So a
+    yielded block holds a pair with a count other than c off f(u, v), and a
+    skipped one holds none.  The gathers yield every block.
 
     The cost rule (``_count_plan``) takes the characters when r <= 32, the
     stack of the B_a fits r n^2 <= 2^23 float64 entries (64 MB) and the bound
@@ -350,10 +351,12 @@ def _count_blocks(idx: np.ndarray, group: AbelianGroup, start: int = 0, delta: i
     block on either.
     """
     n, r = idx.shape[0], group.order
+    assert c is None or 0 <= c <= n - 2, "the count identity is exact for c in [0, n - 2]"
     characters, b = _count_plan(n, r)
     ind = np.array(idx, dtype=np.intp)
     np.fill_diagonal(ind, r)
     if characters:
+        delta = None if c is None else n - r * c - 2
         blocks = _character_counts(ind, group.orders, b, start, delta)
     else:
         blocks = _gather_counts(ind, group.add_table(), b, start)
@@ -407,6 +410,26 @@ def _character_counts(
         yield lo, counts.reshape(h, n, r)
 
 
+def _first_miscount(idx: np.ndarray, group: AbelianGroup, c: int, start: int = 0):
+    """(u, v, x, N_uv) for the first pair u >= ``start``, in row order, with
+    N_uv(x) != c at some x != f(u, v), x the least such; None if no pair fails.
+    ``idx`` is an arc index array (-1 on the diagonal, f(v, u) = -f(u, v)),
+    as the identity step of ``_count_blocks`` needs.  A c above n - 2
+    (``gh_to_cover`` at n = 2 or r = 1) fails every pair with an x != f(u, v),
+    and is counted without that step."""
+    n, r = idx.shape[0], group.order
+    for lo, N in _count_blocks(idx, group, start, c if c <= n - 2 else None):
+        h = len(N)
+        bad = N != c
+        # x = f(u, v) is free; the diagonal's -1 reads x = r - 1 of (u, u), cleared whole
+        bad.reshape(-1)[np.arange(0, h * n * r, r) + idx[lo:lo + h].ravel() % r] = False
+        bad[np.arange(h), np.arange(lo, lo + h)] = False
+        if bad.any():
+            k, v, x = (int(i) for i in np.argwhere(bad)[0])
+            return lo + k, v, x, N[k, v]
+    return None
+
+
 def _fibre_zero_counts(idx: np.ndarray, r: int) -> np.ndarray:
     """N[0] of a gauged table (f(0, w) = e for every w), without the kernel:
     N_0v(x) = #{w not in {0, v} : f(w, v) = x}, the histogram of column v
@@ -448,9 +471,9 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
     from it, mates first: a missed mate makes fibre 0 fail, since a passing
     fibre 0 reaches every mate x through fibre 1 (N_01(x) = c >= 1).  Only
     if fibre 0 passes are the later fibres checked, in blocks from fibre 1
-    on.  A block's pairs with earlier fibres need no mask: as
-    N_uv(x) = N_vu(-x), a count other than c at v < u fails fibre v first.
-    The blocks come in fibre order, so the first failing fibre, its first
+    on (``_first_miscount``).  Its pairs with earlier fibres need no mask:
+    as N_uv(x) = N_vu(-x), a count other than c at v < u fails fibre v
+    first.  It scans in row order, so the first failing fibre, its first
     failing pair and so the tag and witness are those of the scan.  A
     typical non-cover fails at fibre 0: every change of one arc pair of a
     cover does (n >= 3), as one count of N_0u moves to c +- 1 when 0 is
@@ -458,7 +481,7 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
 
     A block is counted only if it fails the ``character-blocks`` identity
     B_chi^2 = delta B_chi + (n - 1)I mod q, delta = n - rc - 2
-    (``_count_blocks``), exact as c itself lies in [1, n - 2].
+    (``_count_blocks``), exact as c is a count of fibre 0, in [1, n - 2].
 
     Returns the certificate on success; raises ``VerificationError`` with a
     condition keyword and witness when the expanded graph is not a cover with
@@ -487,16 +510,10 @@ def drackn_verify(f: ArcMatrix) -> CoverCertificate:
             raise VerificationError("not-antipodal", f"fibre mates 0,{x} are not at distance 3")
         v, x = (int(i) + 1 for i in np.argwhere(bad)[0])
         raise _count_failure(0, v, x, int(N0[v, x]), c, r)
-    for lo, N in _count_blocks(idx, G, 1, n - r * c - 2):
-        h = len(N)
-        bad = N != c  # c >= 1 now
-        # x = f(u, v) is free; the diagonal's -1 reads x = r - 1 of the pair
-        # (u, u), which is cleared whole
-        bad.reshape(-1)[np.arange(0, h * n * r, r) + idx[lo:lo + h].ravel() % r] = False
-        bad[np.arange(h), np.arange(lo, lo + h)] = False
-        if bad.any():
-            k, v, x = (int(i) for i in np.argwhere(bad)[0])
-            raise _count_failure(lo + k, v, x, int(N[k, v, x]), c, r)
+    miss = _first_miscount(idx, G, c, 1)
+    if miss is not None:
+        u, v, x, counts = miss
+        raise _count_failure(u, v, x, int(counts[x]), c, r)
     return cover_certificate(n, r, c)
 
 

@@ -176,11 +176,11 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     M_uv(k) - a e_uv [k = k_uv] is constant in k for every u != v, and a is
     read off the pair (0, 1), whose counts over w >= 2 are one bincount.
 
-    Over Z/2 and Z/q a block is counted only if it fails B (B - aI) = (n - 1)I
-    mod the table's field prime (``covers._count_blocks``), which is exact
-    with c = (n - 2 - a)/2 over Z/2, in [0, n - 2] as a = e_01 M_01 = n
-    (mod 2) and |a| <= n - 2, and c = N_01(k_01 + 1) over Z/q, as pair (0, 1)
-    is in the first block; there a = N_01(k_01) - c = n - 2 - qc.
+    Over Z/2 and Z/q (order r) a block is counted only if a pair in it has
+    N_uv(x) != c at some x != f(u, v), for c = N_01(f(0, 1) + 1)
+    (``covers._count_blocks``).  When pair (0, 1) passes,
+    a = N_01(f(0, 1)) - c = n - 2 - rc, so these are exactly the pairs that
+    fail; when it fails, so does block 0, which holds it.
 
     The spectrum is ``feasibility.quadratic_spectrum(a, n, n)``, as for a
     character block of a cover.
@@ -203,7 +203,8 @@ def two_eigenvalue_data(s: SeidelMatrix) -> SeidelSpectrum:
     m01, k01 = np.zeros(q, dtype=np.int64), k[0, 1]
     m01[:K] = n01[:K] - n01[K:] if H == 2 else n01
     a = int(sign[0, 1] * (m01[k01] - m01[(k01 + 1) % q]))
-    for lo, counts in _count_blocks(table, group, 0, a if group.rank == 1 else None):
+    c = int(n01[(table[0, 1] + 1) % group.order]) if group.rank == 1 else None
+    for lo, counts in _count_blocks(table, group, 0, c):
         rows = len(counts)
         by_sign = counts.reshape(rows, n, H, K)
         # [u, v, k]: M_uv(k) for k < K; over Z/2 (K = 1), M_uv(k) = 0 for k != 0

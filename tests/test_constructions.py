@@ -453,9 +453,9 @@ def test_gh_to_cover_rejections():
 def test_one_row_gh_is_too_small_without_a_count(monkeypatch):
     # a table of one row has no row pair: nothing is counted before the size check
     def spy(*args):
-        raise AssertionError("_count_blocks called")
+        raise AssertionError("_first_miscount called")
 
-    monkeypatch.setattr(constructions, "_count_blocks", spy)
+    monkeypatch.setattr(constructions, "_first_miscount", spy)
     with pytest.raises(CoverStructureError) as exc:
         gh_to_cover(GHMatrix(AbelianGroup(()), [[()]]))
     assert exc.value.condition == "too-small"
@@ -631,7 +631,7 @@ def test_gh_to_cover_certificate_matches_drackn_verify():
 
 def test_gh_to_cover_refuses_the_deck_groups_drackn_verify_refuses(monkeypatch):
     # no order-4 table over Z/4 satisfies the row-pair identity, so skip it
-    monkeypatch.setattr(constructions, "_row_pair_defect", lambda group, f: None)
+    monkeypatch.setattr(constructions, "_first_miscount", lambda idx, group, c: None)
     Z4 = AbelianGroup((4,))
     zeros = np.zeros((4, 4), dtype=np.int64)
     with pytest.raises(UnsupportedError) as exc:

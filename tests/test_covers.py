@@ -212,8 +212,9 @@ def _normalized_tables(n: int, G: AbelianGroup):
 def test_census_of_small_normalized_tables():
     """Every normalized arc table at (5, Z/2), (6, Z/2), (5, Z/3) and
     (5, (Z/2)^2), 5,913 in all: ``drackn_verify`` has the verdict and tag of
-    the expanded-graph scan, and the covers it finds are exactly the
-    triples that pass the feasibility battery with 1 <= c <= n - 2."""
+    the expanded-graph scan and the tag and witness of the per-fibre scan,
+    and the covers it finds are exactly the triples that pass the
+    feasibility battery with 1 <= c <= n - 2."""
     found, tags = Counter(), Counter()
     for n, orders in ((5, (2,)), (6, (2,)), (5, (3,)), (5, (2, 2))):
         G = AbelianGroup(orders)
@@ -222,6 +223,7 @@ def test_census_of_small_normalized_tables():
         for f in tables:
             got = _outcome(lambda t: drackn_verify(t).params.c, f)
             assert got == _outcome(_expanded_graph_scan, f), (n, orders, f.entries)
+            assert _verdict(drackn_verify, f)[1] == _verdict(_per_fibre_scan, f)[1], f.entries
             c, tag = got
             if tag is None:
                 found[n, G.order, c] += 1
@@ -570,6 +572,55 @@ def test_count_blocks_match_per_fibre_table(block):
                     table = np.concatenate([N for _, N in blocks])
                     assert np.array_equal(table, want[start:]), (route, start, G)
         assert all(ragged.values()) or block != 150, route  # 150 makes ragged blocks
+
+
+@BLOCK_SIZES
+def test_count_blocks_yield_exactly_the_blocks_that_miscount(block):
+    """The c contract of ``_count_blocks``, on random arc tables over every
+    ``COUNT_GROUPS`` shape and each c in [0, n - 2], and on switched ladder
+    covers at their own c: the character route yields exactly the blocks
+    that hold a pair with N_uv(x) != c at some x != f(u, v), and the gathers
+    yield every block.  A c outside [0, n - 2] trips the assertion."""
+    rng = np.random.default_rng(34)
+    cases = []
+    for orders in COUNT_GROUPS:
+        G = AbelianGroup(orders)
+        for n in (2, 3, 5, 7, 12):
+            for _ in range(2):
+                upper = np.triu(rng.integers(0, G.order, (n, n)), 1)
+                index = upper + G.neg_table()[upper.T]
+                np.fill_diagonal(index, -1)
+                cases += [(G, index, c) for c in range(n - 1)]
+    for f in _switched_covers():  # fibre 0 passes: c = N_01(x) for x != f(0, 1) = e
+        g = normalize(f)
+        cases.append((f.group, f.index, int(_count_table(g.index, g.group.add_table())[0, 1, 1])))
+    skipped = yielded = 0
+    for G, index, c in cases:
+        n, r = len(index), G.order
+        want = _count_table(index, G.add_table())
+        miss = want != c
+        miss[np.arange(n)[:, None], np.arange(n), index % r] = False  # x = f(u, v)
+        miss[np.arange(n), np.arange(n)] = False
+        failing = miss.any(axis=(1, 2))
+        for start in (0, 1):
+            with count_route("gather", block):
+                gathered = list(_count_blocks(index, G, start, c))
+            assert np.array_equal(np.concatenate([N for _, N in gathered]), want[start:])
+            with count_route("characters", block, identity=False):
+                every = [(lo, len(N)) for lo, N in _count_blocks(index, G, start, c)]
+            with count_route("characters", block):
+                got = list(_count_blocks(index, G, start, c))
+            assert [lo for lo, _ in got] == [
+                lo for lo, h in every if failing[lo:lo + h].any()
+            ], (G, c, index)
+            for lo, N in got:
+                assert np.array_equal(N, want[lo:lo + len(N)])
+            yielded += len(got)
+            skipped += len(every) - len(got)
+        for bad_c in (-1, n - 1):
+            with pytest.raises(AssertionError, match="c in \\[0, n - 2\\]"):
+                list(_count_blocks(index, G, 0, bad_c))
+    assert skipped and yielded
 
 
 def _verdict(check, f):
